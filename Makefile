@@ -33,7 +33,7 @@ bench:
 # for the narrative.
 bench-json:
 	$(GO) test -run=NONE -benchmem \
-		-bench='ZeroAllocMask|ParallelMaskAll|ParallelConflictGraph|ParallelPrivateRound|RankMemoAllocation|MaskDigest|PrivateConflictGraph|InternedIntersect|ConflictGraphN300|RankMemoN300|RoundTraceOverhead|ConflictGraphIndexed|IndexCursorRow|RoundSharded|EpochService|BatchedAccounting' \
+		-bench='ZeroAllocMask|ParallelMaskAll|ParallelConflictGraph|ParallelPrivateRound|RankMemoAllocation|MaskDigest|PrivateConflictGraph|InternedIntersect|ConflictGraphN300|RankMemoN300|RoundTraceOverhead|ConflictGraphIndexed|IndexCursorRow|RoundSharded|EpochService|BatchedAccounting|EncodeSubmissions' \
 		. | $(GO) run ./cmd/benchjson > BENCH_PR8.json
 
 # Diff ns/op and allocs/op between the two most recent committed snapshots.

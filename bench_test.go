@@ -1631,3 +1631,73 @@ func BenchmarkBatchedAccounting(b *testing.B) {
 		})
 	}
 }
+
+// --- Bidder-side encoding (PR 12) ------------------------------------------
+
+// encodeFixture is the round-urban workload's bidder side: N=3000
+// dataset.UrbanMix bidders on a 100×100 grid, 8 channels, rd=5, cr=8,
+// BMax 100, a quarter of the bids zero, disguise P0=0.6 with decay 0.95,
+// and one encoding seed per bidder.
+func encodeFixture(b *testing.B) (core.Params, *mask.KeyRing, *core.DisguiseSampler, []geo.Point, [][]uint64, []int64) {
+	b.Helper()
+	mix, grid := dataset.UrbanMix(), geo.Grid{Rows: 100, Cols: 100, SideMeters: 75_000}
+	p := core.Params{Channels: 8, Lambda: mix.Lambda, MaxX: uint64(grid.Cols - 1), MaxY: uint64(grid.Rows - 1), BMax: 100}
+	ring, err := mask.DeriveKeyRing([]byte("encode-bench"), p.Channels, 5, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sampler, err := core.NewDisguiseSampler(core.DisguisePolicy{P0: 0.6, Decay: 0.95}, p.BMax)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 3000
+	rng := rand.New(rand.NewSource(12))
+	pts := mix.Points(grid, n, rng)
+	bids := make([][]uint64, n)
+	seeds := make([]int64, n)
+	for i := range bids {
+		bids[i] = make([]uint64, p.Channels)
+		for r := range bids[i] {
+			if rng.Intn(4) > 0 {
+				bids[i][r] = uint64(rng.Intn(int(p.BMax))) + 1
+			}
+		}
+		seeds[i] = rng.Int63()
+	}
+	return p, ring, sampler, pts, bids, seeds
+}
+
+// BenchmarkEncodeSubmissions attributes the bidder-side cost of a round:
+// every bidder's masked location (core.NewLocationSubmissions) and masked
+// bids, serially, each bidder on its own seeded rng as in round.Run.
+// "reused" is the round's path — one bid encoder rebound from bidder to
+// bidder, so each channel's digest table fills once. "oneshot" builds a
+// fresh encoder per bidder, as a networked BidderClient does; it pays an
+// HMAC per prefix, eight key schedules and an AES-GCM set-up per bidder.
+func BenchmarkEncodeSubmissions(b *testing.B) {
+	p, ring, sampler, pts, bids, seeds := encodeFixture(b)
+	for _, mode := range []string{"reused", "oneshot"} {
+		b.Run(mode, func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				if _, err := core.NewLocationSubmissions(p, ring, pts, 1); err != nil {
+					b.Fatal(err)
+				}
+				var enc *core.BidEncoder
+				for i := range bids {
+					rng := rand.New(rand.NewSource(seeds[i]))
+					if enc != nil && mode == "reused" {
+						enc.Rebind(sampler, rng)
+					} else {
+						var err error
+						if enc, err = core.NewBidEncoder(p, ring, sampler, rng); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := enc.Encode(bids[i], rng); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

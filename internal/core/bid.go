@@ -35,14 +35,18 @@ type encodeOptions struct {
 	disguise *DisguiseSampler // nil disables disguising even in advanced mode
 }
 
-// BidEncoder turns plaintext bid vectors into submissions. One encoder
-// serves one bidder for one round.
+// BidEncoder turns plaintext bid vectors into submissions. It serves one
+// bidder at a time and is not safe for concurrent use. Rebind hands it to
+// the next bidder, so a worker encoding many bidders builds the channel
+// maskers and the sealer once.
 type BidEncoder struct {
-	params  Params
-	ring    *mask.KeyRing
-	sealer  *mask.Sealer
-	maskers []*mask.Masker // per channel (advanced) or a single shared entry (basic)
-	opts    encodeOptions
+	params    Params
+	ring      *mask.KeyRing
+	sealer    *mask.Sealer
+	maskers   []*mask.Masker // per channel (advanced) or a single shared entry (basic)
+	opts      encodeOptions
+	width     int    // prefix width w of the encoded-value domain
+	domainMax uint64 // top of the encoded-value domain
 }
 
 // NewBidEncoder returns an advanced-scheme encoder. disguise may be nil to
@@ -70,8 +74,9 @@ func newBidEncoder(params Params, ring *mask.KeyRing, opts encodeOptions, rng *r
 	if err != nil {
 		return nil, fmt.Errorf("core: sealer: %w", err)
 	}
-	enc := &BidEncoder{params: params, ring: ring, sealer: sealer, opts: opts}
+	enc := &BidEncoder{params: params, ring: ring, sealer: sealer, opts: opts, domainMax: params.BMax}
 	if opts.advanced {
+		enc.domainMax = params.ScaledMax(ring)
 		enc.maskers = make([]*mask.Masker, params.Channels)
 		for r := range enc.maskers {
 			m, err := mask.NewMasker(ring.GB[r])
@@ -87,7 +92,26 @@ func newBidEncoder(params Params, ring *mask.KeyRing, opts encodeOptions, rng *r
 		}
 		enc.maskers = []*mask.Masker{m}
 	}
+	enc.width = prefix.WidthFor(enc.domainMax)
 	return enc, nil
+}
+
+// Rebind hands the encoder to the next bidder: its disguise sampler (the
+// basic scheme ignores it) and its rng, which restarts the sealer's nonce
+// sequence exactly as a fresh encoder's. Submissions are byte-identical to
+// those of NewBidEncoder (or NewBasicBidEncoder) called with the same
+// arguments.
+//
+// Rebinding also gives every channel masker a digest table (Masker.Memoize),
+// so a prefix is hashed once per encoder rather than once per bidder. A
+// one-shot encoder, never rebound, stays table-free. The table is
+// key-equivalent and dies with the encoder.
+func (e *BidEncoder) Rebind(disguise *DisguiseSampler, rng *rand.Rand) {
+	for _, m := range e.maskers {
+		m.Memoize(e.width)
+	}
+	e.opts.disguise = disguise
+	e.sealer.Reset(rng)
 }
 
 func (e *BidEncoder) maskerFor(r int) *mask.Masker {
@@ -95,14 +119,6 @@ func (e *BidEncoder) maskerFor(r int) *mask.Masker {
 		return e.maskers[r]
 	}
 	return e.maskers[0]
-}
-
-// scaledDomainMax returns the top of the encoded-value domain.
-func (e *BidEncoder) scaledDomainMax() uint64 {
-	if e.opts.advanced {
-		return e.params.ScaledMax(e.ring)
-	}
-	return e.params.BMax
 }
 
 // blind maps a displayed value into its blinded slot:
@@ -135,8 +151,7 @@ func (e *BidEncoder) Encode(bids []uint64, rng *rand.Rand) (*BidSubmission, erro
 }
 
 func (e *BidEncoder) encodeOne(r int, b uint64, rng *rand.Rand) (ChannelBid, error) {
-	w := prefix.WidthFor(e.scaledDomainMax())
-	domainMax := e.scaledDomainMax()
+	w, domainMax := e.width, e.domainMax
 	masker := e.maskerFor(r)
 
 	if !e.opts.advanced {

@@ -9,7 +9,7 @@ import (
 )
 
 // The one conflict-graph construction path behind Auctioneer.ConflictGraph
-// (DESIGN.md §5f). Representation (interned / map-based), candidate
+// (DESIGN.md §5f). Representation (interned / plain mask.Set), candidate
 // strategy (all-pairs oracle / inverted index), worker count, and
 // observation all meet in buildGraph, so a new strategy is wired in exactly
 // once — previously the serial/parallel predicate plumbing was duplicated

@@ -5,7 +5,7 @@ import "lppa/internal/mask"
 // Auctioneer-side interning (DESIGN.md §5b): on ingest the auctioneer maps
 // every 16-byte digest it receives to a dense uint32 ID and evaluates all
 // masked set operations on sorted-ID slices with a Bloom quick reject,
-// instead of walking 16-byte-keyed maps. The map-based mask.Set stays the
+// instead of scanning 16-byte digests. The slice-based mask.Set stays the
 // bidder-side encoding and wire type — interning is a private view of the
 // same digests, so no protocol byte changes and every predicate outcome is
 // identical by construction (pinned by the representation-equivalence

@@ -24,33 +24,59 @@ type LocationSubmission struct {
 // integer coordinates the submitted range is [loc − (2λ−1), loc + (2λ−1)],
 // clamped to the coordinate domain.
 func NewLocationSubmission(params Params, ring *mask.KeyRing, pt geo.Point) (*LocationSubmission, error) {
+	enc, err := NewLocationEncoder(params, ring)
+	if err != nil {
+		return nil, err
+	}
+	return enc.Encode(pt)
+}
+
+// LocationEncoder builds location submissions for one bidder after another
+// on one g0 masker. It is not safe for concurrent use. From its second
+// Encode on the masker keeps a digest table over the coordinate domain
+// (mask.Masker.Memoize), so each coordinate prefix is hashed once per
+// encoder rather than once per bidder; the table is key-equivalent and
+// dies with the encoder.
+type LocationEncoder struct {
+	params Params
+	masker *mask.Masker
+	used   bool
+}
+
+// NewLocationEncoder returns a location encoder under the ring's g0.
+func NewLocationEncoder(params Params, ring *mask.KeyRing) (*LocationEncoder, error) {
 	masker, err := mask.NewMasker(ring.G0)
 	if err != nil {
 		return nil, fmt.Errorf("core: location masker: %w", err)
 	}
-	return newLocationSubmission(params, masker, pt)
-}
-
-// newLocationSubmission is NewLocationSubmission against a caller-owned
-// masker, so batch encoders can amortize the HMAC state across bidders.
-func newLocationSubmission(params Params, masker *mask.Masker, pt geo.Point) (*LocationSubmission, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if pt.X > params.MaxX || pt.Y > params.MaxY {
-		return nil, fmt.Errorf("core: point (%d,%d) outside domain (%d,%d)", pt.X, pt.Y, params.MaxX, params.MaxY)
-	}
-	delta := 2*params.Lambda - 1
-	wx, wy := params.CoordWidthX(), params.CoordWidthY()
+	return &LocationEncoder{params: params, masker: masker}, nil
+}
 
-	xlo, xhi := geo.ClampRange(pt.X, delta, params.MaxX)
-	ylo, yhi := geo.ClampRange(pt.Y, delta, params.MaxY)
+// Encode builds the masked location submission for a bidder at pt, exactly
+// as NewLocationSubmission does.
+func (e *LocationEncoder) Encode(pt geo.Point) (*LocationSubmission, error) {
+	p := e.params
+	if pt.X > p.MaxX || pt.Y > p.MaxY {
+		return nil, fmt.Errorf("core: point (%d,%d) outside domain (%d,%d)", pt.X, pt.Y, p.MaxX, p.MaxY)
+	}
+	delta := 2*p.Lambda - 1
+	wx, wy := p.CoordWidthX(), p.CoordWidthY()
+	if e.used {
+		e.masker.Memoize(max(wx, wy))
+	}
+	e.used = true
+
+	xlo, xhi := geo.ClampRange(pt.X, delta, p.MaxX)
+	ylo, yhi := geo.ClampRange(pt.Y, delta, p.MaxY)
 
 	return &LocationSubmission{
-		XFamily: masker.MaskSet(prefix.Numericalized(prefix.Family(pt.X, wx))),
-		YFamily: masker.MaskSet(prefix.Numericalized(prefix.Family(pt.Y, wy))),
-		XRange:  masker.MaskSet(prefix.Numericalized(prefix.Cover(xlo, xhi, wx))),
-		YRange:  masker.MaskSet(prefix.Numericalized(prefix.Cover(ylo, yhi, wy))),
+		XFamily: e.masker.MaskSet(prefix.Numericalized(prefix.Family(pt.X, wx))),
+		YFamily: e.masker.MaskSet(prefix.Numericalized(prefix.Family(pt.Y, wy))),
+		XRange:  e.masker.MaskSet(prefix.Numericalized(prefix.Cover(xlo, xhi, wx))),
+		YRange:  e.masker.MaskSet(prefix.Numericalized(prefix.Cover(ylo, yhi, wy))),
 	}, nil
 }
 
@@ -58,11 +84,12 @@ func newLocationSubmission(params Params, masker *mask.Masker, pt geo.Point) (*L
 // whole population, sharding bidders across at most workers goroutines
 // (≤ 1 runs serially). Location masking draws no randomness, so the result
 // is identical to calling NewLocationSubmission per point in order, for
-// every worker count. Each worker reuses one masker across its bidders.
+// every worker count. Each worker reuses one LocationEncoder across its
+// bidders.
 func NewLocationSubmissions(params Params, ring *mask.KeyRing, pts []geo.Point, workers int) ([]*LocationSubmission, error) {
-	masker, err := mask.NewMasker(ring.G0)
+	enc, err := NewLocationEncoder(params, ring)
 	if err != nil {
-		return nil, fmt.Errorf("core: location masker: %w", err)
+		return nil, err
 	}
 	// Duplicate points share one submission: masking is deterministic under
 	// the shared key, so equal points produce byte-identical submissions,
@@ -89,7 +116,7 @@ func NewLocationSubmissions(params Params, ring *mask.KeyRing, pts []geo.Point, 
 	workers = mask.Workers(workers, len(upts))
 	if workers <= 1 {
 		for d, pt := range upts {
-			if usubs[d], err = newLocationSubmission(params, masker, pt); err != nil {
+			if usubs[d], err = enc.Encode(pt); err != nil {
 				return nil, fmt.Errorf("core: bidder %d location: %w", first[d], err)
 			}
 		}
@@ -100,9 +127,9 @@ func NewLocationSubmissions(params Params, ring *mask.KeyRing, pts []geo.Point, 
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				local := masker.Clone()
+				local := &LocationEncoder{params: params, masker: enc.masker.Clone()}
 				for d := w; d < len(upts); d += workers {
-					sub, err := newLocationSubmission(params, local, upts[d])
+					sub, err := local.Encode(upts[d])
 					if err != nil {
 						errs[w] = fmt.Errorf("core: bidder %d location: %w", first[d], err)
 						return

@@ -123,8 +123,8 @@ type IntSet struct {
 // InternSet interns every member of s and returns its IntSet. Members of
 // the same Dict's IntSets are mutually comparable; never mix Dicts.
 func (d *Dict) InternSet(s Set) IntSet {
-	out := IntSet{ids: make([]uint32, 0, len(s.order))}
-	for _, dg := range s.order {
+	out := IntSet{ids: make([]uint32, 0, len(s.members))}
+	for _, dg := range s.members {
 		out.ids = append(out.ids, d.Intern(dg))
 	}
 	sortIDs(out.ids)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -28,8 +29,8 @@ import (
 const DigestSize = 16
 
 // Digest is a masked (keyed-hashed) numericalized prefix. Digest is
-// comparable and therefore usable as a map key, which the auctioneer's set
-// intersections depend on.
+// comparable and therefore usable as a map key, which the auctioneer's
+// interning dictionary depends on.
 type Digest [DigestSize]byte
 
 // String renders the digest in hex for logs and debugging.
@@ -67,7 +68,17 @@ type Masker struct {
 	mac hash.Hash         // resettable HMAC-SHA256 state
 	buf [8]byte           // fixed-width message encoding, reused
 	sum [sha256.Size]byte // full HMAC output scratch, reused
+	// memo caches Mask(v) for v < len(memo) once Memoize is called; bit v
+	// of filled marks the entries computed so far.
+	memo   []Digest
+	filled []uint64
 }
+
+// maxMemoBits caps a Masker's digest table at 2^16 entries (1 MiB).
+// Numericalized prefixes of width-w values lie in [0, 2^(w+1)); for w ≥ 16
+// the table covers the bottom 2^16 of that range and values above it are
+// hashed directly.
+const maxMemoBits = 16
 
 // NewMasker returns a Masker for the given key.
 func NewMasker(key Key) (*Masker, error) {
@@ -78,9 +89,32 @@ func NewMasker(key Key) (*Masker, error) {
 }
 
 // Clone returns an independent Masker over the same key, for per-goroutine
-// use. Digests from a clone are identical to the original's.
+// use. Digests from a clone are identical to the original's; the clone
+// starts without a digest table.
 func (m *Masker) Clone() *Masker {
 	return &Masker{key: m.key, mac: hmac.New(sha256.New, m.key)}
+}
+
+// Memoize gives the masker a lazily filled digest table over the
+// numericalized prefixes of width-w values, [0, 2^(w+1)) up to the
+// 2^16-entry cap, so each distinct prefix is hashed once however many
+// bidders the masker serves. Digests are unchanged. It is a no-op once a
+// table exists.
+//
+// The table is key-equivalent material: with it anyone can mask any value
+// in its range or invert a digest. It must stay inside a bidder-side
+// encoder and die with it — never reach the auctioneer, epoch state or the
+// wire (DESIGN.md §5b).
+func (m *Masker) Memoize(w int) {
+	if m.memo != nil {
+		return
+	}
+	n := 1 << maxMemoBits
+	if w+1 < maxMemoBits {
+		n = 1 << (w + 1)
+	}
+	m.memo = make([]Digest, n)
+	m.filled = make([]uint64, (n+63)/64)
 }
 
 // Mask returns H_g(v) = HMAC_g(O(v)): the digest of a numericalized prefix
@@ -88,6 +122,18 @@ func (m *Masker) Clone() *Masker {
 // prefixes have identical message length (the paper requires random padding
 // digests to be indistinguishable by length).
 func (m *Masker) Mask(numericalized uint64) Digest {
+	if numericalized >= uint64(len(m.memo)) {
+		return m.hash(numericalized)
+	}
+	word, bit := numericalized/64, uint64(1)<<(numericalized%64)
+	if m.filled[word]&bit == 0 {
+		m.memo[numericalized] = m.hash(numericalized)
+		m.filled[word] |= bit
+	}
+	return m.memo[numericalized]
+}
+
+func (m *Masker) hash(numericalized uint64) Digest {
 	m.mac.Reset()
 	binary.BigEndian.PutUint64(m.buf[:], numericalized)
 	m.mac.Write(m.buf[:])
@@ -106,28 +152,38 @@ func (m *Masker) MaskAll(vs []uint64) []Digest {
 	return out
 }
 
-// Set is an unordered collection of digests supporting O(1) membership.
-// The zero value is an empty set ready to use.
+// Set is a collection of distinct digests, kept as one flat slice in
+// insertion order. The zero value is an empty set ready to use.
 //
-// Alongside the membership map the set keeps its members in a flat
-// insertion-order slice, so bulk consumers (the auctioneer's interner,
-// batch assemblers, wire encoders) can scan members sequentially instead
-// of paying Go map iteration per element. The two views always hold the
-// same members; Add and PadTo maintain both.
+// Protocol sets are small — a prefix family has w+1 members and a padded
+// range cover 2w−2 — so membership is a linear scan: no hashing, one
+// allocation per set, and bulk consumers (the auctioneer's interner, batch
+// assemblers, wire encoders) read the members in place.
 type Set struct {
-	members map[Digest]struct{}
-	order   []Digest
+	members []Digest
 }
 
-// NewSet builds a Set from digests, dropping duplicates.
+// linearDedupMax is the input size up to which NewSet deduplicates by
+// linear scan. Larger inputs come only from wire peers (up to
+// transport.MaxDigestsPerSet), and a transient map keeps their cost linear.
+const linearDedupMax = 64
+
+// NewSet builds a Set from digests, dropping duplicates. Members keep the
+// order of their first occurrence in ds.
 func NewSet(ds []Digest) Set {
-	s := Set{members: make(map[Digest]struct{}, len(ds)), order: make([]Digest, 0, len(ds))}
-	for _, d := range ds {
-		if _, dup := s.members[d]; dup {
-			continue
+	s := Set{members: make([]Digest, 0, len(ds))}
+	if len(ds) <= linearDedupMax {
+		for _, d := range ds {
+			s.Add(d)
 		}
-		s.members[d] = struct{}{}
-		s.order = append(s.order, d)
+		return s
+	}
+	seen := make(map[Digest]struct{}, len(ds))
+	for _, d := range ds {
+		if _, dup := seen[d]; !dup {
+			seen[d] = struct{}{}
+			s.members = append(s.members, d)
+		}
 	}
 	return s
 }
@@ -137,40 +193,38 @@ func (s Set) Len() int { return len(s.members) }
 
 // Contains reports whether d is in the set.
 func (s Set) Contains(d Digest) bool {
-	_, ok := s.members[d]
-	return ok
+	for _, m := range s.members {
+		if m == d {
+			return true
+		}
+	}
+	return false
 }
 
 // Add inserts d into the set.
 func (s *Set) Add(d Digest) {
-	if s.members == nil {
-		s.members = make(map[Digest]struct{})
+	if !s.Contains(d) {
+		s.members = append(s.members, d)
 	}
-	if _, dup := s.members[d]; dup {
-		return
-	}
-	s.members[d] = struct{}{}
-	s.order = append(s.order, d)
 }
 
-// Digests returns the members in unspecified order.
+// Digests returns the members in insertion order.
 func (s Set) Digests() []Digest {
 	return s.AppendDigests(make([]Digest, 0, len(s.members)))
 }
 
-// AppendDigests appends the members to dst (in unspecified order) and
+// AppendDigests appends the members to dst (in insertion order) and
 // returns the extended slice. Batch assemblers (e.g. the auctioneer's
 // charge-request builder) use it to collect many sets into one flat
 // allocation.
 func (s Set) AppendDigests(dst []Digest) []Digest {
-	return append(dst, s.order...)
+	return append(dst, s.members...)
 }
 
 // SortedDigests returns the members in lexicographic byte order. Wire
-// encoders use it so serialized sets are byte-stable across runs (map
-// iteration order is randomized per process); sorting reveals nothing an
-// unordered dump would not, since digests are already key-dependent
-// pseudorandom values.
+// encoders use it so serialized sets do not depend on how a set was built;
+// sorting reveals nothing an unordered dump would not, since digests are
+// already key-dependent pseudorandom values.
 func (s Set) SortedDigests() []Digest {
 	ds := s.Digests()
 	SortDigests(ds)
@@ -189,12 +243,8 @@ func SortDigests(ds []Digest) {
 // data: prefix membership verification reduces range queries to exactly
 // this check.
 func (s Set) Intersects(other Set) bool {
-	small, large := s, other
-	if small.Len() > large.Len() {
-		small, large = large, small
-	}
-	for d := range small.members {
-		if large.Contains(d) {
+	for _, d := range s.members {
+		if other.Contains(d) {
 			return true
 		}
 	}
@@ -208,25 +258,30 @@ func (s Set) Intersects(other Set) bool {
 // genuine HMAC outputs only with probability 2^-128 per draw, so padding
 // does not perturb intersection results. PadTo is a no-op if the set
 // already has at least target members.
+//
+// Each pad byte is byte(rng.Int63() >> 32): the value, and the rng
+// consumption, of rng.Intn(256), which reduces to Int31() & 255 with
+// Int31() = Int63() >> 32.
 func (s *Set) PadTo(target int, rng *rand.Rand) {
-	if s.members == nil {
-		s.members = make(map[Digest]struct{}, target)
+	if len(s.members) >= target {
+		return
 	}
+	s.members = slices.Grow(s.members, target-len(s.members))
 	for len(s.members) < target {
 		var d Digest
 		for i := range d {
-			d[i] = byte(rng.Intn(256))
+			d[i] = byte(rng.Int63() >> 32)
 		}
-		if _, dup := s.members[d]; dup {
-			continue
-		}
-		s.members[d] = struct{}{}
-		s.order = append(s.order, d)
+		s.Add(d)
 	}
 }
 
 // MaskSet masks all numericalized prefixes in vs and collects them into a
 // Set.
 func (m *Masker) MaskSet(vs []uint64) Set {
-	return NewSet(m.MaskAll(vs))
+	s := Set{members: make([]Digest, 0, len(vs))}
+	for _, v := range vs {
+		s.Add(m.Mask(v))
+	}
+	return s
 }

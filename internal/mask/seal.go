@@ -56,6 +56,15 @@ func NewSealer(gc Key, rng *rand.Rand) (*Sealer, error) {
 	return &Sealer{aead: aead, nonceRand: rng}, nil
 }
 
+// Reset restarts the nonce sequence as NewSealer leaves it: counter 0,
+// nonce bits drawn from rng. A bid encoder rebound to the next bidder
+// resets its sealer, so its ciphertexts are byte-identical to a fresh
+// Sealer's without a new AES-GCM instance.
+func (s *Sealer) Reset(rng *rand.Rand) {
+	s.nonceRand = rng
+	s.counter = 0
+}
+
 // SealValue encrypts a uint64 (a blinded bid). The result layout is
 // nonce || ciphertext+tag. Each call uses a fresh nonce, so equal plaintexts
 // produce unequal ciphertexts — but note the paper still blinds bids with

@@ -22,7 +22,7 @@ type Options struct {
 	// (runtime.GOMAXPROCS); 1 pins everything to the calling goroutine.
 	Workers int
 	// DisableInterning makes the auctioneer evaluate masked set operations
-	// on the map-based mask.Set representation instead of interned ID
+	// on the plain mask.Set representation instead of interned ID
 	// slices (DESIGN.md §5b).
 	DisableInterning bool
 }
@@ -41,6 +41,53 @@ func RunPrivateOpts(params core.Params, ring *mask.KeyRing, points []geo.Point, 
 		o = append(o, WithoutInterning())
 	}
 	return Run(params, ring, Input{Points: points, Bids: bids, Policy: policy, Rng: rng}, o...)
+}
+
+// encoder is one worker's bidder-side state: a location encoder and a bid
+// encoder, each built on the worker's first bidder and reused for the rest
+// (core.BidEncoder.Rebind), so their digest tables fill once per worker
+// instead of once per bidder. Reuse never changes a byte. An encoder lives
+// only as long as its encode stage, and a failed build leaves it empty, so
+// every later bidder reports the same error a fresh build would.
+type encoder struct {
+	params core.Params
+	ring   *mask.KeyRing
+	loc    *core.LocationEncoder
+	bid    *core.BidEncoder
+}
+
+func (e *encoder) location(i int, pt geo.Point) (*core.LocationSubmission, error) {
+	if e.loc == nil {
+		loc, err := core.NewLocationEncoder(e.params, e.ring)
+		if err != nil {
+			return nil, fmt.Errorf("round: bidder %d location: %w", i, err)
+		}
+		e.loc = loc
+	}
+	sub, err := e.loc.Encode(pt)
+	if err != nil {
+		return nil, fmt.Errorf("round: bidder %d location: %w", i, err)
+	}
+	return sub, nil
+}
+
+// bids encodes bidder i's bid vector with its disguise sampler and rng, as
+// a fresh core.NewBidEncoder(params, ring, sampler, rng) would.
+func (e *encoder) bids(i int, sampler *core.DisguiseSampler, bids []uint64, rng *rand.Rand) (*core.BidSubmission, error) {
+	if e.bid == nil {
+		enc, err := core.NewBidEncoder(e.params, e.ring, sampler, rng)
+		if err != nil {
+			return nil, fmt.Errorf("round: bidder %d encoder: %w", i, err)
+		}
+		e.bid = enc
+	} else {
+		e.bid.Rebind(sampler, rng)
+	}
+	sub, err := e.bid.Encode(bids, rng)
+	if err != nil {
+		return nil, fmt.Errorf("round: bidder %d bids: %w", i, err)
+	}
+	return sub, nil
 }
 
 // encodeSubmissions produces every bidder's location and bid submission.
@@ -67,33 +114,27 @@ func encodeSubmissions(params core.Params, ring *mask.KeyRing, points []geo.Poin
 	subs := make([]*core.BidSubmission, n)
 	bytesPer := make([]int, n)
 	errs := make([]error, n)
-	encodeOne := func(i int, rngI *rand.Rand) {
-		enc, err := core.NewBidEncoder(params, ring, samplers[i], rngI)
-		if err != nil {
-			errs[i] = fmt.Errorf("round: bidder %d encoder: %w", i, err)
-			return
+	encodeStripe := func(w, stride int) {
+		enc := &encoder{params: params, ring: ring}
+		for i := w; i < n; i += stride {
+			sub, err := enc.bids(i, samplers[i], bids[i], rand.New(rand.NewSource(seeds[i])))
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			subs[i] = sub
+			bytesPer[i] = core.SubmissionBytes(sub) + core.LocationBytes(locs[i])
 		}
-		sub, err := enc.Encode(bids[i], rngI)
-		if err != nil {
-			errs[i] = fmt.Errorf("round: bidder %d bids: %w", i, err)
-			return
-		}
-		subs[i] = sub
-		bytesPer[i] = core.SubmissionBytes(sub) + core.LocationBytes(locs[i])
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			encodeOne(i, rand.New(rand.NewSource(seeds[i])))
-		}
+		encodeStripe(0, 1)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for i := w; i < n; i += workers {
-					encodeOne(i, rand.New(rand.NewSource(seeds[i])))
-				}
+				encodeStripe(w, workers)
 			}(w)
 		}
 		wg.Wait()
@@ -127,18 +168,14 @@ func encodeTolerant(params core.Params, ring *mask.KeyRing, points []geo.Point, 
 	bytesPer := make([]int, n)
 	errs := make([]error, n)
 
-	encodeOne := func(i int, rngI *rand.Rand) (*core.LocationSubmission, *core.BidSubmission, int, error) {
-		loc, err := core.NewLocationSubmission(params, ring, points[i])
+	encodeOne := func(enc *encoder, i int, rngI *rand.Rand) (*core.LocationSubmission, *core.BidSubmission, int, error) {
+		loc, err := enc.location(i, points[i])
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d location: %w", i, err)
+			return nil, nil, 0, err
 		}
-		enc, err := core.NewBidEncoder(params, ring, samplers[i], rngI)
+		sub, err := enc.bids(i, samplers[i], bids[i], rngI)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d encoder: %w", i, err)
-		}
-		sub, err := enc.Encode(bids[i], rngI)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d bids: %w", i, err)
+			return nil, nil, 0, err
 		}
 		return loc, sub, core.SubmissionBytes(sub) + core.LocationBytes(loc), nil
 	}
@@ -148,8 +185,9 @@ func encodeTolerant(params core.Params, ring *mask.KeyRing, points []geo.Point, 
 		// exactly like encodeSerial, but a failed bidder is skipped
 		// instead of aborting the population. No deadline here — Run
 		// rejects WithStragglerTimeout on the serial pipeline.
+		enc := &encoder{params: params, ring: ring}
 		for i := 0; i < n; i++ {
-			locs[i], subs[i], bytesPer[i], errs[i] = encodeOne(i, rng)
+			locs[i], subs[i], bytesPer[i], errs[i] = encodeOne(enc, i, rng)
 		}
 		return locs, subs, bytesPer, errs
 	}
@@ -169,8 +207,9 @@ func encodeTolerant(params core.Params, ring *mask.KeyRing, points []geo.Point, 
 	)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
+			enc := &encoder{params: params, ring: ring}
 			for i := w; i < n; i += workers {
-				loc, sub, b, err := encodeOne(i, rand.New(rand.NewSource(seeds[i])))
+				loc, sub, b, err := encodeOne(enc, i, rand.New(rand.NewSource(seeds[i])))
 				mu.Lock()
 				locs[i], subs[i], bytesPer[i], errs[i] = loc, sub, b, err
 				done[i] = true

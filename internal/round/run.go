@@ -229,7 +229,7 @@ func WithPhaseObserver(fn func(phase string, d time.Duration)) Option {
 }
 
 // WithoutInterning makes the auctioneer evaluate masked set operations on
-// the map-based mask.Set representation instead of interned ID slices
+// the plain mask.Set representation instead of interned ID slices
 // (DESIGN.md §5b). Ablation/testing knob: results are identical either
 // way.
 func WithoutInterning() Option {
@@ -426,27 +426,23 @@ func encodeSerial(params core.Params, ring *mask.KeyRing, points []geo.Point, bi
 	bytesTotal := 0
 	// Location masking draws no randomness and runs under the ring's shared
 	// key, so equal points yield byte-identical immutable submissions —
-	// co-located bidders share one. The bid encoders below still consume
+	// co-located bidders share one. The bid encoder below still consumes
 	// the rng stream bidder by bidder, so the transcript is unchanged.
 	locMemo := make(map[geo.Point]*core.LocationSubmission, n)
+	enc := &encoder{params: params, ring: ring}
 	for i := 0; i < n; i++ {
 		loc := locMemo[points[i]]
 		if loc == nil {
 			var err error
-			loc, err = core.NewLocationSubmission(params, ring, points[i])
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("round: bidder %d location: %w", i, err)
+			if loc, err = enc.location(i, points[i]); err != nil {
+				return nil, nil, 0, err
 			}
 			locMemo[points[i]] = loc
 		}
 		locs[i] = loc
-		enc, err := core.NewBidEncoder(params, ring, samplers[i], rng)
+		sub, err := enc.bids(i, samplers[i], bids[i], rng)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d encoder: %w", i, err)
-		}
-		sub, err := enc.Encode(bids[i], rng)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d bids: %w", i, err)
+			return nil, nil, 0, err
 		}
 		subs[i] = sub
 		bytesTotal += core.SubmissionBytes(sub) + core.LocationBytes(loc)

@@ -76,15 +76,12 @@ func (s *Series) Run(ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
 	}
 	locs := make([]*core.LocationSubmission, n)
 	subs := make([]*core.BidSubmission, n)
+	enc := &encoder{params: s.params, ring: ring}
 	for i := 0; i < n; i++ {
-		if locs[i], err = core.NewLocationSubmission(s.params, ring, points[i]); err != nil {
+		if locs[i], err = enc.location(i, points[i]); err != nil {
 			return nil, err
 		}
-		enc, err := core.NewBidEncoder(s.params, ring, sampler, rng)
-		if err != nil {
-			return nil, err
-		}
-		if subs[i], err = enc.Encode(bids[i], rng); err != nil {
+		if subs[i], err = enc.bids(i, sampler, bids[i], rng); err != nil {
 			return nil, err
 		}
 	}

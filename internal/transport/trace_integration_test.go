@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -139,6 +140,18 @@ func TestTracedRoundEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bidder %d: %v", i, err)
 		}
+	}
+	// The TTP ends its serve_keyring/serve_charges spans only after the
+	// reply is sent, so a client can finish before the span is recorded.
+	// Shutdown waits for every handler; drain both servers before reading
+	// the tracer.
+	drain, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := aucSrv.Shutdown(drain); err != nil {
+		t.Fatalf("auctioneer shutdown: %v", err)
+	}
+	if err := ttpSrv.Shutdown(drain); err != nil {
+		t.Fatalf("ttp shutdown: %v", err)
 	}
 
 	spans := tracer.Snapshot()

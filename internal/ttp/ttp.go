@@ -75,6 +75,14 @@ type ChargeResult struct {
 
 // Process opens and adjudicates a single charge request.
 func (t *TTP) Process(req core.ChargeRequest) ChargeResult {
+	return t.process(req, make([]*mask.Masker, t.ring.Channels()))
+}
+
+// process adjudicates req, verifying families with maskers[channel], which
+// it builds on first use. The maskers are not safe for concurrent use, so
+// they belong to one Process or ProcessBatch call: the TTP server runs
+// batches from concurrent connections on one TTP.
+func (t *TTP) process(req core.ChargeRequest, maskers []*mask.Masker) ChargeResult {
 	res := ChargeResult{Bidder: req.Bidder, Channel: req.Channel}
 	scaled, err := t.sealer.OpenValue(req.Sealed)
 	if err != nil {
@@ -92,7 +100,7 @@ func (t *TTP) Process(req core.ChargeRequest) ChargeResult {
 		res.Err = fmt.Errorf("ttp: unblinded price %d exceeds bmax %d", price, t.params.BMax)
 		return res
 	}
-	if err := t.verifyFamily(req.Channel, scaled, req.Family); err != nil {
+	if err := t.verifyFamily(maskers, req.Channel, scaled, req.Family); err != nil {
 		res.Err = err
 		return res
 	}
@@ -127,13 +135,17 @@ func (t *TTP) Process(req core.ChargeRequest) ChargeResult {
 // auction is exactly the family of the sealed (true) value — i.e. the
 // bidder's auction-time ordering claim matches the price it is charged.
 // Disguised zeros never reach this check (they fail the rd test first).
-func (t *TTP) verifyFamily(channel int, scaled uint64, family []mask.Digest) error {
+func (t *TTP) verifyFamily(maskers []*mask.Masker, channel int, scaled uint64, family []mask.Digest) error {
 	if channel < 0 || channel >= t.ring.Channels() {
 		return fmt.Errorf("ttp: channel %d out of range", channel)
 	}
-	masker, err := mask.NewMasker(t.ring.GB[channel])
-	if err != nil {
-		return fmt.Errorf("ttp: masker: %w", err)
+	masker := maskers[channel]
+	if masker == nil {
+		var err error
+		if masker, err = mask.NewMasker(t.ring.GB[channel]); err != nil {
+			return fmt.Errorf("ttp: masker: %w", err)
+		}
+		maskers[channel] = masker
 	}
 	w := prefix.WidthFor(t.params.ScaledMax(t.ring))
 	want := masker.MaskAll(prefix.Numericalized(prefix.Family(scaled, w)))
@@ -162,11 +174,13 @@ func (t *TTP) ValidateAward(sealed []byte) bool {
 }
 
 // ProcessBatch adjudicates a batch of requests in order (the paper's
-// batched TTP interaction).
+// batched TTP interaction), building each channel's masker once per batch.
+// It is safe to call concurrently.
 func (t *TTP) ProcessBatch(reqs []core.ChargeRequest) []ChargeResult {
 	out := make([]ChargeResult, len(reqs))
+	maskers := make([]*mask.Masker, t.ring.Channels())
 	for i, req := range reqs {
-		out[i] = t.Process(req)
+		out[i] = t.process(req, maskers)
 	}
 	return out
 }

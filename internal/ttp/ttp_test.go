@@ -2,6 +2,7 @@ package ttp
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"lppa/internal/core"
@@ -217,6 +218,44 @@ func TestProcessBatchOrder(t *testing.T) {
 			t.Errorf("result %d = %+v, want price %d", i, res, wantPrices[i])
 		}
 	}
+}
+
+// TestProcessBatchConcurrent runs one TTP's ProcessBatch from several
+// goroutines at once, as the TTP server does for concurrent connections:
+// each call's per-channel maskers must stay its own, and every call must
+// return the serial verdicts.
+func TestProcessBatchConcurrent(t *testing.T) {
+	trusted, _, enc, rng := setup(t, 9)
+	p := params()
+	var reqs []core.ChargeRequest
+	for i := 0; i < 30; i++ {
+		bids := make([]uint64, p.Channels)
+		for r := range bids {
+			bids[r] = uint64(rng.Intn(int(p.BMax) + 1))
+		}
+		sub, err := enc.Encode(bids, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := i % p.Channels
+		cb := sub.Channels[r]
+		reqs = append(reqs, core.ChargeRequest{Bidder: i, Channel: r, Sealed: cb.Sealed, Family: cb.Family.Digests()})
+	}
+	want := trusted.ProcessBatch(reqs)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, got := range trusted.ProcessBatch(reqs) {
+				w := want[i]
+				if got.Bidder != w.Bidder || got.Valid != w.Valid || got.Price != w.Price || (got.Err == nil) != (w.Err == nil) {
+					t.Errorf("request %d: concurrent verdict %+v, serial %+v", i, got, w)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNewDrawsFreshRing(t *testing.T) {
