@@ -29,11 +29,13 @@ bench:
 # BENCH_PR5.json the tracing subsystem, BENCH_PR6.json the indexed
 # candidate generation under both density mixes, BENCH_PR7.json the
 # tile-sharded round, BENCH_PR8.json the epochal service and batched
-# accounting) so bench-compare can diff across PRs. See EXPERIMENTS.md
-# for the narrative.
+# accounting) so bench-compare can diff across PRs. The ConflictGraphN300,
+# RankMemoN300 and ConflictGraphIndexed rows compare the test oracle with
+# the auctioneer's engine; AuctioneerSmall prices its fixed cost at n=2
+# and 16. See EXPERIMENTS.md for the narrative.
 bench-json:
 	$(GO) test -run=NONE -benchmem \
-		-bench='ZeroAllocMask|ParallelMaskAll|ParallelConflictGraph|ParallelPrivateRound|RankMemoAllocation|MaskDigest|PrivateConflictGraph|InternedIntersect|ConflictGraphN300|RankMemoN300|RoundTraceOverhead|ConflictGraphIndexed|IndexCursorRow|RoundSharded|EpochService|BatchedAccounting|EncodeSubmissions' \
+		-bench='ZeroAllocMask|ParallelMaskAll|ParallelConflictGraph|ParallelPrivateRound|RankMemoAllocation|MaskDigest|PrivateConflictGraph|InternedIntersect|ConflictGraphN300|RankMemoN300|AuctioneerSmall|RoundTraceOverhead|ConflictGraphIndexed|IndexCursorRow|RoundSharded|EpochService|BatchedAccounting|EncodeSubmissions' \
 		. | $(GO) run ./cmd/benchjson > BENCH_PR8.json
 
 # Diff ns/op and allocs/op between the two most recent committed snapshots.
@@ -99,7 +101,7 @@ load-compare:
 load-smoke:
 	$(GO) test -race -count=1 ./internal/load/ ./cmd/lppa-load/
 	$(GO) run ./cmd/lppa-load run -n 200 -density mixed \
-		-variants plain,interned,indexed,sharded,service \
+		-variants interned,sharded,service \
 		-rounds 3 -rate-limit 100 -chaos drop -chaos-rate 0.05 \
 		-seed 1 -o LOAD_SMOKE.json
 	$(GO) run ./cmd/lppa-load compare LOAD_SMOKE.json LOAD_SMOKE.json
@@ -117,6 +119,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzOpenValueRejectsGarbage -fuzztime=10s ./internal/mask/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzShardBoundaryEquivalence -fuzztime=10s ./internal/round/
+	$(GO) test -run=NONE -fuzz=FuzzIndexedEquivalence -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzLoadReportDecode -fuzztime=10s ./internal/load/
 
 # Quicker smoke of the attacker-facing decoders only (the wire frame parser

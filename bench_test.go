@@ -13,6 +13,7 @@ import (
 	cryptorand "crypto/rand"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -455,6 +456,8 @@ func BenchmarkBidEncodeAdvanced(b *testing.B) {
 	}
 }
 
+// BenchmarkPrivateConflictGraph is the auctioneer's conflict-graph build
+// (the implicit single tile) over N=50 masked submissions.
 func BenchmarkPrivateConflictGraph(b *testing.B) {
 	p := core.Params{Channels: 1, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
 	ring, err := mask.DeriveKeyRing([]byte("graph"), 1, 5, 8)
@@ -474,7 +477,7 @@ func BenchmarkPrivateConflictGraph(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.BuildConflictGraph(subs)
+		engineGraph(b, p, subs)
 	}
 }
 
@@ -971,6 +974,8 @@ func BenchmarkParallelMaskAll(b *testing.B) {
 // BenchmarkParallelConflictGraph sweeps worker counts over the masked
 // conflict-graph build at n = 200 submissions (the acceptance-criterion
 // scale; on multi-core hosts workers-4 should be ≥ 2× workers-1).
+// BenchmarkParallelConflictGraph sweeps worker counts over the test
+// oracle's all-pairs build (core.BuildConflictGraphParallel).
 func BenchmarkParallelConflictGraph(b *testing.B) {
 	p := core.Params{Channels: 1, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
 	ring, err := mask.DeriveKeyRing([]byte("pgraph"), 1, 5, 8)
@@ -1158,9 +1163,24 @@ func BenchmarkInternedIntersect(b *testing.B) {
 	}
 }
 
+// engineGraph builds the auctioneer's conflict graph — the one execution
+// path, as the implicit single tile — over location submissions alone;
+// the placeholder bids are never read by the graph build.
+func engineGraph(b *testing.B, p core.Params, locs []*core.LocationSubmission) *conflict.Graph {
+	bids := make([]*core.BidSubmission, len(locs))
+	for i := range bids {
+		bids[i] = &core.BidSubmission{Channels: make([]core.ChannelBid, p.Channels)}
+	}
+	auc, err := core.NewAuctioneer(p, locs, bids)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return auc.ConflictGraph()
+}
+
 // conflictSubsN300 builds the N=300 masked population both conflict-graph
-// representation benchmarks share.
-func conflictSubsN300(b *testing.B) []*core.LocationSubmission {
+// benchmarks share.
+func conflictSubsN300(b *testing.B) (core.Params, []*core.LocationSubmission) {
 	b.Helper()
 	p := core.Params{Channels: 1, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
 	ring, err := mask.DeriveKeyRing([]byte("graph300"), 1, 5, 8)
@@ -1177,25 +1197,23 @@ func conflictSubsN300(b *testing.B) []*core.LocationSubmission {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return subs
+	return p, subs
 }
 
-// BenchmarkConflictGraphN300 is the acceptance-criterion conflict-graph
-// build at N=300, single worker: the map-based predicate (PR 1's
-// representation) against the interned build (dictionary + Bloom
-// quick-reject + sorted-ID merges, including its ingest/interning cost).
+// BenchmarkConflictGraphN300 is the conflict-graph build at N=300, single
+// worker: the test oracle (all pairs over plain mask.Set) against the
+// auctioneer's engine (interning, location grouping and the tile-local
+// candidate index, ingest cost included).
 func BenchmarkConflictGraphN300(b *testing.B) {
-	subs := conflictSubsN300(b)
-	b.Run("map-sets", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			conflict.BuildFromPredicate(len(subs), func(i, j int) bool {
-				return core.Conflicts(subs[i], subs[j])
-			})
-		}
-	})
-	b.Run("interned", func(b *testing.B) {
+	p, subs := conflictSubsN300(b)
+	b.Run("oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.BuildConflictGraph(subs)
+		}
+	})
+	b.Run("engine", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			engineGraph(b, p, subs)
 		}
 	})
 }
@@ -1237,38 +1255,100 @@ func rankMemoRoundN300(b *testing.B) (core.Params, []*core.LocationSubmission, [
 	return p, locs, subs
 }
 
-// BenchmarkRankMemoN300 is the acceptance-criterion rank-memo build at
-// N=300: a fresh auctioneer per iteration sorts every column into the
-// dense-rank memo (Rankings touches all k columns), with the O(n log n)
-// masked comparisons answered by map-set walks versus interned merges.
+// BenchmarkRankMemoN300 is the rank-memo build at N=300 over all k
+// columns: the test oracle (a stable sort of every bidder under CompareGE
+// on plain mask.Set bids, O(n log n) masked comparisons per column)
+// against the engine (a fresh auctioneer's Rankings: interned columns,
+// bid-class value ranks, per-tile sort).
 func BenchmarkRankMemoN300(b *testing.B) {
 	p, locs, subs := rankMemoRoundN300(b)
-	run := func(b *testing.B, disable bool) {
+	b.Run("oracle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < p.Channels; r++ {
+				order := make([]int, len(subs))
+				for x := range order {
+					order[x] = x
+				}
+				sort.SliceStable(order, func(x, y int) bool {
+					i, j := &subs[order[x]].Channels[r], &subs[order[y]].Channels[r]
+					return core.CompareGE(i, j) && !core.CompareGE(j, i)
+				})
+			}
+		}
+	})
+	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			auc, err := core.NewAuctioneer(p, locs, subs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if disable {
-				auc.DisableInterning()
-			}
 			auc.Rankings()
 		}
-	}
-	b.Run("map-sets", func(b *testing.B) { run(b, true) })
-	b.Run("interned", func(b *testing.B) { run(b, false) })
+	})
 }
 
-// --- Indexed candidate-generation benchmarks (PR 6) ----------------------
+// BenchmarkAuctioneerSmall prices the auctioneer's fixed cost on the
+// smallest rounds (the networked two-bidder round): a fresh NewAuctioneer
+// → ConflictGraph → Allocate → ChargeRequests per iteration, with the
+// submissions encoded once outside the loop. Run with -benchmem: at n=2
+// the per-round allocations are most of the cost.
+func BenchmarkAuctioneerSmall(b *testing.B) {
+	p := core.Params{Channels: 8, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
+	ring, err := mask.DeriveKeyRing([]byte("auctioneer-small"), p.Channels, 5, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{2, 16} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		pts := make([]geo.Point, n)
+		subs := make([]*core.BidSubmission, n)
+		for i := range pts {
+			pts[i] = geo.Point{X: uint64(rng.Intn(100)), Y: uint64(rng.Intn(100))}
+			bids := make([]uint64, p.Channels)
+			for r := range bids {
+				bids[r] = uint64(rng.Intn(int(p.BMax))) + 1
+			}
+			enc, err := core.NewBidEncoder(p, ring, nil, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if subs[i], err = enc.Encode(bids, rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+		locs, err := core.NewLocationSubmissions(p, ring, pts, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			alloc := rand.New(rand.NewSource(1))
+			for i := 0; i < b.N; i++ {
+				auc, err := core.NewAuctioneer(p, locs, subs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				auc.ConflictGraph()
+				as, err := auc.Allocate(alloc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				auc.ChargeRequests(as)
+			}
+		})
+	}
+}
 
-// BenchmarkConflictGraphIndexed is the acceptance-criterion build at
-// N=3000 under the two density regimes of DESIGN.md §5f: the all-pairs
-// oracle against the inverted-index candidate path. Sparse-rural (uniform
-// over a 1000×1000 domain) is where the index wins — short posting lists
-// collapse the candidate set far below n². Dense-urban (three tight
-// hotspots on a 100×100 domain) is the skew-guard stress case: posting
-// lists go hot, rows fall back to pairwise probing, and the criterion is
-// only that the index costs ≤ 10 % over the oracle.
+// --- Candidate-generation benchmarks -------------------------------------
+
+// BenchmarkConflictGraphIndexed is the conflict-graph build at N=3000
+// under the two density regimes of DESIGN.md §5f: the all-pairs oracle
+// over plain mask.Set against the engine (the implicit single tile:
+// distinct-location groups and a tile-local inverted index). Sparse-rural
+// (uniform over a 1000×1000 domain) is where the index wins — short
+// posting lists collapse the candidate set far below n². Dense-urban
+// (three tight hotspots on a 100×100 domain) is where grouping wins: a
+// few hundred distinct locations carry ~1.35 M edges.
 func BenchmarkConflictGraphIndexed(b *testing.B) {
 	const n = 3000
 	regimes := []struct {
@@ -1304,10 +1384,10 @@ func BenchmarkConflictGraphIndexed(b *testing.B) {
 			}
 			b.ReportMetric(float64(edges), "edges")
 		})
-		b.Run(name+"/indexed", func(b *testing.B) {
+		b.Run(name+"/engine", func(b *testing.B) {
 			var edges int
 			for i := 0; i < b.N; i++ {
-				edges = core.BuildConflictGraphIndexed(subs, 1).Edges()
+				edges = engineGraph(b, p, subs).Edges()
 			}
 			b.ReportMetric(float64(edges), "edges")
 		})
@@ -1373,17 +1453,14 @@ func shardedRoundFixture(b *testing.B, mix dataset.DensityMix, grid geo.Grid, n 
 	return p, ring, pts, bids
 }
 
-// BenchmarkRoundSharded is the PR-7 acceptance benchmark: the full private
-// round (encode + plan + conflict graph + rank memos + allocation +
-// charging) end to end, unsharded (shards=0) against the tile-sharded
-// planner at 1, 4, and 8 shards, under the density regimes of DESIGN.md
-// §5f/§5g. Results are bit-identical across the row; only the cost moves.
-// The acceptance criterion is shards=8 ≥ 4× over shards=0 at N=10000 on
-// the mixed regime — the win is work reduction (Σ nᵢ² ≪ n², plus the
-// rank-cursor allocator), not parallelism, so it holds on one core.
-// Channels and the bid ledger are kept small (k=2, BMax=15 → 4-digit bid
-// columns) so submission encoding does not swamp the quadratic phases the
-// sharding targets.
+// BenchmarkRoundSharded is the full private round (encode + plan +
+// conflict graph + rank memos + allocation + charging) end to end: the
+// auctioneer's implicit single tile (shards=0) against the planner's
+// explicit tilings at 1, 4, and 8 shards, under the density regimes of
+// DESIGN.md §5f/§5g. Results are bit-identical across the row; only the
+// cost moves. Channels and the bid ledger are kept small (k=2, BMax=15 →
+// 4-digit bid columns) so submission encoding does not swamp the
+// auctioneer's phases.
 func BenchmarkRoundSharded(b *testing.B) {
 	regimes := []struct {
 		mix  dataset.DensityMix
@@ -1405,11 +1482,7 @@ func BenchmarkRoundSharded(b *testing.B) {
 				b.Run(name, func(b *testing.B) {
 					var opts []round.Option
 					if shards > 0 {
-						// The sharded planner composes the PR-6 candidate
-						// index per tile (DESIGN.md §5g); the baseline is
-						// the unsharded default path.
-						opts = append(opts, round.WithShards(shards),
-							round.WithIndexedCandidates())
+						opts = append(opts, round.WithShards(shards))
 					}
 					var awards int
 					for i := 0; i < b.N; i++ {
@@ -1514,8 +1587,7 @@ func BenchmarkEpochService(b *testing.B) {
 		opts []round.Option
 	}{
 		{"serial", nil},
-		{"sharded", []round.Option{round.WithWorkers(4), round.WithShards(4),
-			round.WithIndexedCandidates()}},
+		{"sharded", []round.Option{round.WithWorkers(4), round.WithShards(4)}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

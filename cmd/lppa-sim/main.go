@@ -66,8 +66,8 @@ func run(args []string) error {
 		flightDir  = fs.String("flight-dir", "", "flight-recorder directory: failed or degraded instrumented rounds auto-dump their traces here")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address for live profiling")
 	)
-	// Round-shaping flags (-workers, -shards, -indexed, -quorum,
-	// -straggler) come from the shared cli block lppa-net registers too.
+	// Round-shaping flags (-workers, -shards, -quorum, -straggler) come
+	// from the shared cli block lppa-net registers too.
 	rf := cli.RoundFlags{Workers: runtime.GOMAXPROCS(0)}
 	rf.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -250,8 +250,8 @@ func runRound(ds *dataset.Dataset, n, channels int, seed int64, mix *dataset.Den
 	if err != nil {
 		return err
 	}
-	fmt.Printf("## Instrumented private round (Area 3, N=%d, k=%d, workers=%d, density=%s, indexed=%t, shards=%d)\n\n",
-		n, min(channels, ds.Areas[2].NumChannels()), rf.Workers, placement, rf.Indexed, rf.Shards)
+	fmt.Printf("## Instrumented private round (Area 3, N=%d, k=%d, workers=%d, density=%s, shards=%d)\n\n",
+		n, min(channels, ds.Areas[2].NumChannels()), rf.Workers, placement, rf.Shards)
 	fmt.Printf("awards: %d, revenue: %d, satisfaction: %.3f, voided: %d, submission bytes: %d\n",
 		len(res.Outcome.Assignments), res.Outcome.Revenue, res.Outcome.Satisfaction(), res.Voided, res.SubmissionBytes)
 	if sinks.auditOut == "" {
@@ -273,7 +273,6 @@ func runRound(ds *dataset.Dataset, n, channels int, seed int64, mix *dataset.Den
 // sinks into one experiment config.
 func applyRoundFlags(cfg *sim.Fig5Config, rf cli.RoundFlags, sinks obsSinks) {
 	cfg.Workers = rf.Workers
-	cfg.Indexed = rf.Indexed
 	cfg.Shards = rf.Shards
 	cfg.Quorum = rf.Quorum
 	cfg.Straggler = rf.Straggler

@@ -79,8 +79,11 @@ func AllocateWithValidity(n, k int, present [][]bool, g *conflict.Graph, ge GE, 
 	return assignments, voided, nil
 }
 
-// AllocateAwards is the full-featured engine: Algorithm 3 with an optional
-// validity oracle, returning awards with their award-time runner-ups.
+// AllocateAwards is the full-featured comparator engine: Algorithm 3 with
+// an optional validity oracle, returning awards with their award-time
+// runner-ups. The plaintext baseline allocates with it, and it is the
+// reference the private auctioneer's rank-cursor allocator
+// (AllocateAwardsOrdered) is pinned to in tests.
 func AllocateAwards(n, k int, present [][]bool, g *conflict.Graph, ge GE, valid Validity, rng *rand.Rand) ([]Award, []Assignment, error) {
 	if g.N() != n {
 		return nil, nil, fmt.Errorf("auction: conflict graph has %d nodes, want %d", g.N(), n)

@@ -18,8 +18,8 @@ type Column func(r int) (order, rank []int)
 // instead of a pairwise comparator. Each pick reads the column's head rank
 // group through a monotone cursor — O(group + dead entries retired) per
 // award instead of two O(n) comparator sweeps — which is what keeps the
-// sharded round's allocation phase sub-quadratic. It is bit-identical to
-// AllocateAwards for the same inputs and rng, because the legacy sweeps
+// private auctioneer's allocation phase sub-quadratic. It is bit-identical
+// to AllocateAwards for the same inputs and rng, because the legacy sweeps
 // resolve to positions in the same memo order:
 //
 //   - the legacy best scan (ascending i, update on GE(i, best)) lands on

@@ -23,7 +23,6 @@ type RoundFlags struct {
 	// Allocation shape: how one round computes, never what it computes.
 	Workers int
 	Shards  int
-	Indexed bool
 	// Density is the named bidder placement ("urban", "rural", "mixed");
 	// empty keeps each command's own default population (uniform scatter).
 	Density string
@@ -37,15 +36,13 @@ type RoundFlags struct {
 }
 
 // Register binds the allocation and degraded-round flags (-workers,
-// -shards, -indexed, -quorum, -straggler) onto fs, using the current
+// -shards, -quorum, -straggler) onto fs, using the current
 // field values as defaults.
 func (f *RoundFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", f.Workers,
 		"goroutines for submission decode and conflict graphs; <2 = serial driver")
 	fs.IntVar(&f.Shards, "shards", f.Shards,
 		"tile-shard the private rounds into this many coarse tiles (0 = unsharded; bit-identical results, different cost profile)")
-	fs.BoolVar(&f.Indexed, "indexed", f.Indexed,
-		"build conflict graphs from inverted-index candidates (bit-identical results, different cost profile)")
 	fs.IntVar(&f.Quorum, "quorum", f.Quorum,
 		"minimum submissions for a degraded round when -straggler fires; 0 requires all bidders")
 	fs.DurationVar(&f.Straggler, "straggler", f.Straggler,
@@ -122,9 +119,6 @@ func (f *RoundFlags) RoundOptions() []round.Option {
 	var opts []round.Option
 	if f.Workers > 1 {
 		opts = append(opts, round.WithWorkers(f.Workers))
-	}
-	if f.Indexed {
-		opts = append(opts, round.WithIndexedCandidates())
 	}
 	if f.Shards > 0 {
 		opts = append(opts, round.WithShards(f.Shards))

@@ -23,7 +23,7 @@ func parse(t *testing.T, reg func(*flag.FlagSet), args ...string) {
 func TestRoundFlagsDefaultsAreFieldValues(t *testing.T) {
 	f := RoundFlags{Workers: 8, Shards: 4}
 	parse(t, f.Register)
-	if f.Workers != 8 || f.Shards != 4 || f.Indexed || f.Quorum != 0 {
+	if f.Workers != 8 || f.Shards != 4 || f.Quorum != 0 {
 		t.Errorf("defaults not preserved: %+v", f)
 	}
 }
@@ -31,14 +31,14 @@ func TestRoundFlagsDefaultsAreFieldValues(t *testing.T) {
 func TestRoundFlagsParseAndOptions(t *testing.T) {
 	var f RoundFlags
 	parse(t, f.Register,
-		"-workers", "4", "-shards", "3", "-indexed",
+		"-workers", "4", "-shards", "3",
 		"-quorum", "2", "-straggler", "5s")
-	if f.Workers != 4 || f.Shards != 3 || !f.Indexed || f.Quorum != 2 || f.Straggler != 5*time.Second {
+	if f.Workers != 4 || f.Shards != 3 || f.Quorum != 2 || f.Straggler != 5*time.Second {
 		t.Fatalf("parsed flags: %+v", f)
 	}
 	// Every set knob contributes exactly one round option.
-	if got := len(f.RoundOptions()); got != 5 {
-		t.Errorf("RoundOptions() = %d options, want 5", got)
+	if got := len(f.RoundOptions()); got != 4 {
+		t.Errorf("RoundOptions() = %d options, want 4", got)
 	}
 	if got := len((&RoundFlags{}).RoundOptions()); got != 0 {
 		t.Errorf("zero flags = %d options, want 0", got)

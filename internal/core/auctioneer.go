@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"lppa/internal/auction"
 	"lppa/internal/conflict"
@@ -26,38 +25,25 @@ type Auctioneer struct {
 	graph   *conflict.Graph
 	workers int
 
-	// noIntern forces every masked set operation back onto the plain
-	// mask.Set representation (ablation and equivalence tests; results are
-	// identical either way by construction).
-	noIntern bool
-
-	// indexed switches conflict-candidate generation onto the inverted
-	// digest index (EnableIndexedCandidates, graphbuild.go). iloc and
-	// locIndex cache the interned location view and the index, built once by
-	// internedView — submissions are immutable, so neither is invalidated.
-	indexed  bool
-	iloc     []internedLocation
-	locIndex *mask.Index
-
-	// plan, when non-nil, switches execution to tile-sharded form
-	// (shard.go): per-tile conflict graphs and rank-memo sorts, merged
-	// bit-identically, plus the rank-cursor allocator. shardIx keeps the
-	// per-tile candidate-index stats of the last sharded indexed build.
+	// plan is the tiling every build runs over (shard.go): the explicit plan
+	// SetShardPlan installed (sharded), or the implicit single tile holding
+	// every bidder, created on first use. tileIx keeps each tile's
+	// candidate-index stats from the graph build.
 	plan    *ShardPlan
-	shardIx []mask.IndexStats
+	sharded bool
+	tileIx  []mask.IndexStats
 
 	// Per-column comparison memo, built lazily by columnRank: rankOrder[r]
 	// is all bidders sorted by descending masked bid (ties in index
-	// order), rank[r][i] the dense rank of bidder i (equal masked bids
-	// share a rank). One O(n log n) pass of masked set intersections per
-	// column replaces the O(n) re-intersections of every later scan. The
-	// sort itself runs on interned sets (intern.go) unless noIntern is
-	// set; the memo it leaves behind is representation-independent.
+	// order), rank[r][i] the dense value rank of bidder i (0 = highest;
+	// equal masked bids share a rank). One pass of masked set intersections
+	// over the column's distinct bid classes replaces the O(n)
+	// re-intersections of every later scan.
 	rank      [][]int
 	rankOrder [][]int
 	// colCalls[r] is the masked-intersection count spent building column
 	// r's rank memo. Filled only on observed auctioneers (SetObserver):
-	// the unobserved hot path stays uncounted and byte-identical.
+	// the unobserved hot path stays uncounted.
 	colCalls []uint64
 
 	// ob, when non-nil, routes lazy cache builds and memo lookups through
@@ -91,14 +77,13 @@ func (a *Auctioneer) N() int { return len(a.bids) }
 
 // Reset re-arms the auctioneer for a new population under the same
 // params: the submissions are swapped and every lazily built,
-// population-specific cache (conflict graph, interned views, candidate
-// index, shard state, rank memos, comparison tallies) is dropped. The
-// tuning knobs — workers, interning, indexed candidates, observer — also
-// return to their post-NewAuctioneer defaults, so the next round
-// re-applies exactly the options it was asked for instead of inheriting
-// a previous epoch's. This is the epochal service's reuse path
-// (internal/epoch): one auctioneer per service lifetime instead of one
-// per round.
+// population-specific cache (conflict graph, tile plan and index stats,
+// rank memos, comparison tallies) is dropped. The tuning knobs — workers,
+// shard plan, observer — also return to their post-NewAuctioneer
+// defaults, so the next round re-applies exactly the options it was asked
+// for instead of inheriting a previous epoch's. This is the epochal
+// service's reuse path (internal/epoch): one auctioneer per service
+// lifetime instead of one per round.
 func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) error {
 	if len(locs) != len(bids) {
 		return fmt.Errorf("core: %d location submissions vs %d bid submissions", len(locs), len(bids))
@@ -115,12 +100,9 @@ func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) er
 	a.locs, a.bids = locs, bids
 	a.graph = nil
 	a.workers = 0
-	a.noIntern = false
-	a.indexed = false
-	a.iloc = nil
-	a.locIndex = nil
 	a.plan = nil
-	a.shardIx = nil
+	a.sharded = false
+	a.tileIx = nil
 	a.rank = nil
 	a.rankOrder = nil
 	a.colCalls = nil
@@ -128,17 +110,11 @@ func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) er
 	return nil
 }
 
-// SetWorkers bounds the goroutines used for conflict-graph construction.
-// w ≤ 1 keeps the build serial. The graph is bit-for-bit identical for
-// every worker count, so this knob never changes auction results.
+// SetWorkers bounds the goroutines that build tiles in parallel (the
+// conflict graph and the rank orders, shard.go); w ≤ 1 keeps the builds
+// serial, and the implicit single tile always builds serially. Results are
+// bit-for-bit identical for every worker count.
 func (a *Auctioneer) SetWorkers(w int) { a.workers = w }
-
-// DisableInterning switches the auctioneer back to plain digest sets
-// for every masked operation (ablation benchmarks and equivalence tests).
-// Call it before the first ConflictGraph/GE/Allocate use; the lazily
-// built caches are representation-independent, so flipping it later has
-// no effect on answers already memoized.
-func (a *Auctioneer) DisableInterning() { a.noIntern = true }
 
 // ConflictGraph lazily builds and returns the masked-submission conflict
 // graph through the shared builder (graphbuild.go).
@@ -149,54 +125,14 @@ func (a *Auctioneer) ConflictGraph() *conflict.Graph {
 	return a.graph
 }
 
-// rawGE evaluates the masked comparison directly: one Family ∩ Range set
-// intersection.
-func (a *Auctioneer) rawGE(r, i, j int) bool {
-	return CompareGE(&a.bids[i].Channels[r], &a.bids[j].Channels[r])
-}
-
-// geFactory mints comparator instances for one column. Each call returns
-// a comparator accumulating its masked-intersection tallies into the given
-// stats (observed auctioneers only; unobserved instances ignore it), so
-// parallel per-tile sorts get race-free private instances over the one
-// shared interned column.
-type geFactory = func(st *mask.IntersectStats) func(r, i, j int) bool
-
-// columnGE interns column r (once, at factory creation — the fast path
-// unless noIntern) and returns the comparator factory plus the interned
-// column itself (nil when interning is off) for callers that can exploit
-// digest-set equality directly, like the sharded sort's bid classes.
-// Interned and plain comparators agree on every pair: CompareGE
-// outcomes depend only on digest equality, which interning preserves
-// exactly.
-func (a *Auctioneer) columnGE(r int) (geFactory, []internedChannelBid) {
-	if a.noIntern {
-		if a.ob == nil {
-			return func(*mask.IntersectStats) func(r, i, j int) bool { return a.rawGE }, nil
-		}
-		return func(st *mask.IntersectStats) func(r, i, j int) bool {
-			return func(r, i, j int) bool { st.Calls++; return a.rawGE(r, i, j) }
-		}, nil
-	}
-	col, total, distinct := internColumn(a.bids, r)
-	if a.ob != nil {
-		a.ob.noteIntern(total, distinct)
-		return func(st *mask.IntersectStats) func(r, i, j int) bool {
-			return func(r, i, j int) bool { return col[i].geCounted(&col[j], st) }
-		}, col
-	}
-	return func(*mask.IntersectStats) func(r, i, j int) bool {
-		return func(r, i, j int) bool { return col[i].ge(&col[j]) }
-	}, col
-}
-
 // columnRank builds (once) and returns the dense rank memo of column r.
 // Masked comparison is order-preserving — CompareGE(i, j) ⟺ the hidden
-// blinded value of i is ≥ j's — so each column admits a total preorder and
-// a single stable sort captures every pairwise outcome; under a shard plan
-// the sort runs per tile and merges (shard.go), leaving the bit-identical
-// memo. Submissions are immutable after NewAuctioneer, hence the memo
-// never needs invalidation.
+// blinded value of i is ≥ j's — so each column admits a total preorder:
+// the column is interned, its distinct bid classes are ranked under the
+// masked comparison (bidValueRanks), and those value ranks are the memo.
+// The rank order is the stable sort by value rank, built per tile and
+// merged (shard.go). Submissions are immutable after NewAuctioneer, hence
+// the memo never needs invalidation.
 func (a *Auctioneer) columnRank(r int) []int {
 	if r < 0 || r >= a.params.Channels {
 		panic(fmt.Sprintf("core: channel %d out of range [0,%d)", r, a.params.Channels))
@@ -206,38 +142,16 @@ func (a *Auctioneer) columnRank(r int) []int {
 		a.rankOrder = make([][]int, a.params.Channels)
 	}
 	if a.rank[r] == nil {
-		n := a.N()
-		mk, col := a.columnGE(r)
+		col, total, distinct := internColumn(a.bids, r)
 		var st mask.IntersectStats
-		var order []int
-		if a.plan != nil {
-			order = a.shardedOrder(r, mk, col, &st)
-		} else {
-			order = make([]int, n)
-			for i := range order {
-				order[i] = i
-			}
-			ge := mk(&st)
-			sort.SliceStable(order, func(x, y int) bool {
-				i, j := order[x], order[y]
-				// Strictly greater: GE(i,j) && !GE(j,i). Ties keep index order.
-				return ge(r, i, j) && !ge(r, j, i)
-			})
+		ge := func(i, j int) bool { return col[i].ge(&col[j]) }
+		if a.ob != nil {
+			a.ob.noteIntern(total, distinct)
+			ge = func(i, j int) bool { return col[i].geCounted(&col[j], &st) }
 		}
-		ge := mk(&st)
-		rank := make([]int, n)
-		rk := 0
-		for x, i := range order {
-			if x > 0 {
-				prev := order[x-1]
-				if !(ge(r, i, prev) && ge(r, prev, i)) {
-					rk = x // strictly below prev: new rank group
-				}
-			}
-			rank[i] = rk
-		}
+		rank := bidValueRanks(col, ge)
+		a.rankOrder[r] = a.tileOrder(rank)
 		a.rank[r] = rank
-		a.rankOrder[r] = order
 		if a.ob != nil {
 			if a.colCalls == nil {
 				a.colCalls = make([]uint64, a.params.Channels)
@@ -274,21 +188,17 @@ func fullPresent(n, k int) [][]bool {
 }
 
 // allocateAwards is the one allocation entry point behind
-// Allocate/AllocateWithValidity/AllocateAwards. Unsharded it runs the
-// paper's Algorithm 3 against the memo-backed comparator; under a shard
-// plan it runs the rank-cursor engine directly on the per-column memos
-// (auction.AllocateAwardsOrdered), which is bit-identical by construction
-// and skips the two O(n) comparator sweeps per award.
+// Allocate/AllocateWithValidity/AllocateAwards: the paper's Algorithm 3 run
+// by the rank-cursor engine (auction.AllocateAwardsOrdered) directly on the
+// per-column memos — the same awards as the comparator-driven
+// auction.AllocateAwards, without its two O(n) comparator sweeps per award.
 func (a *Auctioneer) allocateAwards(valid auction.Validity, rng *rand.Rand) ([]auction.Award, []auction.Assignment, error) {
 	n, k := a.N(), a.params.Channels
-	if a.plan != nil {
-		column := func(r int) (order, rank []int) {
-			a.columnRank(r)
-			return a.rankOrder[r], a.rank[r]
-		}
-		return auction.AllocateAwardsOrdered(n, k, fullPresent(n, k), a.ConflictGraph(), column, valid, a.servedHook(), rng)
+	column := func(r int) (order, rank []int) {
+		a.columnRank(r)
+		return a.rankOrder[r], a.rank[r]
 	}
-	return auction.AllocateAwards(n, k, fullPresent(n, k), a.ConflictGraph(), a.geFunc(), valid, rng)
+	return auction.AllocateAwardsOrdered(n, k, fullPresent(n, k), a.ConflictGraph(), column, valid, a.servedHook(), rng)
 }
 
 // Allocate runs the private spectrum allocation (Algorithm 3 over masked

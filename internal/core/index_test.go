@@ -6,15 +6,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"lppa/internal/conflict"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
 	"lppa/internal/obs"
 )
 
-// Density shapes for the indexed-candidate equivalence suite: the index
-// must agree with the all-pairs oracle from the sparse regime (few posting
-// collisions) through pathological stacking (every posting list hot).
+// Density shapes for the equivalence suites: the engine must agree with
+// the all-pairs oracle from the sparse regime (few posting collisions)
+// through pathological stacking (every posting list hot).
 
 func shapePoints(p Params, shape string, n int, seed int64) []geo.Point {
 	rng := rand.New(rand.NewSource(seed))
@@ -77,72 +76,36 @@ func locSubs(t testing.TB, p Params, pts []geo.Point) []*LocationSubmission {
 	return subs
 }
 
-// TestIndexedGraphMatchesOracle is the equivalence grid: every density
-// shape × worker count must yield a graph bit-identical to the all-pairs
-// oracle (itself pinned against the map-based predicate).
+// TestIndexedGraphMatchesOracle is the equivalence grid of the indexed
+// build: for every density shape, population and worker count, the
+// auctioneer's graph — the implicit tile and a 4-tile plan, both through
+// tile-local candidate indexes — is bit-identical to the all-pairs oracle
+// over plain mask.Set, and so is the oracle's parallel build.
 func TestIndexedGraphMatchesOracle(t *testing.T) {
 	p := testParams()
 	for _, shape := range densityShapes {
 		for _, n := range []int{1, 2, 37, 120} {
-			subs := locSubs(t, p, shapePoints(p, shape, n, 0xC0FFEE))
+			pts := shapePoints(p, shape, n, 0xC0FFEE)
+			subs := locSubs(t, p, pts)
 			oracle := BuildConflictGraph(subs)
-			raw := conflict.BuildFromPredicate(n, func(i, j int) bool {
-				return Conflicts(subs[i], subs[j])
-			})
-			if !oracle.Equal(raw) {
-				t.Fatalf("%s/n=%d: interned oracle differs from map-based predicate", shape, n)
-			}
 			for _, workers := range []int{1, 2, 5, 16} {
-				if got := BuildConflictGraphIndexed(subs, workers); !got.Equal(oracle) {
-					t.Fatalf("%s/n=%d/workers=%d: indexed graph differs from oracle", shape, n, workers)
+				if got := BuildConflictGraphParallel(subs, workers); !got.Equal(oracle) {
+					t.Fatalf("%s/n=%d/workers=%d: parallel oracle differs from serial", shape, n, workers)
+				}
+				if got := engineGraph(t, p, subs, nil, workers); !got.Equal(oracle) {
+					t.Fatalf("%s/n=%d/workers=%d: implicit-tile graph differs from oracle", shape, n, workers)
+				}
+				if got := engineGraph(t, p, subs, testPlan(t, p, pts, 4), workers); !got.Equal(oracle) {
+					t.Fatalf("%s/n=%d/workers=%d: 4-tile graph differs from oracle", shape, n, workers)
 				}
 			}
 		}
 	}
 }
 
-// TestAuctioneerIndexedKnob pins the option plumbing: EnableIndexedCandidates
-// changes no answer (graph, allocation inputs), PrepareCandidates reports
-// whether an index is in play, and DisableInterning wins over indexed mode.
-func TestAuctioneerIndexedKnob(t *testing.T) {
-	p := testParams()
-	for _, workers := range []int{1, 4} {
-		oracleAuc, pts, bids := randomRound(t, p, 60, 99)
-		oracleAuc.SetWorkers(workers)
-		oracle := oracleAuc.ConflictGraph()
-
-		indexed := buildRound(t, p, pts, bids, 1099)
-		indexed.SetWorkers(workers)
-		indexed.EnableIndexedCandidates()
-		if !indexed.PrepareCandidates() {
-			t.Fatal("PrepareCandidates reported no index in indexed mode")
-		}
-		if st := indexed.IndexStats(); st.Bidders != 60 || st.Postings == 0 {
-			t.Fatalf("IndexStats = %+v, want 60 bidders with postings", st)
-		}
-		if !indexed.ConflictGraph().Equal(oracle) {
-			t.Fatalf("workers=%d: indexed auctioneer graph differs from oracle", workers)
-		}
-
-		// Interning disabled: the indexed knob must be ignored, not break.
-		ablated := buildRound(t, p, pts, bids, 2099)
-		ablated.SetWorkers(workers)
-		ablated.DisableInterning()
-		ablated.EnableIndexedCandidates()
-		if ablated.PrepareCandidates() {
-			t.Fatal("PrepareCandidates built an index under DisableInterning")
-		}
-		if st := ablated.IndexStats(); st != (mask.IndexStats{}) {
-			t.Fatalf("IndexStats under DisableInterning = %+v, want zero", st)
-		}
-		if !ablated.ConflictGraph().Equal(oracle) {
-			t.Fatalf("workers=%d: DisableInterning+indexed graph differs from oracle", workers)
-		}
-	}
-}
-
 // FuzzIndexedEquivalence replays arbitrary (seed, population, shape,
-// workers, interning) tuples: the indexed graph must stay bit-identical to
+// workers, tiling) tuples: the auctioneer's indexed graph — the implicit
+// tile, or a 4-tile plan when sharded is set — must stay bit-identical to
 // the all-pairs oracle on every one. All inputs derive from the fuzz
 // arguments, so any failure replays deterministically from its corpus file
 // (the FuzzDecodeFrame convention).
@@ -155,43 +118,37 @@ func FuzzIndexedEquivalence(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint8(0), uint8(0), false)
 
 	p := testParams()
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, shapeRaw, workersRaw uint8, noIntern bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, shapeRaw, workersRaw uint8, sharded bool) {
 		n := int(nRaw%48) + 1
 		shape := densityShapes[int(shapeRaw)%len(densityShapes)]
 		workers := int(workersRaw%5) + 1
-		subs := locSubs(t, p, shapePoints(p, shape, n, seed))
+		pts := shapePoints(p, shape, n, seed)
+		subs := locSubs(t, p, pts)
 
-		oracle := conflict.BuildFromPredicate(n, func(i, j int) bool {
-			return Conflicts(subs[i], subs[j])
-		})
-		if got := BuildConflictGraphIndexed(subs, workers); !got.Equal(oracle) {
-			t.Fatalf("seed=%d shape=%s n=%d workers=%d: indexed graph differs from oracle", seed, shape, n, workers)
+		var plan *ShardPlan
+		if sharded {
+			plan = testPlan(t, p, pts, 4)
 		}
-		if noIntern {
-			// The ablated representation must agree too (the indexed knob
-			// falls back to this oracle under DisableInterning).
-			if got := BuildConflictGraph(subs); !got.Equal(oracle) {
-				t.Fatalf("seed=%d shape=%s n=%d: interned oracle differs from map-based", seed, shape, n)
-			}
+		if got, oracle := engineGraph(t, p, subs, plan, workers), BuildConflictGraph(subs); !got.Equal(oracle) {
+			t.Fatalf("seed=%d shape=%s n=%d workers=%d sharded=%v: indexed graph differs from oracle", seed, shape, n, workers, sharded)
 		}
 	})
 }
 
 // TestIndexObserverCounters pins the instrumentation contract: an observed
-// indexed build reports candidates exactly equal to the X-axis match count
-// (no hot rows at this size), confirms exactly equal to the edge count, a
-// plausible postings-scanned tally, and one index-build timing — while the
-// graph stays bit-identical to the unobserved build.
+// build reports candidates exactly equal to the X-axis match count (no
+// co-located bidders and no hot rows at this size), confirms exactly equal
+// to the edge count, a plausible postings-scanned tally, and one
+// index-build timing for the implicit tile — while the graph stays
+// bit-identical to the unobserved build.
 func TestIndexObserverCounters(t *testing.T) {
 	p := testParams()
 	auc, pts, bids := randomRound(t, p, 50, 7)
-	auc.EnableIndexedCandidates()
 	reg := obs.NewRegistry()
 	auc.SetObserver(reg)
 	g := auc.ConflictGraph()
 
 	plain := buildRound(t, p, pts, bids, 1007)
-	plain.EnableIndexedCandidates()
 	if !g.Equal(plain.ConflictGraph()) {
 		t.Fatal("observed indexed graph differs from unobserved")
 	}
@@ -229,7 +186,6 @@ func TestIndexObserverCounters(t *testing.T) {
 func TestIndexCountersExported(t *testing.T) {
 	p := testParams()
 	auc, _, _ := randomRound(t, p, 40, 13)
-	auc.EnableIndexedCandidates()
 	reg := obs.NewRegistry()
 	auc.SetObserver(reg)
 	auc.ConflictGraph()

@@ -12,52 +12,74 @@ import "lppa/internal/mask"
 // tests). Dictionaries live for one auction: submissions are immutable
 // after NewAuctioneer, so interned sets are never invalidated.
 
-// internedLocation is the compact form of one LocationSubmission. All four
-// sets of all bidders share one Dict, so cross-bidder intersections
-// compare IDs meaningfully.
+// Grouping keys. A prefix family determines its value: it holds the
+// value's full-width prefix, which no other family of the same width
+// contains. If every family in a dictionary has one width and is interned
+// before any range cover, each distinct family therefore brings its own
+// full-width digest in as a fresh ID larger than every ID of the families
+// interned before it, so the family's largest ID (IntSet.Max) is distinct
+// per distinct family and equal for equal ones. Hence one dictionary per
+// location axis (the two axes can differ in width, and a narrower axis's
+// family of v is a subset of the wider axis's family of v) and one per
+// bid column, each interning families first. That makes Max an exact
+// same-value key without comparing sets, under the no-collision
+// assumption masking itself rests on (range padding is random noise that
+// never equals a family digest).
+
+// internedLocation is the compact form of one LocationSubmission. All
+// bidders' X sets share one Dict and all Y sets another — the conflict
+// predicate only ever intersects X with X and Y with Y — so cross-bidder
+// intersections compare IDs meaningfully.
 type internedLocation struct {
 	xFamily, yFamily, xRange, yRange mask.IntSet
 }
 
-// internLocations interns a whole population under one fresh dictionary.
-// It also reports how many digests passed through the dictionary and how
+// key is equal for two bidders exactly when they submitted the same
+// location (see Grouping keys above).
+func (l *internedLocation) key() uint64 {
+	return uint64(l.xFamily.Max())<<32 | uint64(l.yFamily.Max())
+}
+
+// internLocations interns a whole population under one fresh dictionary
+// per axis, families first (which makes key exact), then range covers. It
+// also reports how many digests passed through the dictionaries and how
 // many were distinct (dictionary misses) — the difference is the intern
 // hit count the observability layer exports. Callers that do not observe
-// ignore both. A non-nil ix is populated incrementally during the same
-// ingest pass: each bidder's X family and X range cover are posted as they
-// are interned (graphbuild.go; nil skips the index entirely).
-func internLocations(subs []*LocationSubmission, ix *mask.Index) (out []internedLocation, total, distinct int) {
-	var dict *mask.Dict
+// ignore both.
+func internLocations(subs []*LocationSubmission) (out []internedLocation, total, distinct int) {
+	capX, capY := 0, 0
 	if len(subs) > 0 {
 		s := subs[0]
-		dict = mask.NewDictCap(len(subs) * (s.XFamily.Len() + s.YFamily.Len() + s.XRange.Len() + s.YRange.Len()))
-	} else {
-		dict = mask.NewDict()
+		capX = len(subs) * (s.XFamily.Len() + s.XRange.Len())
+		capY = len(subs) * (s.YFamily.Len() + s.YRange.Len())
 	}
+	dx, dy := mask.NewDictCap(capX), mask.NewDictCap(capY)
 	// Bidders sharing one submission pointer (the batch encoder hands
 	// co-located bidders the same immutable submission) intern once and
-	// share the result; the index is still posted per bidder so the
-	// global candidate rows stay complete.
+	// share the result: src[i] is the first bidder holding i's pointer.
 	out = make([]internedLocation, len(subs))
-	memo := make(map[*LocationSubmission]int, len(subs))
+	src := make([]int, len(subs))
+	first := make(map[*LocationSubmission]int, len(subs))
 	for i, s := range subs {
-		if j, ok := memo[s]; ok {
-			out[i] = out[j]
-		} else {
-			memo[s] = i
+		j, ok := first[s]
+		if !ok {
+			j = i
+			first[s] = i
 			total += s.XFamily.Len() + s.YFamily.Len() + s.XRange.Len() + s.YRange.Len()
-			out[i] = internedLocation{
-				xFamily: dict.InternSet(s.XFamily),
-				yFamily: dict.InternSet(s.YFamily),
-				xRange:  dict.InternSet(s.XRange),
-				yRange:  dict.InternSet(s.YRange),
-			}
+			out[i].xFamily = dx.InternSet(s.XFamily)
+			out[i].yFamily = dy.InternSet(s.YFamily)
 		}
-		if ix != nil {
-			ix.Add(out[i].xFamily, out[i].xRange)
+		src[i] = j
+	}
+	for i, j := range src {
+		if j == i {
+			out[i].xRange = dx.InternSet(subs[i].XRange)
+			out[i].yRange = dy.InternSet(subs[i].YRange)
+		} else {
+			out[i] = out[j]
 		}
 	}
-	return out, total, dict.Len()
+	return out, total, dx.Len() + dy.Len()
 }
 
 // conflicts is Conflicts on the interned representation: i's coordinate
@@ -79,9 +101,10 @@ type internedChannelBid struct {
 	family, rng mask.IntSet
 }
 
-// internColumn interns column r of a bid matrix under a fresh dictionary.
-// Like internLocations it reports digest throughput and distinct count
-// for the observability layer.
+// internColumn interns column r of a bid matrix under a fresh dictionary,
+// families first, so a family's Max is its value class (see Grouping keys
+// above). Like internLocations it reports digest throughput and distinct
+// count for the observability layer.
 func internColumn(bids []*BidSubmission, r int) (out []internedChannelBid, total, distinct int) {
 	var dict *mask.Dict
 	if len(bids) > 0 {
@@ -94,10 +117,10 @@ func internColumn(bids []*BidSubmission, r int) (out []internedChannelBid, total
 	for i, b := range bids {
 		cb := &b.Channels[r]
 		total += cb.Family.Len() + cb.Range.Len()
-		out[i] = internedChannelBid{
-			family: dict.InternSet(cb.Family),
-			rng:    dict.InternSet(cb.Range),
-		}
+		out[i].family = dict.InternSet(cb.Family)
+	}
+	for i, b := range bids {
+		out[i].rng = dict.InternSet(b.Channels[r].Range)
 	}
 	return out, total, dict.Len()
 }

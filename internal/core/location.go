@@ -161,26 +161,23 @@ func Conflicts(a, b *LocationSubmission) bool {
 }
 
 // BuildConflictGraph constructs the interference graph from masked
-// submissions only — the auctioneer-side half of the Private Location
-// Submission protocol. The O(n) interning pass up front turns each of the
-// O(n²) predicate evaluations into sorted-ID merges behind a Bloom quick
-// reject (intern.go); the graph is identical to evaluating Conflicts
-// directly, pinned by the representation-equivalence tests.
+// submissions only by evaluating Conflicts on every pair over the plain
+// mask.Set representation. It is the verification oracle the auctioneer's
+// tiled, indexed build (Auctioneer.ConflictGraph) is pinned to: it shares
+// none of that build's interning, grouping or candidate generation.
 func BuildConflictGraph(subs []*LocationSubmission) *conflict.Graph {
-	iloc, _, _ := internLocations(subs, nil)
 	return conflict.BuildFromPredicate(len(subs), func(i, j int) bool {
-		return iloc[i].conflicts(&iloc[j])
+		return Conflicts(subs[i], subs[j])
 	})
 }
 
 // BuildConflictGraphParallel is BuildConflictGraph with the O(n²) pairwise
-// predicate sharded across at most workers goroutines. Interning happens
-// once, serially, before the sweep; the interned sets are immutable and
-// read concurrently without synchronization, so the resulting graph is
-// bit-for-bit identical to the serial build for every worker count.
+// predicate sharded across at most workers goroutines. Submissions are
+// immutable and read concurrently without synchronization, so the
+// resulting graph is bit-for-bit identical to the serial build for every
+// worker count.
 func BuildConflictGraphParallel(subs []*LocationSubmission, workers int) *conflict.Graph {
-	iloc, _, _ := internLocations(subs, nil)
 	return conflict.BuildFromPredicateParallel(len(subs), func(i, j int) bool {
-		return iloc[i].conflicts(&iloc[j])
+		return Conflicts(subs[i], subs[j])
 	}, mask.Workers(workers, len(subs)))
 }

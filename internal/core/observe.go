@@ -8,11 +8,11 @@ import (
 )
 
 // Observability wiring for the auctioneer (DESIGN.md §5c). The unobserved
-// hot paths — the shared conflict-graph builder (graphbuild.go),
-// columnRank's interned sort, GE's memo lookup — stay byte-identical to
-// before: attaching a registry swaps in counted twins of the same
-// operations, and every predicate outcome is unchanged because the counted
-// mask operations delegate to the uncounted ones.
+// hot paths — the conflict-graph builder (graphbuild.go), columnRank's
+// value ranking, the allocator's memo reads — run uncounted: attaching a
+// registry swaps in counted twins of the same operations, and every
+// predicate outcome is unchanged because the counted mask operations
+// delegate to the uncounted ones.
 
 // aucObs holds the auctioneer's counter handles, resolved once in
 // SetObserver so the observed paths never take the registry lock.
@@ -25,15 +25,15 @@ type aucObs struct {
 	internHits    *obs.Counter // of those, already present (dedup wins)
 	internMisses  *obs.Counter // of those, first sightings (distinct digests)
 
-	// Indexed candidate generation (graphbuild.go, indexed builds only).
+	// Candidate generation (graphbuild.go): the tile-local indexes.
 	indexPostings   *obs.Counter   // posting-list entries scanned for candidates
-	indexCandidates *obs.Counter   // candidate pairs handed to the oracle confirm
-	indexConfirms   *obs.Counter   // of those, confirmed as real conflicts
-	indexBuild      *obs.Histogram // seconds interning + posting the index
+	indexCandidates *obs.Counter   // candidate group pairs handed to the exact confirm
+	indexConfirms   *obs.Counter   // conflict edges the build produced
+	indexBuild      *obs.Histogram // seconds posting and sealing one tile's index
 
-	// Per-shard rank-memo telemetry (sharded rounds only; shard.go). The
-	// registry handle is kept so the counters can be minted lazily when a
-	// shard plan arrives — the plan's tile count is unknown at SetObserver
+	// Per-shard rank-memo telemetry (explicit shard plans only; shard.go).
+	// The registry handle is kept so the counters can be minted lazily when
+	// a shard plan arrives — the plan's tile count is unknown at SetObserver
 	// time.
 	reg             *obs.Registry
 	shardRankBuilds []*obs.Counter // per-tile column sorts contributing to memos
@@ -74,7 +74,7 @@ func (a *Auctioneer) SetObserver(reg *obs.Registry) {
 
 		reg: reg,
 	}
-	if a.plan != nil {
+	if a.sharded {
 		a.ob.ensureShardCounters(len(a.plan.Tiles))
 	}
 }
@@ -94,29 +94,18 @@ func (o *aucObs) flushStats(st *mask.IntersectStats) {
 	o.bloomRejects.Add(st.BloomRejects)
 }
 
-// geFunc returns the comparator handed to the allocator: GE itself when
-// unobserved (no wrapper, no branch in the hot loop), or a thin wrapper
-// that counts each rank-memo lookup.
-func (a *Auctioneer) geFunc() func(r, i, j int) bool {
-	if a.ob == nil {
-		return a.GE
-	}
-	hits := a.ob.rankMemoHits
-	return func(r, i, j int) bool {
-		hits.Inc()
-		return a.GE(r, i, j)
-	}
-}
-
 // servedHook returns the rank-cursor allocator's telemetry callback: each
 // memo entry the allocator examines counts as one memo hit, attributed to
-// the bidder's home tile. Nil — no callback, no per-entry branch — when
-// unobserved.
+// the bidder's home tile under an explicit shard plan. Nil — no callback,
+// no per-entry branch — when unobserved.
 func (a *Auctioneer) servedHook() func(bidder int) {
 	if a.ob == nil {
 		return nil
 	}
 	hits := a.ob.rankMemoHits
+	if !a.sharded {
+		return func(int) { hits.Inc() }
+	}
 	home := a.plan.Home
 	shard := a.ob.shardMemoHits
 	return func(bidder int) {

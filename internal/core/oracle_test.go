@@ -1,0 +1,247 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"lppa/internal/auction"
+	"lppa/internal/conflict"
+	"lppa/internal/geo"
+	"lppa/internal/obs"
+)
+
+// The verification oracle the auctioneer's one execution path is pinned
+// to: the all-pairs conflict graph over plain mask.Set submissions
+// (BuildConflictGraph), each column's rank order as a stable sort under
+// CompareGE, and the paper's Algorithm 3 as auction.AllocateAwards driven
+// by a CompareGE comparator. It shares none of the engine's interning,
+// tiling, location grouping, candidate index, value ranks or rank cursor.
+
+// oracleGE compares two bidders' masked bids on channel r directly.
+func oracleGE(bids []*BidSubmission) auction.GE {
+	return func(r, i, j int) bool { return CompareGE(&bids[i].Channels[r], &bids[j].Channels[r]) }
+}
+
+// oracleRanking returns every bidder stable-sorted by strictly greater
+// masked bid on channel r.
+func oracleRanking(bids []*BidSubmission, r int) []int {
+	ge := oracleGE(bids)
+	order := make([]int, len(bids))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		i, j := order[x], order[y]
+		return ge(r, i, j) && !ge(r, j, i)
+	})
+	return order
+}
+
+// oracleAwards runs Algorithm 3 over the oracle graph and comparator: the
+// awards with their runner-ups (the second-price input) and the voided
+// awards under valid.
+func oracleAwards(p Params, locs []*LocationSubmission, bids []*BidSubmission, valid auction.Validity, rng *rand.Rand) ([]auction.Award, []auction.Assignment, error) {
+	n, k := len(bids), p.Channels
+	return auction.AllocateAwards(n, k, fullPresent(n, k), BuildConflictGraph(locs), oracleGE(bids), valid, rng)
+}
+
+// oracleSubmissions encodes one population: a density shape, bids with a
+// third of (bidder, channel) pairs at zero, and — with disguise — the
+// advanced scheme's disguised zeros, which make the validity oracle bite.
+func oracleSubmissions(t *testing.T, p Params, shape string, n int, seed int64, disguise bool) ([]geo.Point, [][]uint64, []*LocationSubmission, []*BidSubmission) {
+	t.Helper()
+	pts := shapePoints(p, shape, n, seed)
+	rng := rand.New(rand.NewSource(seed + 1))
+	bids := make([][]uint64, n)
+	for i := range bids {
+		bids[i] = make([]uint64, p.Channels)
+		for r := range bids[i] {
+			if rng.Intn(3) > 0 {
+				bids[i][r] = uint64(rng.Intn(int(p.BMax))) + 1
+			}
+		}
+	}
+	ring := testRing(t, p, 5, 8)
+	locs, err := NewLocationSubmissions(p, ring, pts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sampler *DisguiseSampler
+	if disguise {
+		if sampler, err = NewDisguiseSampler(DisguisePolicy{P0: 0.5, Decay: 0.9}, p.BMax); err != nil {
+			t.Fatal(err)
+		}
+	}
+	subs := make([]*BidSubmission, n)
+	for i := range subs {
+		enc, err := NewBidEncoder(p, ring, sampler, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if subs[i], err = enc.Encode(bids[i], rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pts, bids, locs, subs
+}
+
+// engineGraph builds the auctioneer's conflict graph over location
+// submissions alone (bids are empty placeholders the graph never reads),
+// under plan (nil: the implicit single tile) and workers.
+func engineGraph(t testing.TB, p Params, locs []*LocationSubmission, plan *ShardPlan, workers int) *conflict.Graph {
+	t.Helper()
+	bids := make([]*BidSubmission, len(locs))
+	for i := range bids {
+		bids[i] = &BidSubmission{Channels: make([]ChannelBid, p.Channels)}
+	}
+	auc, err := NewAuctioneer(p, locs, bids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auc.SetWorkers(workers)
+	if err := auc.SetShardPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+	return auc.ConflictGraph()
+}
+
+// TestEngineMatchesOracle is the equivalence grid of the one execution
+// path: for every density shape, with and without disguised zeros, no
+// plan (the implicit tile) and explicit plans of 1, 4 and 9 tiles, workers
+// 1 and 4, unobserved and observed, the auctioneer's conflict graph,
+// rankings, awards with runner-ups (second price), first-price
+// assignments, and validity-checked awards and voids are exactly the
+// oracle's.
+func TestEngineMatchesOracle(t *testing.T) {
+	p := testParams()
+	const n = 60
+	for _, shape := range densityShapes {
+		for _, disguise := range []bool{false, true} {
+			pts, bids, locs, subs := oracleSubmissions(t, p, shape, n, 42, disguise)
+			wantGraph := BuildConflictGraph(locs)
+			wantRanks := make([][]int, p.Channels)
+			for r := range wantRanks {
+				wantRanks[r] = oracleRanking(subs, r)
+			}
+			valid := func(i, r int) bool { return bids[i][r] > 0 }
+			wantAwards, _, err := oracleAwards(p, locs, subs, nil, rand.New(rand.NewSource(55)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantValid, wantVoided, err := oracleAwards(p, locs, subs, valid, rand.New(rand.NewSource(56)))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for _, shards := range []int{0, 1, 4, 9} {
+				for _, workers := range []int{1, 4} {
+					for _, observed := range []bool{false, true} {
+						tag := fmt.Sprintf("%s/disguise=%v/shards=%d/workers=%d/observed=%v", shape, disguise, shards, workers, observed)
+						engine := func() *Auctioneer {
+							auc, err := NewAuctioneer(p, locs, subs)
+							if err != nil {
+								t.Fatal(err)
+							}
+							auc.SetWorkers(workers)
+							if shards > 0 {
+								if err := auc.SetShardPlan(testPlan(t, p, pts, shards)); err != nil {
+									t.Fatalf("%s: %v", tag, err)
+								}
+							}
+							if observed {
+								auc.SetObserver(obs.NewRegistry())
+							}
+							return auc
+						}
+
+						auc := engine()
+						if !auc.ConflictGraph().Equal(wantGraph) {
+							t.Errorf("%s: graph differs from oracle", tag)
+						}
+						if got := auc.Rankings(); !reflect.DeepEqual(got, wantRanks) {
+							t.Errorf("%s: rankings differ from oracle", tag)
+						}
+						awards, err := auc.AllocateAwards(rand.New(rand.NewSource(55)))
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						if !reflect.DeepEqual(awards, wantAwards) {
+							t.Errorf("%s: awards differ from oracle\n got %v\nwant %v", tag, awards, wantAwards)
+						}
+
+						assignments, err := engine().Allocate(rand.New(rand.NewSource(55)))
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						if len(assignments) != len(wantAwards) {
+							t.Fatalf("%s: %d first-price assignments, want %d", tag, len(assignments), len(wantAwards))
+						}
+						for x, as := range assignments {
+							if as != wantAwards[x].Assignment {
+								t.Errorf("%s: assignment %d = %v, oracle %v", tag, x, as, wantAwards[x].Assignment)
+							}
+						}
+
+						awarded, voided, err := engine().AllocateWithValidity(valid, rand.New(rand.NewSource(56)))
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						if len(awarded) != len(wantValid) {
+							t.Fatalf("%s: %d validity-checked awards, want %d", tag, len(awarded), len(wantValid))
+						}
+						for x, as := range awarded {
+							if as != wantValid[x].Assignment {
+								t.Errorf("%s: validity-checked award %d = %v, oracle %v", tag, x, as, wantValid[x].Assignment)
+							}
+						}
+						if !reflect.DeepEqual(voided, wantVoided) {
+							t.Errorf("%s: voided %v, oracle %v", tag, voided, wantVoided)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardSizesNilWithoutPlan pins the audit and ops-plane continuity of
+// the implicit tile: an auctioneer without an explicit shard plan reports
+// no tile sizes before or after a full round — so unsharded rounds keep
+// omitting tile anonymity sets — while an explicit plan reports one
+// resident count per tile, and Reset drops the plan.
+func TestShardSizesNilWithoutPlan(t *testing.T) {
+	p := testParams()
+	auc, pts, _ := randomRound(t, p, 30, 19)
+	if got := auc.ShardSizes(); got != nil {
+		t.Fatalf("fresh auctioneer ShardSizes = %v, want nil", got)
+	}
+	if _, err := auc.Allocate(rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	if got := auc.ShardSizes(); got != nil {
+		t.Fatalf("ShardSizes after an unsharded round = %v, want nil", got)
+	}
+	if got := len(auc.ShardIndexStats()); got != 1 {
+		t.Errorf("implicit tile index stats has %d entries, want 1", got)
+	}
+
+	plan := testPlan(t, p, pts, 4)
+	if err := auc.Reset(auc.locs, auc.bids); err != nil {
+		t.Fatal(err)
+	}
+	if err := auc.SetShardPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+	if got := auc.ShardSizes(); len(got) != len(plan.Tiles) {
+		t.Fatalf("explicit plan ShardSizes = %v, want %d tiles", got, len(plan.Tiles))
+	}
+	if err := auc.Reset(auc.locs, auc.bids); err != nil {
+		t.Fatal(err)
+	}
+	if got := auc.ShardSizes(); got != nil {
+		t.Errorf("ShardSizes after Reset = %v, want nil", got)
+	}
+}

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 
 	"lppa/internal/geo"
@@ -118,10 +118,11 @@ func TestGEMemoMatchesRawComparisons(t *testing.T) {
 	p := testParams()
 	for _, seed := range []int64{1, 2, 3} {
 		auc, _, _ := randomRound(t, p, 20, seed)
+		raw := oracleGE(auc.bids)
 		for r := 0; r < p.Channels; r++ {
 			for i := 0; i < auc.N(); i++ {
 				for j := 0; j < auc.N(); j++ {
-					if got, want := auc.GE(r, i, j), auc.rawGE(r, i, j); got != want {
+					if got, want := auc.GE(r, i, j), raw(r, i, j); got != want {
 						t.Fatalf("seed=%d r=%d: GE(%d,%d) memo=%v raw=%v", seed, r, i, j, got, want)
 					}
 				}
@@ -130,20 +131,21 @@ func TestGEMemoMatchesRawComparisons(t *testing.T) {
 	}
 }
 
-// TestRankChannelMatchesLegacySort pins RankChannel to the pre-memo
-// implementation: a stable sort under the strict raw comparator.
+// TestRankChannelMatchesLegacySort pins RankChannel — value ranks sorted
+// per tile and merged — to the oracle: a stable sort under the strict raw
+// comparator, for the implicit tile and a 4-tile plan.
 func TestRankChannelMatchesLegacySort(t *testing.T) {
 	p := testParams()
-	auc, _, _ := randomRound(t, p, 25, 17)
+	auc, pts, bids := randomRound(t, p, 25, 17)
+	sharded := buildRound(t, p, pts, bids, 17+1000)
+	if err := sharded.SetShardPlan(testPlan(t, p, pts, 4)); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < p.Channels; r++ {
-		want := make([]int, auc.N())
-		for i := range want {
-			want[i] = i
+		want := oracleRanking(auc.bids, r)
+		if got := sharded.RankChannel(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("channel %d: 4-tile order %v, legacy order %v", r, got, want)
 		}
-		sort.SliceStable(want, func(x, y int) bool {
-			i, j := want[x], want[y]
-			return auc.rawGE(r, i, j) && !auc.rawGE(r, j, i)
-		})
 		got := auc.RankChannel(r)
 		for x := range want {
 			if got[x] != want[x] {

@@ -4,24 +4,25 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"lppa/internal/conflict"
 	"lppa/internal/mask"
 )
 
-// Tile-sharded auctioneer execution (DESIGN.md §5g). The conflict relation
-// reaches at most 2λ−1 in each coordinate, so once bidders are grouped
-// into tiles whose side is a multiple of 2λ (geo.TileGrid), every conflict
-// pair is co-located in at least one tile — as a resident plus a resident
-// or border-band visitor — and the union of per-tile conflict graphs is
-// exactly the global graph. The same locality shards the rank-memo sort:
-// per-tile stable sorts merged under the column's total order reproduce
-// the global stable sort bit for bit. Allocation itself stays one global
-// sweep (its rng consumption is inherently sequential) but switches to the
+// Tiled auctioneer execution (DESIGN.md §5g). Every build runs over a tile
+// plan: an explicit one from SetShardPlan (round.WithShards), or the
+// implicit single tile — every bidder a resident, no visitors — that an
+// auctioneer without a plan creates on first use. The conflict relation
+// reaches at most 2λ−1 in each coordinate, so once bidders are grouped into
+// tiles whose side is a multiple of 2λ (geo.TileGrid), every conflict pair
+// is co-located in at least one tile — as a resident plus a resident or
+// border-band visitor — and the union of per-tile conflict graphs is
+// exactly the global graph (graphbuild.go). The same locality shards the
+// rank order: per-tile sorts by value rank merged under the column's total
+// order reproduce the global stable sort bit for bit. Allocation is one
+// global sweep (its rng consumption is inherently sequential) through the
 // rank-cursor allocator (auction.AllocateAwardsOrdered), which the memos
-// feed directly. Everything here is bit-identical to the unsharded round;
-// only the work to compute it changes: O(n²) → O(Σᵢ nᵢ² + border).
+// feed directly. The tiling changes only how the work is split, never the
+// answer.
 
 // ShardTile lists one tile's bidders. Residents live in the tile (each
 // bidder is a resident of exactly one tile); Visitors live elsewhere but
@@ -44,18 +45,17 @@ type ShardPlan struct {
 	OnShard func(shard, residents, visitors int) func(edges int)
 }
 
-// SetShardPlan switches the auctioneer onto tile-sharded execution: the
-// conflict graph is built per tile and merged, rank memos are built by
-// per-tile sort plus ordered merge, and allocation runs the rank-cursor
-// engine. Results are bit-identical to the unsharded auctioneer. Call
-// before the first ConflictGraph/GE/Allocate use (like the other knobs,
-// the lazily built caches cannot be re-sharded); nil reverts to unsharded.
+// SetShardPlan re-tiles the auctioneer: the conflict graph and the rank
+// orders are built over p's tiles instead of the implicit single tile.
+// Results are bit-identical either way. Call before the first
+// ConflictGraph/GE/Allocate use (the lazily built caches cannot be
+// re-tiled); nil reverts to the implicit tile.
 func (a *Auctioneer) SetShardPlan(p *ShardPlan) error {
-	if a.graph != nil || a.rank != nil || a.iloc != nil {
+	if a.graph != nil || a.rank != nil {
 		return fmt.Errorf("core: SetShardPlan after caches were built")
 	}
 	if p == nil {
-		a.plan = nil
+		a.plan, a.sharded = nil, false
 		return nil
 	}
 	n := a.N()
@@ -91,18 +91,33 @@ func (a *Auctioneer) SetShardPlan(p *ShardPlan) error {
 	if placed != n {
 		return fmt.Errorf("core: shard plan places %d of %d bidders", placed, n)
 	}
-	a.plan = p
+	a.plan, a.sharded = p, true
 	if a.ob != nil {
 		a.ob.ensureShardCounters(len(p.Tiles))
 	}
 	return nil
 }
 
+// tilePlan returns the plan every build runs over: the explicit one, or
+// the implicit single tile, created on first use.
+func (a *Auctioneer) tilePlan() *ShardPlan {
+	if a.plan == nil {
+		n := a.N()
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		a.plan = &ShardPlan{Tiles: []ShardTile{{Residents: all}}, Home: make([]int, n)}
+	}
+	return a.plan
+}
+
 // ShardSizes reports the resident count of every tile — each bidder's tile
 // anonymity set from the auctioneer's perspective, the privacy knob the
-// audit layer surfaces. Nil when unsharded.
+// audit layer surfaces. Nil without an explicit plan: the implicit tile
+// is the whole population and adds nothing to report.
 func (a *Auctioneer) ShardSizes() []int {
-	if a.plan == nil {
+	if !a.sharded {
 		return nil
 	}
 	out := make([]int, len(a.plan.Tiles))
@@ -112,16 +127,13 @@ func (a *Auctioneer) ShardSizes() []int {
 	return out
 }
 
-// ShardIndexStats describes each tile's candidate index after a sharded
-// indexed conflict-graph build (forcing the build if needed): the skew
-// guard inside each tile is calibrated to that tile's population, not the
-// global n. Nil when unsharded, not indexed, or interning is disabled.
+// ShardIndexStats describes each tile's candidate index after the
+// conflict-graph build (forcing the build if needed) — one entry, the
+// implicit tile's, without an explicit plan. The skew guard inside each
+// tile is calibrated to that tile's distinct locations, not the global n.
 func (a *Auctioneer) ShardIndexStats() []mask.IndexStats {
-	if a.plan == nil || a.noIntern || !a.indexed {
-		return nil
-	}
 	a.ConflictGraph()
-	return append([]mask.IndexStats(nil), a.shardIx...)
+	return append([]mask.IndexStats(nil), a.tileIx...)
 }
 
 // shardWorkers normalizes the goroutine count for a sweep over the tiles.
@@ -175,271 +187,33 @@ func mergeAscending(a, b []int) []int {
 	return append(out, b[j:]...)
 }
 
-// buildGraphSharded is buildGraph's tile-sharded twin: each tile evaluates
-// the exact conflict predicate over its own members (residents plus border
-// visitors) — through a tile-local candidate index in indexed mode — and
-// the per-tile edge lists are merged into one graph. Coverage: if i and j
-// conflict, each lies inside the other's interference square, so j is a
-// member (resident or visitor) of i's home tile and vice versa; every true
-// edge is therefore proposed by at least one tile, and AddEdge dedupes the
-// border pairs both sides propose. The merged graph is bit-identical to
-// the unsharded build.
-func (a *Auctioneer) buildGraphSharded() *conflict.Graph {
-	n := len(a.locs)
-	plan := a.plan
-	tiles := plan.Tiles
-
-	var calls, rejects atomic.Uint64
-	var pred func(i, j int) bool
-	var iloc []internedLocation
-	var keys []string
-	useIndex := false
-	if a.noIntern {
-		pred = func(i, j int) bool { return Conflicts(a.locs[i], a.locs[j]) }
-		if a.ob != nil {
-			pred = func(i, j int) bool {
-				c := uint64(1)
-				ok := a.locs[i].XFamily.Intersects(a.locs[j].XRange)
-				if ok {
-					c++
-					ok = a.locs[i].YFamily.Intersects(a.locs[j].YRange)
-				}
-				calls.Add(c)
-				return ok
-			}
+// tileOrder builds a column's rank order — all bidders by ascending value
+// rank, ties in ascending index — by sorting each tile's residents
+// independently (in parallel when workers allow) and merging the runs
+// under the same key. Identity argument: each tile's residents are an
+// index-ascending subsequence, so their sorted run agrees with the global
+// order restricted to them, and merging with the tie rule "equal ranks →
+// smaller index first" is therefore exactly the global stable sort the
+// comparator-driven memo produced.
+func (a *Auctioneer) tileOrder(rank []int) []int {
+	tiles := a.tilePlan().Tiles
+	precede := func(i, j int) bool {
+		if rank[i] != rank[j] {
+			return rank[i] < rank[j]
 		}
-	} else {
-		iloc, _ = a.internedView()
-		useIndex = a.indexed
-		pred = func(i, j int) bool { return iloc[i].conflicts(&iloc[j]) }
-		if a.ob != nil {
-			pred = func(i, j int) bool {
-				var st mask.IntersectStats
-				ok := iloc[i].conflictsCounted(&iloc[j], &st)
-				calls.Add(st.Calls)
-				rejects.Add(st.BloomRejects)
-				return ok
-			}
-		}
-		keys = locationKeys(iloc)
+		return i < j
 	}
-
-	// Per-tile edge lists (packed i<<32|j with i < j), merged serially
-	// below: workers never touch the shared graph's bitset words.
-	edges := make([][]uint64, len(tiles))
-	var ixStats []mask.IndexStats
-	if useIndex {
-		ixStats = make([]mask.IndexStats, len(tiles))
-	}
-	var scanned, emitted atomic.Uint64
-
-	a.forEachTile(func(t int) {
-		tile := &tiles[t]
-		var done func(int)
-		if plan.OnShard != nil {
-			done = plan.OnShard(t, len(tile.Residents), len(tile.Visitors))
-		}
-		members := mergeAscending(tile.Residents, tile.Visitors)
-		var out []uint64
-		if keys != nil {
-			// Distinct-location grouping: co-located bidders have identical
-			// masked families (location masking is deterministic under the
-			// shared key), so the predicate is evaluated once per distinct
-			// location pair and its verdict fanned out to every member
-			// cross-pair. Same-location pairs are unconditional edges — the
-			// exact predicate is Chebyshev distance < 2λ, and distance 0
-			// always qualifies. In dense tiles this collapses the quadratic
-			// sweep from members² to distinct-locations².
-			groupOf := make(map[string]int, len(members))
-			groups := make([][]int, 0, len(members))
-			for _, m := range members {
-				k := keys[m]
-				if g, ok := groupOf[k]; ok {
-					groups[g] = append(groups[g], m)
-				} else {
-					groupOf[k] = len(groups)
-					groups = append(groups, []int{m})
-				}
-			}
-			emit := func(A, B []int) {
-				for _, i := range A {
-					for _, j := range B {
-						if i < j {
-							out = append(out, uint64(i)<<32|uint64(j))
-						} else {
-							out = append(out, uint64(j)<<32|uint64(i))
-						}
-					}
-				}
-			}
-			intra := func(A []int) {
-				for x := range A {
-					for y := x + 1; y < len(A); y++ {
-						out = append(out, uint64(A[x])<<32|uint64(A[y]))
-					}
-				}
-			}
-			if useIndex {
-				// Tile-local inverted index over one representative per
-				// distinct location: groups are numbered 0..G-1 in first-
-				// appearance order, and the skew guard's auto threshold
-				// max(64, G/8) is calibrated to the tile's distinct
-				// population G.
-				ix := mask.NewIndex(len(groups))
-				for _, A := range groups {
-					ix.Add(iloc[A[0]].xFamily, iloc[A[0]].xRange)
-				}
-				cur := ix.Cursor()
-				for ga, A := range groups {
-					intra(A)
-					for _, gb := range cur.Row(ga) {
-						if B := groups[gb]; pred(A[0], B[0]) {
-							emit(A, B)
-						}
-					}
-				}
-				s, e := cur.Stats()
-				scanned.Add(s)
-				emitted.Add(e)
-				ixStats[t] = ix.Stats()
-			} else {
-				for ga, A := range groups {
-					intra(A)
-					for _, B := range groups[ga+1:] {
-						if pred(A[0], B[0]) {
-							emit(A, B)
-						}
-					}
-				}
-			}
-		} else {
-			// noIntern: no canonical IDs to group on — plain member sweep.
-			for li, gi := range members {
-				for _, gj := range members[li+1:] {
-					if pred(gi, gj) {
-						out = append(out, uint64(gi)<<32|uint64(gj))
-					}
-				}
-			}
-		}
-		edges[t] = out
-		if done != nil {
-			done(len(out))
-		}
-	})
-
-	g := conflict.NewGraph(n)
-	for _, out := range edges {
-		for _, e := range out {
-			g.AddEdge(int(e>>32), int(uint32(e)))
-		}
-	}
-	a.shardIx = ixStats
-
-	if a.ob != nil {
-		a.ob.comparisons.Add(calls.Load())
-		a.ob.bloomRejects.Add(rejects.Load())
-		if useIndex {
-			a.ob.indexPostings.Add(scanned.Load())
-			a.ob.indexCandidates.Add(emitted.Load())
-			a.ob.indexConfirms.Add(uint64(g.Edges()))
-		}
-	}
-	return g
-}
-
-// locationKeys derives one grouping key per bidder from the interned IDs
-// of its coordinate families. The masked family determines the coordinate
-// (the full-width prefix differs between any two values) and interned IDs
-// are canonical within the auctioneer's dictionary, so keys[i] == keys[j]
-// exactly when i and j submitted the same location. The X-run length is
-// prefixed so (xFamily, yFamily) boundaries cannot alias across bidders.
-func locationKeys(iloc []internedLocation) []string {
-	keys := make([]string, len(iloc))
-	var ids []uint32
-	var buf []byte
-	for i := range iloc {
-		ids = iloc[i].xFamily.AppendIDs(ids[:0])
-		nx := len(ids)
-		ids = iloc[i].yFamily.AppendIDs(ids)
-		buf = buf[:0]
-		buf = append(buf, byte(nx), byte(nx>>8))
-		for _, id := range ids {
-			buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		keys[i] = string(buf)
-	}
-	return keys
-}
-
-// shardedOrder builds column r's rank order by stable-sorting each tile's
-// residents independently (in parallel when workers allow) and merging the
-// runs under the column's total order. Identity argument: the global
-// stable sort emits bidders sorted by (bid descending, index ascending);
-// each tile's residents are an index-ascending subsequence, so their
-// stable sort is sorted under the same key; merging with the tie rule
-// "equal bids → smaller index first" is therefore exactly the global
-// order. GE calls land in st (per-tile instances are folded in before the
-// merge's own calls).
-//
-// With an interned column in hand the masked comparisons collapse to
-// integers first: bidders with identical digest sets (same interned IDs)
-// are one bid class, the class representatives are sorted once under the
-// masked order with ge-equal classes folded into one value rank, and the
-// per-tile sorts and merges then compare precomputed ranks. The rank
-// respects exactly the column's total preorder, so the result is the same
-// stable sort; only the number of masked intersections changes (O(C log C)
-// for C classes instead of O(n log n) — disguise-heavy columns degrade
-// gracefully to C ≈ n).
-func (a *Auctioneer) shardedOrder(r int, mk geFactory, col []internedChannelBid, st *mask.IntersectStats) []int {
-	tiles := a.plan.Tiles
 	runs := make([][]int, len(tiles))
-	stats := make([]mask.IntersectStats, len(tiles))
-
-	var precedeTile func(ge func(r, i, j int) bool) func(i, j int) bool
-	if col != nil {
-		valueRank := bidValueRanks(r, col, mk(st))
-		precedeTile = func(func(r, i, j int) bool) func(i, j int) bool {
-			return func(i, j int) bool {
-				if valueRank[i] != valueRank[j] {
-					return valueRank[i] < valueRank[j]
-				}
-				return i < j // tie: ascending index, the stable-sort rule
-			}
-		}
-	} else {
-		precedeTile = func(ge func(r, i, j int) bool) func(i, j int) bool {
-			return func(i, j int) bool {
-				if !ge(r, i, j) {
-					return false // j strictly above i
-				}
-				if !ge(r, j, i) {
-					return true // i strictly above j
-				}
-				return i < j // tie: ascending index, the stable-sort rule
-			}
-		}
-	}
-
 	a.forEachTile(func(t int) {
-		precede := precedeTile(mk(&stats[t]))
 		order := append([]int(nil), tiles[t].Residents...)
-		sort.SliceStable(order, func(x, y int) bool {
-			return precede(order[x], order[y])
-		})
+		sort.Slice(order, func(x, y int) bool { return precede(order[x], order[y]) })
 		runs[t] = order
 	})
-	for t := range stats {
-		st.Calls += stats[t].Calls
-		st.BloomRejects += stats[t].BloomRejects
-	}
-	if a.ob != nil {
+	if a.ob != nil && a.sharded {
 		for t := range tiles {
 			a.ob.shardRankBuilds[t].Inc()
 		}
 	}
-
-	precede := precedeTile(mk(st))
 	for len(runs) > 1 {
 		next := make([][]int, 0, (len(runs)+1)/2)
 		for x := 0; x+1 < len(runs); x += 2 {
@@ -450,72 +224,54 @@ func (a *Auctioneer) shardedOrder(r int, mk geFactory, col []internedChannelBid,
 		}
 		runs = next
 	}
-	if len(runs) == 0 {
-		return []int{}
-	}
 	return runs[0]
 }
 
 // bidValueRanks maps every bidder to a dense value rank (0 = highest bid)
-// consistent with column r's masked total preorder. Bidders sharing one
-// family digest set form a class: the full-width prefix makes the family
-// injective in the blinded value, so class members carry the same value
-// and the same non-padding range cover — identical ge outcomes on both
-// sides under the no-digest-collision assumption CompareGE itself rests
-// on (cover padding is random 16-byte noise that never equals a real
-// family digest). Class representatives are stable-sorted under ge and
+// consistent with the column's masked total preorder. Bidders sharing one
+// family digest set — one family Max, by internColumn's interning order —
+// form a class: the full-width prefix makes the family injective in the
+// blinded value, so class members carry the same value and the same
+// non-padding range cover — identical ge outcomes on both sides under the
+// no-digest-collision assumption CompareGE itself rests on (cover padding
+// is random 16-byte noise that never equals a real family digest). Class representatives are stable-sorted under ge and
 // adjacent ge-equal classes (distinct blinding slots, equal displayed
-// value) fold into one rank, so valueRank[i] < valueRank[j] ⟺ i is
-// strictly above j and equality means a masked tie. Masked-intersection
-// cost is O(C log C) for C classes — C is the count of distinct blinded
-// values, far below n for narrow bid ledgers, and degrades gracefully to
-// n when every blinded value is unique.
-func bidValueRanks(r int, col []internedChannelBid, ge func(r, i, j int) bool) []int32 {
-	classOf := make([]int32, len(col))
-	byKey := make(map[string]int32, len(col))
+// value) fold into one rank, so rank[i] < rank[j] ⟺ i is strictly above j
+// and equality means a masked tie. Masked-intersection cost is O(C log C)
+// for C classes — C is the count of distinct blinded values, far below n
+// for narrow bid ledgers, and degrades gracefully to n when every blinded
+// value is unique.
+func bidValueRanks(col []internedChannelBid, ge func(i, j int) bool) []int {
+	classOf := make([]int, len(col))
+	byMax := make(map[uint32]int, len(col))
 	var reps []int
-	var ids []uint32
-	var buf []byte
 	for i := range col {
-		ids = col[i].family.AppendIDs(ids[:0])
-		buf = buf[:0]
-		for _, id := range ids {
-			buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		c, ok := byKey[string(buf)]
+		c, ok := byMax[col[i].family.Max()]
 		if !ok {
-			c = int32(len(reps))
-			byKey[string(buf)] = c
+			c = len(reps)
+			byMax[col[i].family.Max()] = c
 			reps = append(reps, i)
 		}
 		classOf[i] = c
 	}
 
-	repOrder := make([]int, len(reps))
-	for x := range repOrder {
-		repOrder[x] = x
-	}
-	sort.SliceStable(repOrder, func(x, y int) bool {
-		i, j := reps[repOrder[x]], reps[repOrder[y]]
-		return ge(r, i, j) && !ge(r, j, i)
+	sort.SliceStable(reps, func(x, y int) bool {
+		i, j := reps[x], reps[y]
+		return ge(i, j) && !ge(j, i)
 	})
-	rankOf := make([]int32, len(reps))
-	rk := int32(0)
-	for x, c := range repOrder {
-		if x > 0 {
-			i, prev := reps[c], reps[repOrder[x-1]]
-			if !(ge(r, i, prev) && ge(r, prev, i)) {
-				rk++ // strictly below the previous class: new value rank
-			}
+	rankOf := make([]int, len(reps))
+	rk := 0
+	for x, i := range reps {
+		if x > 0 && !(ge(i, reps[x-1]) && ge(reps[x-1], i)) {
+			rk++ // strictly below the previous class: new value rank
 		}
-		rankOf[c] = rk
+		rankOf[classOf[i]] = rk
 	}
 
-	out := make([]int32, len(col))
 	for i, c := range classOf {
-		out[i] = rankOf[c]
+		classOf[i] = rankOf[c]
 	}
-	return out
+	return classOf
 }
 
 // mergeRuns merges two runs already sorted under precede.

@@ -45,9 +45,10 @@ func testPlan(t *testing.T, p Params, pts []geo.Point, shards int) *ShardPlan {
 }
 
 // TestShardedAuctioneerIdentity pins the core contract: for every density
-// shape, candidate strategy, representation, and worker count, the sharded
-// auctioneer's conflict graph, rankings, and allocation are bit-identical
-// to the unsharded one.
+// shape, tile count, and worker count, the sharded auctioneer's conflict
+// graph, rankings, and allocation with runner-ups are bit-identical to the
+// oracle's — and so to the implicit single tile, which the same grid in
+// TestEngineMatchesOracle pins.
 func TestShardedAuctioneerIdentity(t *testing.T) {
 	p := testParams()
 	const n = 60
@@ -61,42 +62,40 @@ func TestShardedAuctioneerIdentity(t *testing.T) {
 				bids[i][r] = uint64(rng.Intn(int(p.BMax) + 1))
 			}
 		}
-		oracle := buildRound(t, p, pts, bids, 99)
-		wantGraph := oracle.ConflictGraph()
-		wantRanks := oracle.Rankings()
-		wantAwards, err := oracle.AllocateAwards(rand.New(rand.NewSource(55)))
+		ref := buildRound(t, p, pts, bids, 99)
+		wantGraph := BuildConflictGraph(ref.locs)
+		wantRanks := make([][]int, p.Channels)
+		for r := range wantRanks {
+			wantRanks[r] = oracleRanking(ref.bids, r)
+		}
+		wantAwards, _, err := oracleAwards(p, ref.locs, ref.bids, nil, rand.New(rand.NewSource(55)))
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		for _, shards := range []int{1, 4, 9} {
 			for _, workers := range []int{1, 4} {
-				for _, mode := range []string{"plain", "indexed", "nointern"} {
-					tag := fmt.Sprintf("%s/shards=%d/workers=%d/%s", shape, shards, workers, mode)
-					auc := buildRound(t, p, pts, bids, 99)
-					auc.SetWorkers(workers)
-					switch mode {
-					case "indexed":
-						auc.EnableIndexedCandidates()
-					case "nointern":
-						auc.DisableInterning()
-					}
-					if err := auc.SetShardPlan(testPlan(t, p, pts, shards)); err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					if !auc.ConflictGraph().Equal(wantGraph) {
-						t.Errorf("%s: sharded graph differs from oracle", tag)
-					}
-					if !reflect.DeepEqual(auc.Rankings(), wantRanks) {
-						t.Errorf("%s: sharded rankings differ from oracle", tag)
-					}
-					awards, err := auc.AllocateAwards(rand.New(rand.NewSource(55)))
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					if !reflect.DeepEqual(awards, wantAwards) {
-						t.Errorf("%s: sharded awards differ from oracle\n got %v\nwant %v", tag, awards, wantAwards)
-					}
+				tag := fmt.Sprintf("%s/shards=%d/workers=%d", shape, shards, workers)
+				auc, err := NewAuctioneer(p, ref.locs, ref.bids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				auc.SetWorkers(workers)
+				if err := auc.SetShardPlan(testPlan(t, p, pts, shards)); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if !auc.ConflictGraph().Equal(wantGraph) {
+					t.Errorf("%s: sharded graph differs from oracle", tag)
+				}
+				if !reflect.DeepEqual(auc.Rankings(), wantRanks) {
+					t.Errorf("%s: sharded rankings differ from oracle", tag)
+				}
+				awards, err := auc.AllocateAwards(rand.New(rand.NewSource(55)))
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if !reflect.DeepEqual(awards, wantAwards) {
+					t.Errorf("%s: sharded awards differ from oracle\n got %v\nwant %v", tag, awards, wantAwards)
 				}
 			}
 		}
@@ -154,14 +153,15 @@ func TestSetShardPlanValidation(t *testing.T) {
 	}
 }
 
-// TestShardSkewGuardPerTile pins the satellite fix: the indexed skew guard
-// is calibrated to each tile's population, not the global n. 70 distinct
-// bidders sharing one x column inside one tile post that column's family
-// digests 70 times, exceeding the tile's auto threshold max(64, G/8), and
-// are flagged hot there — while the global index over all 1000 bidders
-// (threshold n/8 = 125) sees no hot digest at all. The points are distinct
-// on purpose: co-located bidders collapse into one distinct-location group
-// in the sharded build, so a same-point stack can never skew a tile index.
+// TestShardSkewGuardPerTile pins the per-tile skew guard: the index guard
+// is calibrated to each tile's distinct locations, not the global n. 70
+// distinct bidders sharing one x column inside one tile post that column's
+// family digests 70 times, exceeding the tile's auto threshold
+// max(64, G/8), and are flagged hot there — while the implicit single
+// tile's index over all ~1000 distinct locations (threshold G/8 ≈ 125)
+// sees no hot digest at all. The points are distinct on purpose:
+// co-located bidders collapse into one distinct-location group, so a
+// same-point stack can never skew a tile index.
 func TestShardSkewGuardPerTile(t *testing.T) {
 	p := Params{Channels: 1, Lambda: 2, MaxX: 999, MaxY: 999, BMax: 10}
 	const stacked, spread = 70, 930
@@ -179,20 +179,18 @@ func TestShardSkewGuardPerTile(t *testing.T) {
 	}
 
 	global := buildRound(t, p, pts, bids, 12)
-	global.EnableIndexedCandidates()
-	if st := global.IndexStats(); st.HotDigests != 0 {
-		t.Fatalf("global index HotDigests = %d, want 0 (threshold n/8 = %d > stack of %d)",
-			st.HotDigests, len(pts)/8, stacked)
+	if st := global.ShardIndexStats(); len(st) != 1 || st[0].HotDigests != 0 {
+		t.Fatalf("implicit-tile index stats = %+v, want one tile with no hot digest (threshold n/8 = %d > stack of %d)",
+			st, len(pts)/8, stacked)
 	}
 
 	sharded := buildRound(t, p, pts, bids, 12)
-	sharded.EnableIndexedCandidates()
 	if err := sharded.SetShardPlan(testPlan(t, p, pts, 64)); err != nil {
 		t.Fatal(err)
 	}
 	stats := sharded.ShardIndexStats()
 	if stats == nil {
-		t.Fatal("ShardIndexStats nil on sharded indexed auctioneer")
+		t.Fatal("ShardIndexStats nil on sharded auctioneer")
 	}
 	hotTiles, hotRows := 0, 0
 	for _, st := range stats {
@@ -210,7 +208,7 @@ func TestShardSkewGuardPerTile(t *testing.T) {
 
 	// And the guard difference never changes the graph.
 	if !sharded.ConflictGraph().Equal(global.ConflictGraph()) {
-		t.Error("sharded graph differs from global indexed graph")
+		t.Error("sharded graph differs from the implicit tile's graph")
 	}
 }
 

@@ -74,8 +74,8 @@ type Config struct {
 	// SubmitAt bypasses the clock either way.
 	Clock func() float64
 	// RoundOptions compose into every epoch's round.Run — WithWorkers,
-	// WithShards, WithIndexedCandidates, WithTrace, WithObserver, and the
-	// rest all apply per epoch exactly as in a one-shot round.
+	// WithShards, WithTrace, WithObserver, and the rest all apply per
+	// epoch exactly as in a one-shot round.
 	RoundOptions []round.Option
 	// Registry, when non-nil, receives the service counters
 	// (lppa_epochs_total, lppa_epoch_bidders_total, admission and

@@ -86,7 +86,7 @@ func sameOutcome(t *testing.T, tag string, got, want *round.Result) {
 // TestEpochEquivalence is the tentpole contract: every epoch the service
 // runs is bit-identical to a one-shot round.Run over the same admitted
 // set with the epoch's derived seed — across the shards × workers ×
-// indexed grid, with back-to-back epochs of different populations so the
+// charging grid, with back-to-back epochs of different populations so the
 // auctioneer-reuse path (core Reset, shard-planner memo) is what's under
 // test, not a fresh construction.
 func TestEpochEquivalence(t *testing.T) {
@@ -99,8 +99,8 @@ func TestEpochEquivalence(t *testing.T) {
 		{"serial", nil},
 		{"workers4", []round.Option{round.WithWorkers(4)}},
 		{"shards4", []round.Option{round.WithWorkers(2), round.WithShards(4)}},
-		{"indexed", []round.Option{round.WithWorkers(4), round.WithIndexedCandidates()}},
-		{"shards4-indexed", []round.Option{round.WithShards(4), round.WithIndexedCandidates()}},
+		{"shards1", []round.Option{round.WithWorkers(4), round.WithShards(1)}},
+		{"shards4-serial", []round.Option{round.WithShards(4)}},
 		{"second-price", []round.Option{round.WithSecondPrice()}},
 	}
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}

@@ -26,16 +26,14 @@ import (
 // replays a seeded arrival/churn schedule through the epochal pipeline on
 // its logical clock.
 const (
-	VariantPlain    = "plain"    // no digest interning (PR1-era baseline)
-	VariantInterned = "interned" // default path: interned masked digests
-	VariantIndexed  = "indexed"  // inverted-index candidate generation
+	VariantInterned = "interned" // default path: the auctioneer's implicit single tile
 	VariantSharded  = "sharded"  // tile-sharded rounds (Shards tiles)
 	VariantService  = "service"  // epochal service, open-loop arrivals
 )
 
 // Variants lists every variant name, in sweep order.
 func Variants() []string {
-	return []string{VariantPlain, VariantInterned, VariantIndexed, VariantSharded, VariantService}
+	return []string{VariantInterned, VariantSharded, VariantService}
 }
 
 // Seed-stream salts: each consumer of Config.Seed gets its own splitmix
@@ -121,7 +119,7 @@ func (c Config) normalize() (Config, error) {
 	}
 	c.Density = c.density()
 	switch c.Variant {
-	case VariantPlain, VariantInterned, VariantIndexed, VariantService:
+	case VariantInterned, VariantService:
 	case VariantSharded:
 		if c.Shards == 0 {
 			c.Shards = 8
@@ -328,10 +326,6 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func roundOptions(cfg Config, tracer *obs.Tracer) []round.Option {
 	opts := []round.Option{round.WithWorkers(cfg.Workers), round.WithTrace(tracer)}
 	switch cfg.Variant {
-	case VariantPlain:
-		opts = append(opts, round.WithoutInterning())
-	case VariantIndexed:
-		opts = append(opts, round.WithIndexedCandidates())
 	case VariantSharded:
 		opts = append(opts, round.WithShards(cfg.Shards))
 	case VariantService:

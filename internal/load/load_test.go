@@ -62,7 +62,7 @@ func TestRunDeterminism(t *testing.T) {
 // a different auction, so same-seed runs must agree on the transcript.
 func TestRunVariantEquivalence(t *testing.T) {
 	var want *RunReport
-	for _, variant := range []string{VariantPlain, VariantInterned, VariantIndexed, VariantSharded} {
+	for _, variant := range []string{VariantInterned, VariantSharded} {
 		rep, err := Run(smallConfig(variant))
 		if err != nil {
 			t.Fatalf("%s: %v", variant, err)
@@ -152,14 +152,14 @@ func TestRunServiceAccounting(t *testing.T) {
 // TestConfigValidation pins that a broken config errors before any work.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{},                                                      // no bidders
-		{Bidders: 10},                                           // no rounds
-		{Bidders: 10, Rounds: 1, Variant: "warp"},               // unknown variant
-		{Bidders: 10, Rounds: 1, Variant: "plain", Workers: -1}, // negative workers
+		{},            // no bidders
+		{Bidders: 10}, // no rounds
+		{Bidders: 10, Rounds: 1, Variant: "warp"},                  // unknown variant
+		{Bidders: 10, Rounds: 1, Variant: "interned", Workers: -1}, // negative workers
 		{Bidders: 10, Rounds: 1, Variant: "sharded", Shards: -2},
-		{Bidders: 10, Rounds: 1, Variant: "plain", Density: "metropolis"},
+		{Bidders: 10, Rounds: 1, Variant: "interned", Density: "metropolis"},
 		{Bidders: 10, Rounds: 1, Variant: "service", RateLimit: -1},
-		{Bidders: 10, Rounds: 1, Variant: "plain", Chaos: faults.Config{DropFrame: 1.5}},
+		{Bidders: 10, Rounds: 1, Variant: "interned", Chaos: faults.Config{DropFrame: 1.5}},
 	}
 	for _, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -17,8 +17,8 @@ func validReport() *Report {
 			Name: "interned/mixed/n100", Variant: VariantInterned, Density: "mixed",
 			Bidders: 100, Rounds: 5, Epochs: 0,
 			Submitted: 500, Admitted: 500, Winners: 40, Revenue: 2000,
-			AwardDigest:  "abc123",
-			WallSeconds:  0.5, RoundsPerSec: 10,
+			AwardDigest: "abc123",
+			WallSeconds: 0.5, RoundsPerSec: 10,
 			Phases: map[string]PhaseStats{
 				"round":    {Count: 5, P50Ms: 10, P95Ms: 20, P99Ms: 25, MaxMs: 30, MeanMs: 12},
 				"allocate": {Count: 5, P50Ms: 2, P95Ms: 4, P99Ms: 5, MaxMs: 6, MeanMs: 3},

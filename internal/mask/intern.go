@@ -169,11 +169,16 @@ func sigBit(id uint32) uint64 {
 // Len reports the number of members.
 func (s IntSet) Len() int { return len(s.ids) }
 
-// AppendIDs appends the set's interned member IDs (ascending) to dst and
-// returns the extended slice. IDs are canonical within one Dict — two of
-// its IntSets are equal as sets iff their ID slices are equal — so the
-// appended run works as a grouping key for same-digest-set detection.
-func (s IntSet) AppendIDs(dst []uint32) []uint32 { return append(dst, s.ids...) }
+// Max returns the largest interned member ID, or 0 for the empty set. A
+// Dict hands out IDs in first-sighting order, so the maximum tells which
+// set brought in the newest digest — the auctioneer's grouping key for
+// prefix families (core/intern.go).
+func (s IntSet) Max() uint32 {
+	if len(s.ids) == 0 {
+		return 0
+	}
+	return s.ids[len(s.ids)-1]
+}
 
 // Contains reports whether id is a member.
 func (s IntSet) Contains(id uint32) bool {

@@ -24,16 +24,16 @@ import (
 // Event types emitted by the plane. The set is closed on purpose: a
 // consumer switching on type should be able to enumerate every case.
 const (
-	EventEpochSealed    = "epoch_sealed"     // an intake batch was sealed for execution
-	EventEpochClosed    = "epoch_closed"     // an epoch's round completed (awards final)
-	EventAdmissionShed  = "admission_shed"   // the admission gate rejected submissions
-	EventStragglerDrop  = "straggler_excluded" // bidders were excluded by quorum/straggler policy
-	EventSLOBreach      = "slo_breach"       // the burn-rate monitor latched a breach
-	EventSLORecovered   = "slo_recovered"    // burn rates fell back under thresholds
+	EventEpochSealed    = "epoch_sealed"             // an intake batch was sealed for execution
+	EventEpochClosed    = "epoch_closed"             // an epoch's round completed (awards final)
+	EventAdmissionShed  = "admission_shed"           // the admission gate rejected submissions
+	EventStragglerDrop  = "straggler_excluded"       // bidders were excluded by quorum/straggler policy
+	EventSLOBreach      = "slo_breach"               // the burn-rate monitor latched a breach
+	EventSLORecovered   = "slo_recovered"            // burn rates fell back under thresholds
 	EventAnonymityFloor = "anonymity_floor_violated" // an epoch's min anonymity set fell below the floor
-	EventFlightDump     = "flight_dump"      // the alarm path forced a flight-recorder dump
-	EventDraining       = "service_draining" // Close began; readiness flipped off
-	EventClosed         = "service_closed"   // drain finished; the service is down
+	EventFlightDump     = "flight_dump"              // the alarm path forced a flight-recorder dump
+	EventDraining       = "service_draining"         // Close began; readiness flipped off
+	EventClosed         = "service_closed"           // drain finished; the service is down
 )
 
 // Event is one line of the ops event log. Epoch is -1 for events not

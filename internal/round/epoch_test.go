@@ -21,10 +21,10 @@ func TestEpochStateReuseBitIdentical(t *testing.T) {
 		opts []Option
 	}{
 		{24, 3, nil},
-		{36, 4, []Option{WithWorkers(4), WithShards(4)}},           // grow + shard
-		{24, 5, []Option{WithWorkers(2), WithIndexedCandidates()}}, // shrink + index
-		{30, 6, []Option{WithShards(4), WithIndexedCandidates()}},  // planner memo hit
-		{30, 7, []Option{WithWorkers(1), WithoutInterning()}},      // knob must not leak from prior epochs
+		{36, 4, []Option{WithWorkers(4), WithShards(4)}}, // grow + shard
+		{24, 5, []Option{WithWorkers(2)}},                // shrink, back to the implicit tile
+		{30, 6, []Option{WithShards(4)}},                 // planner memo hit
+		{30, 7, []Option{WithWorkers(1)}},                // shard plan must not leak from prior epochs
 		{30, 8, []Option{WithSecondPrice()}},
 	}
 	for i, c := range calls {

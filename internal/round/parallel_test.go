@@ -44,12 +44,12 @@ func TestRunPrivateOptsWorkerInvariance(t *testing.T) {
 	}{{8, 1}, {25, 2}, {40, 4}} {
 		for _, seed := range []int64{1, 7, 42} {
 			policy := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
-			base, err := RunPrivateOpts(parallelArgs(t, tc.n, tc.lambda, seed, policy, 1))
+			base, err := parallelRun(t, tc.n, tc.lambda, seed, policy, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				got, err := RunPrivateOpts(parallelArgs(t, tc.n, tc.lambda, seed, policy, workers))
+				got, err := parallelRun(t, tc.n, tc.lambda, seed, policy, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,11 +76,12 @@ func TestRunPrivateOptsWorkerInvariance(t *testing.T) {
 	}
 }
 
-// parallelArgs rebuilds identical inputs plus a fresh rng per invocation so
-// runs cannot contaminate each other through shared rng state.
-func parallelArgs(t *testing.T, n int, lambda uint64, seed int64, policy core.DisguisePolicy, workers int) (core.Params, *mask.KeyRing, []geo.Point, [][]uint64, core.DisguisePolicy, *rand.Rand, Options) {
+// parallelRun runs the seeded pipeline over rebuilt identical inputs with a
+// fresh rng per invocation, so runs cannot contaminate each other through
+// shared rng state.
+func parallelRun(t *testing.T, n int, lambda uint64, seed int64, policy core.DisguisePolicy, workers int) (*Result, error) {
 	p, ring, points, bids := parallelFixture(t, n, lambda, seed)
-	return p, ring, points, bids, policy, rand.New(rand.NewSource(seed * 1001)), Options{Workers: workers}
+	return Run(p, ring, Input{Points: points, Bids: bids, Policy: policy, Rng: rand.New(rand.NewSource(seed * 1001))}, WithWorkers(workers))
 }
 
 // TestEncodeSubmissionsWorkerInvariance checks the encoded submissions
@@ -140,14 +141,15 @@ func TestEncodeSubmissionsWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestRunPrivateOptsValidations mirrors RunPrivate's input checks.
+// TestRunPrivateOptsValidations mirrors the serial round's input checks
+// on the seeded pipeline.
 func TestRunPrivateOptsValidations(t *testing.T) {
 	p, ring, points, bids := parallelFixture(t, 4, 2, 1)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := RunPrivateOpts(p, ring, nil, nil, core.DefaultDisguise(), rng, Options{}); err == nil {
+	if _, err := Run(p, ring, Input{Policy: core.DefaultDisguise(), Rng: rng}, WithWorkers(0)); err == nil {
 		t.Error("empty round accepted")
 	}
-	if _, err := RunPrivateOpts(p, ring, points, bids[:2], core.DefaultDisguise(), rng, Options{}); err == nil {
+	if _, err := Run(p, ring, Input{Points: points, Bids: bids[:2], Policy: core.DefaultDisguise(), Rng: rng}, WithWorkers(0)); err == nil {
 		t.Error("mismatched points/bids accepted")
 	}
 }
@@ -157,8 +159,8 @@ func TestRunPrivateOptsValidations(t *testing.T) {
 // revenue consistent with charges.
 func TestRunPrivateOptsOutcomeSanity(t *testing.T) {
 	p, ring, points, bids := parallelFixture(t, 30, 2, 9)
-	res, err := RunPrivateOpts(p, ring, points, bids, core.DisguisePolicy{P0: 0.7, Decay: 0.95},
-		rand.New(rand.NewSource(10)), Options{Workers: 4})
+	res, err := Run(p, ring, Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 0.7, Decay: 0.95},
+		Rng: rand.New(rand.NewSource(10))}, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

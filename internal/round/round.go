@@ -3,11 +3,12 @@
 // runs the plaintext baseline for comparison. The experiment drivers and
 // examples build on this package.
 //
-// Run is the single entry point; functional options select the execution
+// Run is the single entry point; functional options select the encoding
 // pipeline (WithWorkers), disguise shape (WithPolicies), charging design
-// (WithInteractiveCharging, WithSecondPrice), and observability
-// (WithObserver). The RunPrivate* functions are deprecated wrappers kept
-// for compatibility; each is bit-identical to the Run call it documents.
+// (WithInteractiveCharging, WithSecondPrice), the auctioneer's tiling
+// (WithShards), and observability (WithObserver, WithTrace). The
+// auctioneer has one execution path whatever the options: they change how
+// the work is split, never the awards.
 package round
 
 import (
@@ -17,7 +18,6 @@ import (
 	"lppa/internal/conflict"
 	"lppa/internal/core"
 	"lppa/internal/geo"
-	"lppa/internal/mask"
 	"lppa/internal/obs"
 )
 
@@ -48,33 +48,6 @@ type Result struct {
 	// or a WithTraceSampler round the sampler picked); zero otherwise.
 	// The ops plane uses it to correlate events with sampled spans.
 	Trace obs.TraceID
-}
-
-// RunPrivate executes the full LPPA protocol in-process with one disguise
-// policy for all bidders.
-//
-// Deprecated: use Run. RunPrivate(p, ring, pts, bids, policy, rng) is
-// exactly Run(p, ring, Input{pts, bids, policy, rng}).
-func RunPrivate(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	policy core.DisguisePolicy, rng *rand.Rand) (*Result, error) {
-	return Run(params, ring, Input{Points: points, Bids: bids, Policy: policy, Rng: rng})
-}
-
-// RunPrivateWithPolicies is RunPrivate with a per-bidder disguise policy.
-//
-// Deprecated: use Run with WithPolicies.
-func RunPrivateWithPolicies(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	policies []core.DisguisePolicy, rng *rand.Rand) (*Result, error) {
-	return Run(params, ring, Input{Points: points, Bids: bids, Rng: rng}, WithPolicies(policies))
-}
-
-// RunPrivateInteractive is RunPrivate with an interactive TTP: every
-// prospective award is validity-checked before it stands.
-//
-// Deprecated: use Run with WithInteractiveCharging.
-func RunPrivateInteractive(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	policy core.DisguisePolicy, rng *rand.Rand) (*Result, error) {
-	return Run(params, ring, Input{Points: points, Bids: bids, Policy: policy, Rng: rng}, WithInteractiveCharging())
 }
 
 // RunPlainBaseline runs the non-private reference auction on the same

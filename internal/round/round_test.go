@@ -44,7 +44,7 @@ func population(p core.Params, n int, seed int64) ([]geo.Point, [][]uint64) {
 func TestRunPrivateHonestRound(t *testing.T) {
 	p := params()
 	points, bids := population(p, 30, 1)
-	res, err := RunPrivate(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(2)))
+	res, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(2))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunPrivateHonestRound(t *testing.T) {
 func TestRunPrivateChargesAreTrueBids(t *testing.T) {
 	p := params()
 	points, bids := population(p, 20, 3)
-	res, err := RunPrivate(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(4)))
+	res, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(4))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRunPrivateRevenueComparableToPlainBaseline(t *testing.T) {
 	var priv, plain float64
 	for seed := int64(0); seed < 5; seed++ {
 		points, bids := population(p, 40, 100+seed)
-		res, err := RunPrivate(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(200+seed)))
+		res, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(200 + seed))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +125,11 @@ func TestRunPrivateDisguiseDegradesPerformance(t *testing.T) {
 	var voidedFull int
 	for seed := int64(0); seed < 5; seed++ {
 		points, bids := population(p, 40, 500+seed)
-		honest, err := RunPrivate(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(600+seed)))
+		honest, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(600 + seed))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := RunPrivate(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 0, Decay: 1}, rand.New(rand.NewSource(700+seed)))
+		full, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 0, Decay: 1}, Rng: rand.New(rand.NewSource(700 + seed))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestRunPrivateWithPoliciesPerBidder(t *testing.T) {
 			policies[i] = core.DisguisePolicy{P0: 0.2, Decay: 0.9}
 		}
 	}
-	res, err := RunPrivateWithPolicies(p, ring(t, p), points, bids, policies, rand.New(rand.NewSource(8)))
+	res, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Rng: rand.New(rand.NewSource(8))}, WithPolicies(policies))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +167,14 @@ func TestRunPrivateWithPoliciesPerBidder(t *testing.T) {
 
 func TestRunPrivateValidation(t *testing.T) {
 	p := params()
-	if _, err := RunPrivate(p, ring(t, p), nil, nil, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Run(p, ring(t, p), Input{Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("empty round accepted")
 	}
 	points, bids := population(p, 3, 9)
-	if _, err := RunPrivate(p, ring(t, p), points, bids[:2], core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Run(p, ring(t, p), Input{Points: points, Bids: bids[:2], Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("mismatched bids accepted")
 	}
-	if _, err := RunPrivateWithPolicies(p, ring(t, p), points, bids, make([]core.DisguisePolicy, 2), rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Rng: rand.New(rand.NewSource(1))}, WithPolicies(make([]core.DisguisePolicy, 2))); err == nil {
 		t.Error("mismatched policies accepted")
 	}
 }
@@ -200,7 +200,7 @@ func TestTranscriptFeedsAttacker(t *testing.T) {
 	// the t-largest attacker.
 	p := params()
 	points, bids := population(p, 15, 12)
-	res, err := RunPrivate(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 0.5, Decay: 0.9}, rand.New(rand.NewSource(13)))
+	res, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 0.5, Decay: 0.9}, Rng: rand.New(rand.NewSource(13))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +217,14 @@ func TestTranscriptFeedsAttacker(t *testing.T) {
 
 func TestRunPrivateInteractiveValidation(t *testing.T) {
 	p := params()
-	if _, err := RunPrivateInteractive(p, ring(t, p), nil, nil, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Run(p, ring(t, p), Input{Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(1))}, WithInteractiveCharging()); err == nil {
 		t.Error("empty round accepted")
 	}
 	points, bids := population(p, 3, 30)
-	if _, err := RunPrivateInteractive(p, ring(t, p), points, bids[:2], core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Run(p, ring(t, p), Input{Points: points, Bids: bids[:2], Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(1))}, WithInteractiveCharging()); err == nil {
 		t.Error("mismatched bids accepted")
 	}
-	if _, err := RunPrivateInteractive(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 0.5, Decay: -1}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 0.5, Decay: -1}, Rng: rand.New(rand.NewSource(1))}, WithInteractiveCharging()); err == nil {
 		t.Error("bad policy accepted")
 	}
 }
@@ -235,7 +235,7 @@ func TestRunPrivateInteractiveVoidsWithoutExpelling(t *testing.T) {
 	// burn channels.
 	p := core.Params{Channels: 8, Lambda: 2, MaxX: 29, MaxY: 29, BMax: 100}
 	points, bids := population(p, 15, 31)
-	res, err := RunPrivateInteractive(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 0, Decay: 1}, rand.New(rand.NewSource(32)))
+	res, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 0, Decay: 1}, Rng: rand.New(rand.NewSource(32))}, WithInteractiveCharging())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestRunPrivateInteractiveVoidsWithoutExpelling(t *testing.T) {
 func TestRunPrivateBadPolicyRejected(t *testing.T) {
 	p := params()
 	points, bids := population(p, 3, 33)
-	if _, err := RunPrivate(p, ring(t, p), points, bids, core.DisguisePolicy{P0: -2}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: -2}, Rng: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("invalid policy accepted")
 	}
 }

@@ -47,8 +47,6 @@ type runConfig struct {
 	policies    []core.DisguisePolicy
 	interactive bool
 	secondPrice bool
-	noIntern    bool
-	indexed     bool
 	shards      int
 	quorum      int
 	straggler   time.Duration
@@ -62,9 +60,10 @@ type runConfig struct {
 	onPhase     func(phase string, d time.Duration)
 }
 
-// WithWorkers bounds the goroutines used for submission encoding and
-// conflict-graph construction. n == 0 means one worker per available CPU;
-// n == 1 pins the seeded pipeline to the calling goroutine.
+// WithWorkers bounds the goroutines used for submission encoding and the
+// auctioneer's per-tile builds (see WithShards). n == 0 means one worker
+// per available CPU; n == 1 pins the seeded pipeline to the calling
+// goroutine.
 //
 // Passing this option — with any n — switches Run onto the seeded
 // encoding pipeline: the round rng is consumed serially up front (one TTP
@@ -224,33 +223,6 @@ func WithEpochNumber(n int) Option {
 func WithPhaseObserver(fn func(phase string, d time.Duration)) Option {
 	return func(c *runConfig) error {
 		c.onPhase = fn
-		return nil
-	}
-}
-
-// WithoutInterning makes the auctioneer evaluate masked set operations on
-// the plain mask.Set representation instead of interned ID slices
-// (DESIGN.md §5b). Ablation/testing knob: results are identical either
-// way.
-func WithoutInterning() Option {
-	return func(c *runConfig) error {
-		c.noIntern = true
-		return nil
-	}
-}
-
-// WithIndexedCandidates switches conflict-candidate generation onto the
-// inverted index over interned masked digests (DESIGN.md §5f): candidate
-// pairs come from posting-list self-joins instead of the all-pairs sweep,
-// and only candidates are confirmed with the exact masked intersection.
-// The graph — and therefore the auction result — is bit-identical to the
-// default all-pairs oracle, which stays the verification path; this option
-// only changes how much work finds it. Default off. Combined with
-// WithoutInterning the index is skipped (it requires interned IDs) and the
-// oracle runs unchanged.
-func WithIndexedCandidates() Option {
-	return func(c *runConfig) error {
-		c.indexed = true
 		return nil
 	}
 }
@@ -416,8 +388,8 @@ func buildSamplers(policies []core.DisguisePolicy, bmax uint64) ([]*core.Disguis
 
 // encodeSerial produces every bidder's submissions on the calling
 // goroutine, threading the round rng through bidders in index order — the
-// legacy RunPrivate randomness shape, kept bit-exact for the deprecated
-// wrappers.
+// randomness shape of a Run without WithWorkers, which the paper-figure
+// drivers (internal/sim) still use.
 func encodeSerial(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
 	samplers []*core.DisguiseSampler, rng *rand.Rand) ([]*core.LocationSubmission, []*core.BidSubmission, int, error) {
 	n := len(points)
@@ -481,10 +453,9 @@ func tallyCharges(res *Result, results []ttp.ChargeResult) {
 // Options select the execution and charging shape: WithWorkers for the
 // deterministic parallel pipeline, WithPolicies for per-bidder disguise,
 // WithInteractiveCharging or WithSecondPrice (mutually exclusive) for the
-// charging design, WithObserver for metrics, WithoutInterning for the
-// representation ablation. With no options Run is exactly the legacy
-// serial round (bit-identical to the deprecated RunPrivate for the same
-// seed).
+// charging design, WithShards for the auctioneer's tiling, WithObserver
+// for metrics. With no options Run threads one rng through all bidders
+// serially (see WithWorkers).
 func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Result, error) {
 	var cfg runConfig
 	for _, opt := range opts {
@@ -642,12 +613,6 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 		return nil, err
 	}
 	auc.SetWorkers(workers)
-	if cfg.noIntern {
-		auc.DisableInterning()
-	}
-	if cfg.indexed {
-		auc.EnableIndexedCandidates()
-	}
 	auc.SetObserver(cfg.reg)
 
 	if cfg.shards > 0 {
@@ -682,18 +647,6 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 	// the allocator build it lazily) changes nothing except giving the
 	// phase its own wall-time series.
 	ph.phase("conflict_graph")
-	if cfg.indexed {
-		// Candidate-generation setup (interning + inverted-index posting)
-		// gets its own child span under conflict_graph, so traces separate
-		// index cost from oracle-confirm cost. Metrics-wise it stays inside
-		// the conflict_graph phase either way.
-		var sp *obs.Span
-		if ph.tracer != nil {
-			sp = ph.tracer.StartSpan("candidate_generation", ph.cur.Context())
-		}
-		auc.PrepareCandidates()
-		sp.End()
-	}
 	auc.ConflictGraph()
 
 	ph.phase("allocate")

@@ -14,8 +14,8 @@ import (
 // TestRunQuorumGridFaultFreeIdentical pins WithQuorum's no-op contract
 // across the option grid: on fault-free inputs, adding a quorum (any
 // threshold) must leave the round bit-identical to the same combination
-// without it — for every charging rule, interning mode, and pipeline
-// shape, across seeds.
+// without it — for every charging rule, auctioneer tiling (the implicit
+// tile, WithShards(1), WithShards(4)), and pipeline shape, across seeds.
 func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	const n = 16
@@ -35,12 +35,13 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 		{"firstprice", nil},
 		{"secondprice", []Option{WithSecondPrice()}},
 	}
-	interning := []struct {
+	tilings := []struct {
 		tag  string
 		opts []Option
 	}{
-		{"intern", nil},
-		{"nointern", []Option{WithoutInterning()}},
+		{"implicit", nil},
+		{"shards1", []Option{WithShards(1)}},
+		{"shards4", []Option{WithShards(4)}},
 	}
 	quorums := []struct {
 		tag  string
@@ -55,7 +56,7 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 		p, ring, pts, bids := parallelFixture(t, n, 2, seed)
 		for _, pl := range pipelines {
 			for _, ch := range charging {
-				for _, it := range interning {
+				for _, it := range tilings {
 					base := append(append(append([]Option(nil), pl.opts...), ch.opts...), it.opts...)
 					run := func(extra ...Option) *Result {
 						t.Helper()

@@ -22,65 +22,9 @@ func sameResult(t *testing.T, tag string, a, b *Result) {
 	}
 }
 
-// TestRunMatchesDeprecatedWrappers pins that every deprecated entry point
-// and its Run spelling agree exactly, per seed.
-func TestRunMatchesDeprecatedWrappers(t *testing.T) {
-	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
-	for _, seed := range []int64{2, 13} {
-		p, ring, pts, bids := parallelFixture(t, 20, 2, seed)
-		in := func() Input {
-			return Input{Points: pts, Bids: bids, Policy: pol, Rng: rand.New(rand.NewSource(seed * 5))}
-		}
-		rng := func() *rand.Rand { return rand.New(rand.NewSource(seed * 5)) }
-
-		cases := []struct {
-			tag     string
-			legacy  func() (*Result, error)
-			unified func() (*Result, error)
-		}{
-			{"RunPrivate",
-				func() (*Result, error) { return RunPrivate(p, ring, pts, bids, pol, rng()) },
-				func() (*Result, error) { return Run(p, ring, in()) }},
-			{"RunPrivateInteractive",
-				func() (*Result, error) { return RunPrivateInteractive(p, ring, pts, bids, pol, rng()) },
-				func() (*Result, error) { return Run(p, ring, in(), WithInteractiveCharging()) }},
-			{"RunPrivateSecondPrice",
-				func() (*Result, error) { return RunPrivateSecondPrice(p, ring, pts, bids, pol, rng()) },
-				func() (*Result, error) { return Run(p, ring, in(), WithSecondPrice()) }},
-			{"RunPrivateOpts",
-				func() (*Result, error) {
-					return RunPrivateOpts(p, ring, pts, bids, pol, rng(), Options{Workers: 4})
-				},
-				func() (*Result, error) { return Run(p, ring, in(), WithWorkers(4)) }},
-		}
-		pols := make([]core.DisguisePolicy, len(pts))
-		for i := range pols {
-			pols[i] = core.DisguisePolicy{P0: 0.5 + float64(i%5)*0.1, Decay: 0.9}
-		}
-		cases = append(cases, struct {
-			tag     string
-			legacy  func() (*Result, error)
-			unified func() (*Result, error)
-		}{"RunPrivateWithPolicies",
-			func() (*Result, error) { return RunPrivateWithPolicies(p, ring, pts, bids, pols, rng()) },
-			func() (*Result, error) {
-				return Run(p, ring, Input{Points: pts, Bids: bids, Rng: rng()}, WithPolicies(pols))
-			}})
-
-		for _, tc := range cases {
-			a, errA := tc.legacy()
-			b, errB := tc.unified()
-			if errA != nil || errB != nil {
-				t.Fatalf("%s seed=%d: errs %v / %v", tc.tag, seed, errA, errB)
-			}
-			sameResult(t, tc.tag, a, b)
-		}
-	}
-}
-
 // TestRunObserverDoesNotChangeResults pins the observability contract at
 // the round level: attaching a registry never changes any byte of the
-// result, across seeds, worker counts, and charging modes.
+// result, across seeds, worker counts, tilings, and charging modes.
 func TestRunObserverDoesNotChangeResults(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	shapes := []struct {
@@ -92,7 +36,7 @@ func TestRunObserverDoesNotChangeResults(t *testing.T) {
 		{"workers4", []Option{WithWorkers(4)}},
 		{"interactive", []Option{WithInteractiveCharging()}},
 		{"secondprice", []Option{WithSecondPrice()}},
-		{"nointern", []Option{WithWorkers(2), WithoutInterning()}},
+		{"shards4", []Option{WithWorkers(2), WithShards(4)}},
 	}
 	for _, seed := range []int64{4, 21} {
 		p, ring, pts, bids := parallelFixture(t, 20, 2, seed)

@@ -15,7 +15,7 @@ func TestRunPrivateSecondPriceChargesRunnerUp(t *testing.T) {
 	ring := ring(t, p)
 	points := []geo.Point{{X: 1, Y: 1}, {X: 1, Y: 2}, {X: 2, Y: 1}}
 	bids := [][]uint64{{60}, {90}, {75}}
-	res, err := RunPrivateSecondPrice(p, ring, points, bids, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(1)))
+	res, err := Run(p, ring, Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(1))}, WithSecondPrice())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRunPrivateSecondPricePaymentsBounded(t *testing.T) {
 	// pays above its own bid.
 	p := params()
 	points, bids := population(p, 25, 20)
-	res, err := RunPrivateSecondPrice(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 0.8, Decay: 0.9}, rand.New(rand.NewSource(21)))
+	res, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 0.8, Decay: 0.9}, Rng: rand.New(rand.NewSource(21))}, WithSecondPrice())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestRunPrivateSecondPriceRevenueAtMostFirstPrice(t *testing.T) {
 	var first, second float64
 	for seed := int64(0); seed < 4; seed++ {
 		points, bids := population(p, 30, 800+seed)
-		fp, err := RunPrivate(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(900+seed)))
+		fp, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(900 + seed))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := RunPrivateSecondPrice(p, ring(t, p), points, bids, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(900+seed)))
+		sp, err := Run(p, ring(t, p), Input{Points: points, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(900 + seed))}, WithSecondPrice())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestRunPrivateSecondPriceRevenueAtMostFirstPrice(t *testing.T) {
 
 func TestRunPrivateSecondPriceValidation(t *testing.T) {
 	p := params()
-	if _, err := RunPrivateSecondPrice(p, ring(t, p), nil, nil, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Run(p, ring(t, p), Input{Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(1))}, WithSecondPrice()); err == nil {
 		t.Error("empty round accepted")
 	}
 }

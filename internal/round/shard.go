@@ -10,20 +10,21 @@ import (
 	"lppa/internal/obs"
 )
 
-// WithShards routes the round through the tile-sharded planner/executor
-// (DESIGN.md §5g): bidders are grouped into geographic tiles by a masked
-// coarse-tile digest (keyed off the ring like every other submission
-// digest, so the auctioneer learns nothing finer than the tile), per-tile
-// conflict graphs and rank memos are built independently — in parallel
-// under WithWorkers — and merged bit-identically, and allocation runs the
-// rank-cursor engine over the merged memos. k sizes the tile grid at about
+// WithShards re-tiles the auctioneer (DESIGN.md §5g). Without it the
+// auctioneer runs as one implicit tile holding every bidder; with it a
+// planner groups bidders into geographic tiles by a masked coarse-tile
+// digest (keyed off the ring like every other submission digest, so the
+// auctioneer learns nothing finer than the tile), and per-tile conflict
+// graphs and rank orders are built independently — in parallel under
+// WithWorkers — and merged bit-identically. k sizes the tile grid at about
 // k tiles (⌈√k⌉ per axis); the planner only materializes tiles somebody
-// lives in, so the effective shard count is min(k, occupied tiles).
+// lives in, so the effective shard count is min(k, occupied tiles). The
+// planner's tiles are the anonymity sets the privacy audit and the ops
+// plane report.
 //
 // Results are bit-identical to the same call without the option for every
-// k ≥ 1 — sharding changes how much work finds the answer, never the
-// answer — which the equivalence grid pins, with k = 1 the degenerate
-// single-tile case. Composes with every other option.
+// k ≥ 1 — the tiling changes how the work is split, never the answer —
+// which the equivalence grid pins. Composes with every other option.
 func WithShards(k int) Option {
 	return func(c *runConfig) error {
 		if k < 1 {

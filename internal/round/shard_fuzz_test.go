@@ -8,21 +8,22 @@ import (
 	"lppa/internal/core"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
+	"lppa/internal/obs"
 )
 
 // FuzzShardBoundaryEquivalence replays arbitrary (seed, population, shard
-// count, pipeline, knobs) tuples with every bidder snapped onto or next to
-// a tile boundary — the coordinates where the border-band bookkeeping has
-// zero slack — and pins the sharded round bit-identical to the unsharded
-// one. All inputs derive from the fuzz arguments, so failures replay
-// deterministically from the corpus file.
+// count, pipeline, charging, observation) tuples with every bidder snapped
+// onto or next to a tile boundary — the coordinates where the border-band
+// bookkeeping has zero slack — and pins the sharded round bit-identical to
+// the implicit single tile. All inputs derive from the fuzz arguments, so
+// failures replay deterministically from the corpus file.
 func FuzzShardBoundaryEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(4), uint8(1), false, false)
 	f.Add(int64(2), uint8(25), uint8(8), uint8(3), true, false)
 	f.Add(int64(3), uint8(7), uint8(2), uint8(2), false, true)
 	f.Add(int64(0), uint8(0), uint8(0), uint8(0), false, false)
 
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, shardsRaw, workersRaw uint8, indexed, noIntern bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, shardsRaw, workersRaw uint8, secondPrice, observed bool) {
 		n := int(nRaw%32) + 1
 		shards := int(shardsRaw%15) + 1
 		workers := int(workersRaw % 5) // 0 = serial pipeline
@@ -63,11 +64,11 @@ func FuzzShardBoundaryEquivalence(f *testing.F) {
 		if workers > 0 {
 			base = append(base, WithWorkers(workers))
 		}
-		if indexed {
-			base = append(base, WithIndexedCandidates())
+		if secondPrice {
+			base = append(base, WithSecondPrice())
 		}
-		if noIntern {
-			base = append(base, WithoutInterning())
+		if observed {
+			base = append(base, WithObserver(obs.NewRegistry()))
 		}
 		run := func(extra ...Option) *Result {
 			res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1},
@@ -80,8 +81,8 @@ func FuzzShardBoundaryEquivalence(f *testing.F) {
 		want := run()
 		got := run(WithShards(shards))
 		if !reflect.DeepEqual(want.Outcome, got.Outcome) {
-			t.Fatalf("seed=%d n=%d shards=%d workers=%d indexed=%v noIntern=%v: outcomes differ",
-				seed, n, shards, workers, indexed, noIntern)
+			t.Fatalf("seed=%d n=%d shards=%d workers=%d secondPrice=%v observed=%v: outcomes differ",
+				seed, n, shards, workers, secondPrice, observed)
 		}
 		if !want.Auctioneer.ConflictGraph().Equal(got.Auctioneer.ConflictGraph()) {
 			t.Fatalf("seed=%d n=%d shards=%d: conflict graphs differ", seed, n, shards)

@@ -55,20 +55,6 @@ func TestRunShardGridEquivalence(t *testing.T) {
 		{"serial", nil},
 		{"workers4", []Option{WithWorkers(4)}},
 	}
-	interning := []struct {
-		tag  string
-		opts []Option
-	}{
-		{"intern", nil},
-		{"nointern", []Option{WithoutInterning()}},
-	}
-	candidates := []struct {
-		tag  string
-		opts []Option
-	}{
-		{"oracle", nil},
-		{"indexed", []Option{WithIndexedCandidates()}},
-	}
 	charging := []struct {
 		tag  string
 		opts []Option
@@ -114,16 +100,10 @@ func TestRunShardGridEquivalence(t *testing.T) {
 		for _, de := range densities {
 			pts := de.pts(rng)
 			for _, pl := range pipelines {
-				for _, it := range interning {
-					for _, ca := range candidates {
-						for _, ch := range charging {
-							base := append(append(append([]Option(nil), pl.opts...), it.opts...), ca.opts...)
-							base = append(base, ch.opts...)
-							for _, shards := range []int{1, 2, 4, 8} {
-								tag := de.tag + "/" + pl.tag + "/" + it.tag + "/" + ca.tag + "/" + ch.tag
-								runShardPair(t, tag, p, pts, bids, pol, seed*7, base, shards)
-							}
-						}
+				for _, ch := range charging {
+					base := append(append([]Option(nil), pl.opts...), ch.opts...)
+					for _, shards := range []int{1, 2, 4, 8} {
+						runShardPair(t, de.tag+"/"+pl.tag+"/"+ch.tag, p, pts, bids, pol, seed*7, base, shards)
 					}
 				}
 			}
@@ -161,8 +141,8 @@ func TestRunShardBoundaryBidders(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 1}
 	for _, shards := range []int{1, 4, 8, 16} {
 		runShardPair(t, "boundary", p, pts, bids, pol, 23, nil, shards)
-		runShardPair(t, "boundary-indexed", p, pts, bids, pol, 23,
-			[]Option{WithIndexedCandidates(), WithWorkers(4)}, shards)
+		runShardPair(t, "boundary-workers4", p, pts, bids, pol, 23,
+			[]Option{WithWorkers(4)}, shards)
 	}
 }
 

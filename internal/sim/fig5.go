@@ -49,10 +49,6 @@ type Fig5Config struct {
 	// internal/dataset). Only MetricsRound honors it today; the Fig. 5
 	// sweeps keep the paper's uniform placement.
 	Density *dataset.DensityMix
-	// Indexed routes conflict-graph construction through the inverted-index
-	// candidate generator (round.WithIndexedCandidates). Results are
-	// bit-identical to the all-pairs path; only the cost profile changes.
-	Indexed bool
 	// Shards > 0 runs the private rounds through the tile-sharded planner
 	// (round.WithShards): per-tile conflict graphs and rank memos merged by
 	// border-band reconciliation. Bit-identical to the unsharded round.
@@ -86,9 +82,6 @@ func (cfg Fig5Config) runPrivate(params core.Params, ring *mask.KeyRing, pts []g
 	opts := []round.Option{round.WithObserver(cfg.Metrics)}
 	if cfg.Workers > 1 {
 		opts = append(opts, round.WithWorkers(cfg.Workers))
-	}
-	if cfg.Indexed {
-		opts = append(opts, round.WithIndexedCandidates())
 	}
 	if cfg.Shards > 0 {
 		opts = append(opts, round.WithShards(cfg.Shards))

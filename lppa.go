@@ -21,9 +21,11 @@
 //	    Rng:    rng,
 //	})
 //
-// Run accepts functional options: WithWorkers for the deterministic
-// parallel pipeline, WithSecondPrice / WithInteractiveCharging for the
-// alternative charging rules, and WithObserver to record phase timings and
+// Run is the one round entry point and the auctioneer has one execution
+// path (DESIGN.md §5g); functional options shape the rest: WithWorkers for
+// the deterministic parallel pipeline, WithSecondPrice /
+// WithInteractiveCharging for the alternative charging rules, WithShards
+// to re-tile the auctioneer, and WithObserver to record phase timings and
 // protocol counters into a metrics Registry (see DESIGN.md §5c).
 //
 // See examples/ for complete programs and cmd/lppa-sim for the paper's
@@ -321,17 +323,13 @@ func WithQuorum(q int) RunOption { return round.WithQuorum(q) }
 // WithWorkers.
 func WithStragglerTimeout(d time.Duration) RunOption { return round.WithStragglerTimeout(d) }
 
-// WithShards partitions the round into k coarse tiles routed by masked
-// digests: per-tile conflict graphs and rank memos are built independently
-// and reconciled across border bands. Results are bit-identical to the
-// unsharded round for any k; only the cost profile changes. See DESIGN.md
-// §5g.
+// WithShards re-tiles the auctioneer into about k coarse tiles routed by
+// masked digests, instead of the one implicit tile holding every bidder:
+// per-tile conflict graphs and rank orders are built independently and
+// reconciled across border bands. Results are bit-identical for any k;
+// the planner's tiles are what the privacy audit reports as anonymity
+// sets. See DESIGN.md §5g.
 func WithShards(k int) RunOption { return round.WithShards(k) }
-
-// WithIndexedCandidates switches conflict-candidate generation onto the
-// inverted row index (DESIGN.md §5f). Results are bit-identical to the
-// default scan; only the cost profile changes with placement density.
-func WithIndexedCandidates() RunOption { return round.WithIndexedCandidates() }
 
 // EpochState carries the population-independent pieces of a round —
 // the auctioneer and the shard planner's tile grid — across back-to-back
@@ -410,24 +408,6 @@ func AuditRound(res *RoundResult, opts AuditOptions) (*AuditReport, error) {
 	return audit.Round(res, opts)
 }
 
-// RunPrivate executes a full LPPA round in-process (batch TTP charging,
-// the paper's design).
-//
-// Deprecated: use Run.
-func RunPrivate(params Params, ring *KeyRing, points []Point, bids [][]uint64,
-	policy DisguisePolicy, rng *rand.Rand) (*RoundResult, error) {
-	return round.RunPrivate(params, ring, points, bids, policy, rng)
-}
-
-// RunPrivateInteractive executes a round with per-award TTP validity
-// checks (the ablation design; see DESIGN.md §5).
-//
-// Deprecated: use Run with WithInteractiveCharging.
-func RunPrivateInteractive(params Params, ring *KeyRing, points []Point, bids [][]uint64,
-	policy DisguisePolicy, rng *rand.Rand) (*RoundResult, error) {
-	return round.RunPrivateInteractive(params, ring, points, bids, policy, rng)
-}
-
 // NewSeries builds a multi-auction runner with batched TTP charging
 // (section V.C.2).
 func NewSeries(params Params, ring *KeyRing, maxRequests, maxRounds int, rng *rand.Rand) (*Series, error) {
@@ -437,17 +417,6 @@ func NewSeries(params Params, ring *KeyRing, maxRequests, maxRounds int, rng *ra
 // RunPlainBaseline runs the non-private reference auction.
 func RunPlainBaseline(points []Point, bids [][]uint64, lambda uint64, rng *rand.Rand) (*Outcome, error) {
 	return round.RunPlainBaseline(points, bids, lambda, rng)
-}
-
-// RunPrivateSecondPrice executes a private round with second-price
-// (clearing-price) charging — the paper's future-work direction
-// implemented end to end (winners pay the award-time runner-up's bid,
-// unblinded by the TTP).
-//
-// Deprecated: use Run with WithSecondPrice.
-func RunPrivateSecondPrice(params Params, ring *KeyRing, points []Point, bids [][]uint64,
-	policy DisguisePolicy, rng *rand.Rand) (*RoundResult, error) {
-	return round.RunPrivateSecondPrice(params, ring, points, bids, policy, rng)
 }
 
 // BCM runs the Bid-Channels Mining attack for an observed channel set.
