@@ -32,10 +32,11 @@ bench:
 # accounting) so bench-compare can diff across PRs. The ConflictGraphN300,
 # RankMemoN300 and ConflictGraphIndexed rows compare the test oracle with
 # the auctioneer's engine; AuctioneerSmall prices its fixed cost at n=2
-# and 16. See EXPERIMENTS.md for the narrative.
+# and 16; RoundDensity is the full round under each density mix. See
+# EXPERIMENTS.md for the narrative.
 bench-json:
 	$(GO) test -run=NONE -benchmem \
-		-bench='ZeroAllocMask|ParallelMaskAll|ParallelConflictGraph|ParallelPrivateRound|RankMemoAllocation|MaskDigest|PrivateConflictGraph|InternedIntersect|ConflictGraphN300|RankMemoN300|AuctioneerSmall|RoundTraceOverhead|ConflictGraphIndexed|IndexCursorRow|RoundSharded|EpochService|BatchedAccounting|EncodeSubmissions' \
+		-bench='ZeroAllocMask|ParallelMaskAll|ParallelConflictGraph|ParallelPrivateRound|RankMemoAllocation|MaskDigest|PrivateConflictGraph|InternedIntersect|ConflictGraphN300|RankMemoN300|AuctioneerSmall|RoundTraceOverhead|ConflictGraphIndexed|IndexCursorRow|RoundDensity|EpochService|BatchedAccounting|EncodeSubmissions' \
 		. | $(GO) run ./cmd/benchjson > BENCH_PR8.json
 
 # Diff ns/op and allocs/op between the two most recent committed snapshots.
@@ -57,10 +58,10 @@ trace-snapshot:
 		-trace-out TRACE_ROUND.json
 
 # Privacy-leakage audit of the same round: per-bidder masked-digest
-# counts, conflict degrees, robust-BCM anonymity-set sizes, and — with the
-# round tile-sharded — the planner's per-tile anonymity sets.
+# counts, conflict degrees, per-channel comparison counts, and robust-BCM
+# anonymity-set sizes.
 audit-snapshot:
-	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -shards 4 -cache $(CACHE) \
+	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -cache $(CACHE) \
 		-audit-out AUDIT_ROUND.json
 
 # Fail if running a round with WithTrace(nil) — the production default —
@@ -78,22 +79,22 @@ alloc-guard:
 		| awk '/^Benchmark/ { a = $$(NF-1); if (a+0 != 0) { print "allocs/op regression: " $$0; bad = 1 } print } END { exit bad }'
 
 # Workload snapshot of the composed system: N=10000 mixed-density runs of
-# the tile-sharded one-shot round and the epochal service (open-loop
-# Poisson arrivals with churn), with throughput, per-phase latency
-# percentiles, and an embedded SLO block (floor = measured/4, p99 ceiling
-# = measured*4). Versioned per PR like the BENCH_*.json snapshots; see
-# EXPERIMENTS.md for the narrative.
+# the one-shot round and the epochal service (open-loop Poisson arrivals
+# with churn), with throughput, per-phase latency percentiles, and an
+# embedded SLO block (floor = measured/4, p99 ceiling = measured*4).
+# Versioned per PR like the BENCH_*.json snapshots (LOAD_PR9.json is the
+# earlier sharded/service snapshot); see EXPERIMENTS.md for the narrative.
 load-snapshot:
-	$(GO) run ./cmd/lppa-load run -n 10000 -density mixed -variants sharded,service \
-		-rounds 5 -rate-limit 5000 -seed 1 -o LOAD_PR9.json
+	$(GO) run ./cmd/lppa-load run -n 10000 -density mixed -variants interned,service \
+		-rounds 5 -rate-limit 5000 -seed 1 -o LOAD_PR15.json
 
 # Gate a fresh run against the committed snapshot's SLOs. Exits nonzero on
 # any violation — and fails closed when the baseline is missing or carries
 # no SLO block.
 load-compare:
-	$(GO) run ./cmd/lppa-load run -n 10000 -density mixed -variants sharded,service \
+	$(GO) run ./cmd/lppa-load run -n 10000 -density mixed -variants interned,service \
 		-rounds 5 -rate-limit 5000 -seed 1 -o /tmp/lppa-load-candidate.json
-	$(GO) run ./cmd/lppa-load compare LOAD_PR9.json /tmp/lppa-load-candidate.json
+	$(GO) run ./cmd/lppa-load compare LOAD_PR15.json /tmp/lppa-load-candidate.json
 
 # CI smoke: the harness tests under -race (determinism regression, fuzz
 # seeds, compare gate fail-closed), then a small-N sweep across every
@@ -101,7 +102,7 @@ load-compare:
 load-smoke:
 	$(GO) test -race -count=1 ./internal/load/ ./cmd/lppa-load/
 	$(GO) run ./cmd/lppa-load run -n 200 -density mixed \
-		-variants interned,sharded,service \
+		-variants interned,service \
 		-rounds 3 -rate-limit 100 -chaos drop -chaos-rate 0.05 \
 		-seed 1 -o LOAD_SMOKE.json
 	$(GO) run ./cmd/lppa-load compare LOAD_SMOKE.json LOAD_SMOKE.json
@@ -118,7 +119,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCoverTiles -fuzztime=10s ./internal/prefix/
 	$(GO) test -run=NONE -fuzz=FuzzOpenValueRejectsGarbage -fuzztime=10s ./internal/mask/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/transport/
-	$(GO) test -run=NONE -fuzz=FuzzShardBoundaryEquivalence -fuzztime=10s ./internal/round/
+	$(GO) test -run=NONE -fuzz=FuzzRunMatchesPlaintextTruth -fuzztime=10s ./internal/round/
 	$(GO) test -run=NONE -fuzz=FuzzIndexedEquivalence -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzLoadReportDecode -fuzztime=10s ./internal/load/
 

@@ -457,7 +457,7 @@ func BenchmarkBidEncodeAdvanced(b *testing.B) {
 }
 
 // BenchmarkPrivateConflictGraph is the auctioneer's conflict-graph build
-// (the implicit single tile) over N=50 masked submissions.
+// over N=50 masked submissions.
 func BenchmarkPrivateConflictGraph(b *testing.B) {
 	p := core.Params{Channels: 1, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
 	ring, err := mask.DeriveKeyRing([]byte("graph"), 1, 5, 8)
@@ -1164,8 +1164,8 @@ func BenchmarkInternedIntersect(b *testing.B) {
 }
 
 // engineGraph builds the auctioneer's conflict graph — the one execution
-// path, as the implicit single tile — over location submissions alone;
-// the placeholder bids are never read by the graph build.
+// path — over location submissions alone; the placeholder bids are never
+// read by the graph build.
 func engineGraph(b *testing.B, p core.Params, locs []*core.LocationSubmission) *conflict.Graph {
 	bids := make([]*core.BidSubmission, len(locs))
 	for i := range bids {
@@ -1202,8 +1202,8 @@ func conflictSubsN300(b *testing.B) (core.Params, []*core.LocationSubmission) {
 
 // BenchmarkConflictGraphN300 is the conflict-graph build at N=300, single
 // worker: the test oracle (all pairs over plain mask.Set) against the
-// auctioneer's engine (interning, location grouping and the tile-local
-// candidate index, ingest cost included).
+// auctioneer's engine (interning, location grouping and the candidate
+// index, ingest cost included).
 func BenchmarkConflictGraphN300(b *testing.B) {
 	p, subs := conflictSubsN300(b)
 	b.Run("oracle", func(b *testing.B) {
@@ -1259,7 +1259,7 @@ func rankMemoRoundN300(b *testing.B) (core.Params, []*core.LocationSubmission, [
 // columns: the test oracle (a stable sort of every bidder under CompareGE
 // on plain mask.Set bids, O(n log n) masked comparisons per column)
 // against the engine (a fresh auctioneer's Rankings: interned columns,
-// bid-class value ranks, per-tile sort).
+// bid-class value ranks, one sort by rank).
 func BenchmarkRankMemoN300(b *testing.B) {
 	p, locs, subs := rankMemoRoundN300(b)
 	b.Run("oracle", func(b *testing.B) {
@@ -1343,12 +1343,12 @@ func BenchmarkAuctioneerSmall(b *testing.B) {
 
 // BenchmarkConflictGraphIndexed is the conflict-graph build at N=3000
 // under the two density regimes of DESIGN.md §5f: the all-pairs oracle
-// over plain mask.Set against the engine (the implicit single tile:
-// distinct-location groups and a tile-local inverted index). Sparse-rural
-// (uniform over a 1000×1000 domain) is where the index wins — short
-// posting lists collapse the candidate set far below n². Dense-urban
-// (three tight hotspots on a 100×100 domain) is where grouping wins: a
-// few hundred distinct locations carry ~1.35 M edges.
+// over plain mask.Set against the engine (distinct-location groups and an
+// inverted index over them). Sparse-rural (uniform over a 1000×1000
+// domain) is where the index wins — short posting lists collapse the
+// candidate set far below n². Dense-urban (three tight hotspots on a
+// 100×100 domain) is where grouping wins: a few hundred distinct
+// locations carry ~1.35 M edges.
 func BenchmarkConflictGraphIndexed(b *testing.B) {
 	const n = 3000
 	regimes := []struct {
@@ -1429,15 +1429,15 @@ func BenchmarkIndexCursorRow(b *testing.B) {
 	}
 }
 
-// --- Tile-sharded round benchmarks (PR 7) --------------------------------
+// --- Density-regime round benchmarks --------------------------------------
 
-// shardedRoundFixture builds the (params, ring, points, bids) tuple for
+// densityRoundFixture builds the (params, ring, points, bids) tuple for
 // one density regime of DESIGN.md §5g at population n.
-func shardedRoundFixture(b *testing.B, mix dataset.DensityMix, grid geo.Grid, n int) (core.Params, *mask.KeyRing, []geo.Point, [][]uint64) {
+func densityRoundFixture(b *testing.B, mix dataset.DensityMix, grid geo.Grid, n int) (core.Params, *mask.KeyRing, []geo.Point, [][]uint64) {
 	b.Helper()
 	p := core.Params{Channels: 2, Lambda: mix.Lambda,
 		MaxX: uint64(grid.Cols - 1), MaxY: uint64(grid.Rows - 1), BMax: 15}
-	ring, err := mask.DeriveKeyRing([]byte("shardbench-"+mix.Name), p.Channels, 5, 8)
+	ring, err := mask.DeriveKeyRing([]byte("densitybench-"+mix.Name), p.Channels, 5, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1453,15 +1453,12 @@ func shardedRoundFixture(b *testing.B, mix dataset.DensityMix, grid geo.Grid, n 
 	return p, ring, pts, bids
 }
 
-// BenchmarkRoundSharded is the full private round (encode + plan +
-// conflict graph + rank memos + allocation + charging) end to end: the
-// auctioneer's implicit single tile (shards=0) against the planner's
-// explicit tilings at 1, 4, and 8 shards, under the density regimes of
-// DESIGN.md §5f/§5g. Results are bit-identical across the row; only the
-// cost moves. Channels and the bid ledger are kept small (k=2, BMax=15 →
-// 4-digit bid columns) so submission encoding does not swamp the
-// auctioneer's phases.
-func BenchmarkRoundSharded(b *testing.B) {
+// BenchmarkRoundDensity is the full private round (encode + conflict
+// graph + rank memos + allocation + charging) end to end under the density
+// regimes of DESIGN.md §5g. Channels and the bid ledger are kept small
+// (k=2, BMax=15 → 4-digit bid columns) so submission encoding does not
+// swamp the auctioneer's phases.
+func BenchmarkRoundDensity(b *testing.B) {
 	regimes := []struct {
 		mix  dataset.DensityMix
 		grid geo.Grid
@@ -1476,27 +1473,20 @@ func BenchmarkRoundSharded(b *testing.B) {
 	}
 	for _, re := range regimes {
 		for _, n := range re.pops {
-			p, ring, pts, bids := shardedRoundFixture(b, re.mix, re.grid, n)
-			for _, shards := range []int{0, 1, 4, 8} {
-				name := fmt.Sprintf("%s/N=%d/shards=%d", re.mix.Name, n, shards)
-				b.Run(name, func(b *testing.B) {
-					var opts []round.Option
-					if shards > 0 {
-						opts = append(opts, round.WithShards(shards))
+			p, ring, pts, bids := densityRoundFixture(b, re.mix, re.grid, n)
+			b.Run(fmt.Sprintf("%s/N=%d", re.mix.Name, n), func(b *testing.B) {
+				var awards int
+				for i := 0; i < b.N; i++ {
+					res, err := round.Run(p, ring,
+						round.Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1},
+							Rng: rand.New(rand.NewSource(int64(i)))})
+					if err != nil {
+						b.Fatal(err)
 					}
-					var awards int
-					for i := 0; i < b.N; i++ {
-						res, err := round.Run(p, ring,
-							round.Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1},
-								Rng: rand.New(rand.NewSource(int64(i)))}, opts...)
-						if err != nil {
-							b.Fatal(err)
-						}
-						awards = len(res.Outcome.Assignments)
-					}
-					b.ReportMetric(float64(awards), "awards")
-				})
-			}
+					awards = len(res.Outcome.Assignments)
+				}
+				b.ReportMetric(float64(awards), "awards")
+			})
 		}
 	}
 }
@@ -1587,7 +1577,7 @@ func BenchmarkEpochService(b *testing.B) {
 		opts []round.Option
 	}{
 		{"serial", nil},
-		{"sharded", []round.Option{round.WithWorkers(4), round.WithShards(4)}},
+		{"workers4", []round.Option{round.WithWorkers(4)}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

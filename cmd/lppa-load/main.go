@@ -1,5 +1,5 @@
-// Command lppa-load is the unified load harness: it drives the one-shot
-// round variants and the epochal service through configurable workload
+// Command lppa-load is the unified load harness: it drives one-shot
+// rounds and the epochal service through configurable workload
 // runs — population sweeps, density mixes, Poisson/burst arrivals with
 // churn, seeded chaos, admission rate limits — and emits a versioned
 // LOAD_*.json report with throughput, per-phase latency percentiles, and
@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	lppa-load run -n 10000 -density mixed -variants sharded,service -o LOAD_PR9.json
-//	lppa-load compare LOAD_PR9.json candidate.json
+//	lppa-load run -n 10000 -density mixed -variants interned,service -o LOAD_PR15.json
+//	lppa-load compare LOAD_PR15.json candidate.json
 //
 // The run subcommand sweeps the cross product of -n populations and
 // -variants; compare exits nonzero when the candidate misses any SLO the
@@ -55,7 +55,7 @@ func runMain(args []string, out io.Writer) error {
 	rf.Register(fs)
 	rf.RegisterClient(fs)
 	populations := fs.String("n", "10000", "comma-separated bidder populations to sweep")
-	variants := fs.String("variants", "sharded,service",
+	variants := fs.String("variants", "interned,service",
 		fmt.Sprintf("comma-separated execution variants to sweep (%s)", strings.Join(load.Variants(), "|")))
 	rounds := fs.Int("rounds", 5, "rounds per run (for service: the epoch budget spanning the arrival horizon)")
 	epochSeconds := fs.Float64("epoch-seconds", 1, "service seal cadence on the logical clock, in seconds")
@@ -107,8 +107,8 @@ func runMain(args []string, out io.Writer) error {
 		for _, variant := range names {
 			cfg := load.Config{
 				Bidders: n, Density: rf.Density, Variant: variant,
-				Shards: rf.Shards, Workers: rf.Workers,
-				Rounds: *rounds, Seed: *seed,
+				Workers: rf.Workers,
+				Rounds:  *rounds, Seed: *seed,
 				EpochSeconds: *epochSeconds, RateLimit: *rateLimit,
 				Chaos: chaos,
 			}

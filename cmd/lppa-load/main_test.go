@@ -15,7 +15,7 @@ import (
 func runSnapshot(t *testing.T, path string, extra ...string) *load.Report {
 	t.Helper()
 	args := append([]string{"run", "-n", "40", "-rounds", "2", "-workers", "2",
-		"-variants", "sharded,service", "-seed", "7", "-o", path}, extra...)
+		"-variants", "interned,service", "-seed", "7", "-o", path}, extra...)
 	var buf bytes.Buffer
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
@@ -32,9 +32,9 @@ func TestRunEmitsGatedReport(t *testing.T) {
 	path := filepath.Join(dir, "LOAD_test.json")
 	rep := runSnapshot(t, path)
 	if len(rep.Runs) != 2 {
-		t.Fatalf("runs = %d, want sharded + service", len(rep.Runs))
+		t.Fatalf("runs = %d, want interned + service", len(rep.Runs))
 	}
-	if rep.Run("sharded8/mixed/n40") == nil || rep.Run("service/mixed/n40") == nil {
+	if rep.Run("interned/mixed/n40") == nil || rep.Run("service/mixed/n40") == nil {
 		t.Fatalf("run names: %q, %q", rep.Runs[0].Name, rep.Runs[1].Name)
 	}
 	if rep.SLO == nil || len(rep.SLO.MinRoundsPerSec) == 0 {

@@ -66,15 +66,15 @@ func run(args []string) error {
 		flightDir  = fs.String("flight-dir", "", "flight-recorder directory: failed or degraded instrumented rounds auto-dump their traces here")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address for live profiling")
 	)
-	// Round-shaping flags (-workers, -shards, -quorum, -straggler) come
+	// Round-shaping flags (-workers, -quorum, -straggler, -density) come
 	// from the shared cli block lppa-net registers too.
 	rf := cli.RoundFlags{Workers: runtime.GOMAXPROCS(0)}
 	rf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Reject typo'd values (negative -workers/-shards, unknown -density)
-	// before defaulting the legal zero shapes.
+	// Reject typo'd values (negative -workers, unknown -density) before
+	// defaulting the legal zero shapes.
 	if err := rf.Validate(); err != nil {
 		return err
 	}
@@ -250,8 +250,8 @@ func runRound(ds *dataset.Dataset, n, channels int, seed int64, mix *dataset.Den
 	if err != nil {
 		return err
 	}
-	fmt.Printf("## Instrumented private round (Area 3, N=%d, k=%d, workers=%d, density=%s, shards=%d)\n\n",
-		n, min(channels, ds.Areas[2].NumChannels()), rf.Workers, placement, rf.Shards)
+	fmt.Printf("## Instrumented private round (Area 3, N=%d, k=%d, workers=%d, density=%s)\n\n",
+		n, min(channels, ds.Areas[2].NumChannels()), rf.Workers, placement)
 	fmt.Printf("awards: %d, revenue: %d, satisfaction: %.3f, voided: %d, submission bytes: %d\n",
 		len(res.Outcome.Assignments), res.Outcome.Revenue, res.Outcome.Satisfaction(), res.Voided, res.SubmissionBytes)
 	if sinks.auditOut == "" {
@@ -273,7 +273,6 @@ func runRound(ds *dataset.Dataset, n, channels int, seed int64, mix *dataset.Den
 // sinks into one experiment config.
 func applyRoundFlags(cfg *sim.Fig5Config, rf cli.RoundFlags, sinks obsSinks) {
 	cfg.Workers = rf.Workers
-	cfg.Shards = rf.Shards
 	cfg.Quorum = rf.Quorum
 	cfg.Straggler = rf.Straggler
 	cfg.Metrics = sinks.reg
@@ -428,7 +427,7 @@ func runTheorems(ds *dataset.Dataset, seed int64, quick bool) error {
 		return err
 	}
 	if ds != nil {
-		t4, err := sim.Theorem4Table(ds.Areas[2], 20, 40, seed)
+		t4, err := sim.Theorem4Table(ds.Areas[2], min(20, ds.Areas[2].NumChannels()), 40, seed)
 		if err != nil {
 			return err
 		}

@@ -9,7 +9,7 @@ import (
 // must run to completion on a CI-sized dataset.
 func TestRunEveryExperimentTiny(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "ds.gob")
-	for _, exp := range []string{"coverage", "fig4a", "fig4c", "fig5ad", "fig5ef", "multiround", "theorems"} {
+	for _, exp := range []string{"coverage", "fig4a", "fig4c", "fig5ad", "fig5ef", "multiround", "basicleak", "pricing", "theorems", "all"} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
 			args := []string{

@@ -32,9 +32,9 @@ type Column func(r int) (order, rank []int)
 //     identical tie list; the channel pool is shared code).
 //
 // served, when non-nil, is called once per memo entry the allocator
-// examines (the per-shard memo-hit telemetry hook); nil skips all
-// accounting. See AllocateAwards for the void-award semantics.
-func AllocateAwardsOrdered(n, k int, present [][]bool, g *conflict.Graph, column Column, valid Validity, served func(bidder int), rng *rand.Rand) ([]Award, []Assignment, error) {
+// examines (the memo-hit telemetry hook); nil skips all accounting. See
+// AllocateAwards for the void-award semantics.
+func AllocateAwardsOrdered(n, k int, present [][]bool, g *conflict.Graph, column Column, valid Validity, served func(), rng *rand.Rand) ([]Award, []Assignment, error) {
 	if g.N() != n {
 		return nil, nil, fmt.Errorf("auction: conflict graph has %d nodes, want %d", g.N(), n)
 	}
@@ -97,7 +97,7 @@ func AllocateAwardsOrdered(n, k int, present [][]bool, g *conflict.Graph, column
 		e := c
 		for ; e < n && rk[o[e]] == headRank; e++ {
 			if served != nil {
-				served(o[e])
+				served()
 			}
 			if present[o[e]][r] {
 				ties = append(ties, o[e])
@@ -139,7 +139,7 @@ func AllocateAwardsOrdered(n, k int, present [][]bool, g *conflict.Graph, column
 				r2 := rk[o[f]]
 				for ; f < n && rk[o[f]] == r2; f++ {
 					if served != nil {
-						served(o[f])
+						served()
 					}
 					if present[o[f]][r] {
 						runnerUp = o[f]

@@ -22,7 +22,6 @@ import (
 type RoundFlags struct {
 	// Allocation shape: how one round computes, never what it computes.
 	Workers int
-	Shards  int
 	// Density is the named bidder placement ("urban", "rural", "mixed");
 	// empty keeps each command's own default population (uniform scatter).
 	Density string
@@ -36,13 +35,11 @@ type RoundFlags struct {
 }
 
 // Register binds the allocation and degraded-round flags (-workers,
-// -shards, -quorum, -straggler) onto fs, using the current
-// field values as defaults.
+// -quorum, -straggler, -density) onto fs, using the current field values
+// as defaults.
 func (f *RoundFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", f.Workers,
 		"goroutines for submission decode and conflict graphs; <2 = serial driver")
-	fs.IntVar(&f.Shards, "shards", f.Shards,
-		"tile-shard the private rounds into this many coarse tiles (0 = unsharded; bit-identical results, different cost profile)")
 	fs.IntVar(&f.Quorum, "quorum", f.Quorum,
 		"minimum submissions for a degraded round when -straggler fires; 0 requires all bidders")
 	fs.DurationVar(&f.Straggler, "straggler", f.Straggler,
@@ -52,15 +49,12 @@ func (f *RoundFlags) Register(fs *flag.FlagSet) {
 }
 
 // Validate rejects flag values that used to fall through to a silent
-// default: a negative -workers or -shards is a typo, not a request for
-// the serial pipeline, and an unknown -density must fail before a long
-// run, not place bidders uniformly. Commands call it right after Parse.
+// default: a negative -workers is a typo, not a request for the serial
+// pipeline, and an unknown -density must fail before a long run, not
+// place bidders uniformly. Commands call it right after Parse.
 func (f *RoundFlags) Validate() error {
 	if f.Workers < 0 {
 		return fmt.Errorf("cli: -workers %d is negative (0 picks one per CPU, 1 forces serial)", f.Workers)
-	}
-	if f.Shards < 0 {
-		return fmt.Errorf("cli: -shards %d is negative (0 disables sharding)", f.Shards)
 	}
 	if f.Quorum < 0 {
 		return fmt.Errorf("cli: -quorum %d is negative (0 requires all bidders)", f.Quorum)
@@ -119,9 +113,6 @@ func (f *RoundFlags) RoundOptions() []round.Option {
 	var opts []round.Option
 	if f.Workers > 1 {
 		opts = append(opts, round.WithWorkers(f.Workers))
-	}
-	if f.Shards > 0 {
-		opts = append(opts, round.WithShards(f.Shards))
 	}
 	if f.Quorum > 0 {
 		opts = append(opts, round.WithQuorum(f.Quorum))

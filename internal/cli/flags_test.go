@@ -21,9 +21,9 @@ func parse(t *testing.T, reg func(*flag.FlagSet), args ...string) {
 }
 
 func TestRoundFlagsDefaultsAreFieldValues(t *testing.T) {
-	f := RoundFlags{Workers: 8, Shards: 4}
+	f := RoundFlags{Workers: 8, Quorum: 3}
 	parse(t, f.Register)
-	if f.Workers != 8 || f.Shards != 4 || f.Quorum != 0 {
+	if f.Workers != 8 || f.Quorum != 3 || f.Straggler != 0 {
 		t.Errorf("defaults not preserved: %+v", f)
 	}
 }
@@ -31,14 +31,13 @@ func TestRoundFlagsDefaultsAreFieldValues(t *testing.T) {
 func TestRoundFlagsParseAndOptions(t *testing.T) {
 	var f RoundFlags
 	parse(t, f.Register,
-		"-workers", "4", "-shards", "3",
-		"-quorum", "2", "-straggler", "5s")
-	if f.Workers != 4 || f.Shards != 3 || f.Quorum != 2 || f.Straggler != 5*time.Second {
+		"-workers", "4", "-quorum", "2", "-straggler", "5s")
+	if f.Workers != 4 || f.Quorum != 2 || f.Straggler != 5*time.Second {
 		t.Fatalf("parsed flags: %+v", f)
 	}
 	// Every set knob contributes exactly one round option.
-	if got := len(f.RoundOptions()); got != 4 {
-		t.Errorf("RoundOptions() = %d options, want 4", got)
+	if got := len(f.RoundOptions()); got != 3 {
+		t.Errorf("RoundOptions() = %d options, want 3", got)
 	}
 	if got := len((&RoundFlags{}).RoundOptions()); got != 0 {
 		t.Errorf("zero flags = %d options, want 0", got)
@@ -90,7 +89,7 @@ func TestRoundFlagsChaosConfig(t *testing.T) {
 }
 
 // TestRoundFlagsValidate pins that the values which used to slip through
-// to a silent default — negative -workers/-shards, an unknown -density —
+// to a silent default — a negative -workers, an unknown -density —
 // now come back as errors from Validate.
 func TestRoundFlagsValidate(t *testing.T) {
 	cases := []struct {
@@ -99,10 +98,9 @@ func TestRoundFlagsValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", nil, true},
-		{"explicit-good", []string{"-workers", "4", "-shards", "8", "-density", "mixed"}, true},
+		{"explicit-good", []string{"-workers", "4", "-density", "mixed"}, true},
 		{"workers-zero-is-auto", []string{"-workers", "0"}, true},
 		{"negative-workers", []string{"-workers", "-3"}, false},
-		{"negative-shards", []string{"-shards", "-1"}, false},
 		{"negative-quorum", []string{"-quorum", "-2"}, false},
 		{"negative-straggler", []string{"-straggler", "-5s"}, false},
 		{"bad-density", []string{"-density", "metropolis"}, false},

@@ -64,7 +64,7 @@ func (f *OpsFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.SlowWindow, "slo-slow-window", f.SlowWindow,
 		"samples in the slow burn-rate window (0 = monitor default)")
 	fs.IntVar(&f.AnonFloor, "anon-floor", f.AnonFloor,
-		"alarm when an epoch's smallest anonymity set (bidders per tile) drops below this; 0 disables")
+		"alarm when an epoch's anonymity set (its admitted bidders) drops below this; 0 disables")
 	fs.IntVar(&f.SampleEvery, "trace-sample", f.SampleEvery,
 		"deterministically trace one epoch in every K with full spans (seeded, replayable); 0 disables sampling")
 	fs.StringVar(&f.ProfileDir, "ops-profile-dir", f.ProfileDir,

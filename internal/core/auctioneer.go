@@ -19,26 +19,20 @@ import (
 // are immutable once handed to NewAuctioneer, so neither cache is ever
 // invalidated.
 type Auctioneer struct {
-	params  Params
-	locs    []*LocationSubmission
-	bids    []*BidSubmission
-	graph   *conflict.Graph
-	workers int
+	params Params
+	locs   []*LocationSubmission
+	bids   []*BidSubmission
+	graph  *conflict.Graph
+	// ixStats describes the candidate index of the last graph build
+	// (graphbuild.go).
+	ixStats mask.IndexStats
 
-	// plan is the tiling every build runs over (shard.go): the explicit plan
-	// SetShardPlan installed (sharded), or the implicit single tile holding
-	// every bidder, created on first use. tileIx keeps each tile's
-	// candidate-index stats from the graph build.
-	plan    *ShardPlan
-	sharded bool
-	tileIx  []mask.IndexStats
-
-	// Per-column comparison memo, built lazily by columnRank: rankOrder[r]
-	// is all bidders sorted by descending masked bid (ties in index
-	// order), rank[r][i] the dense value rank of bidder i (0 = highest;
-	// equal masked bids share a rank). One pass of masked set intersections
-	// over the column's distinct bid classes replaces the O(n)
-	// re-intersections of every later scan.
+	// Per-column comparison memo, built lazily by columnRank (rank.go):
+	// rankOrder[r] is all bidders sorted by descending masked bid (ties in
+	// index order), rank[r][i] the dense value rank of bidder i (0 =
+	// highest; equal masked bids share a rank). One pass of masked set
+	// intersections over the column's distinct bid classes replaces the
+	// O(n) re-intersections of every later scan.
 	rank      [][]int
 	rankOrder [][]int
 	// colCalls[r] is the masked-intersection count spent building column
@@ -77,13 +71,12 @@ func (a *Auctioneer) N() int { return len(a.bids) }
 
 // Reset re-arms the auctioneer for a new population under the same
 // params: the submissions are swapped and every lazily built,
-// population-specific cache (conflict graph, tile plan and index stats,
-// rank memos, comparison tallies) is dropped. The tuning knobs — workers,
-// shard plan, observer — also return to their post-NewAuctioneer
-// defaults, so the next round re-applies exactly the options it was asked
-// for instead of inheriting a previous epoch's. This is the epochal
-// service's reuse path (internal/epoch): one auctioneer per service
-// lifetime instead of one per round.
+// population-specific cache (conflict graph and index stats, rank memos,
+// comparison tallies) is dropped. The observer also returns to its
+// post-NewAuctioneer default (detached), so the next round re-applies
+// exactly the options it was asked for instead of inheriting a previous
+// epoch's. This is the epochal service's reuse path (internal/epoch): one
+// auctioneer per service lifetime instead of one per round.
 func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) error {
 	if len(locs) != len(bids) {
 		return fmt.Errorf("core: %d location submissions vs %d bid submissions", len(locs), len(bids))
@@ -99,10 +92,7 @@ func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) er
 	}
 	a.locs, a.bids = locs, bids
 	a.graph = nil
-	a.workers = 0
-	a.plan = nil
-	a.sharded = false
-	a.tileIx = nil
+	a.ixStats = mask.IndexStats{}
 	a.rank = nil
 	a.rankOrder = nil
 	a.colCalls = nil
@@ -110,11 +100,11 @@ func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) er
 	return nil
 }
 
-// SetWorkers bounds the goroutines that build tiles in parallel (the
-// conflict graph and the rank orders, shard.go); w ≤ 1 keeps the builds
-// serial, and the implicit single tile always builds serially. Results are
-// bit-for-bit identical for every worker count.
-func (a *Auctioneer) SetWorkers(w int) { a.workers = w }
+// SetWorkers does nothing: the conflict graph and the rank memos build
+// serially.
+//
+// Deprecated: kept for source compatibility; it has no effect.
+func (a *Auctioneer) SetWorkers(int) {}
 
 // ConflictGraph lazily builds and returns the masked-submission conflict
 // graph through the shared builder (graphbuild.go).
@@ -123,45 +113,6 @@ func (a *Auctioneer) ConflictGraph() *conflict.Graph {
 		a.graph = a.buildGraph()
 	}
 	return a.graph
-}
-
-// columnRank builds (once) and returns the dense rank memo of column r.
-// Masked comparison is order-preserving — CompareGE(i, j) ⟺ the hidden
-// blinded value of i is ≥ j's — so each column admits a total preorder:
-// the column is interned, its distinct bid classes are ranked under the
-// masked comparison (bidValueRanks), and those value ranks are the memo.
-// The rank order is the stable sort by value rank, built per tile and
-// merged (shard.go). Submissions are immutable after NewAuctioneer, hence
-// the memo never needs invalidation.
-func (a *Auctioneer) columnRank(r int) []int {
-	if r < 0 || r >= a.params.Channels {
-		panic(fmt.Sprintf("core: channel %d out of range [0,%d)", r, a.params.Channels))
-	}
-	if a.rank == nil {
-		a.rank = make([][]int, a.params.Channels)
-		a.rankOrder = make([][]int, a.params.Channels)
-	}
-	if a.rank[r] == nil {
-		col, total, distinct := internColumn(a.bids, r)
-		var st mask.IntersectStats
-		ge := func(i, j int) bool { return col[i].ge(&col[j]) }
-		if a.ob != nil {
-			a.ob.noteIntern(total, distinct)
-			ge = func(i, j int) bool { return col[i].geCounted(&col[j], &st) }
-		}
-		rank := bidValueRanks(col, ge)
-		a.rankOrder[r] = a.tileOrder(rank)
-		a.rank[r] = rank
-		if a.ob != nil {
-			if a.colCalls == nil {
-				a.colCalls = make([]uint64, a.params.Channels)
-			}
-			a.colCalls[r] = st.Calls
-			a.ob.rankBuilds.Inc()
-			a.ob.flushStats(&st)
-		}
-	}
-	return a.rank[r]
 }
 
 // GE reports whether bidder i's masked bid on channel r is at least

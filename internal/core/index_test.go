@@ -77,10 +77,9 @@ func locSubs(t testing.TB, p Params, pts []geo.Point) []*LocationSubmission {
 }
 
 // TestIndexedGraphMatchesOracle is the equivalence grid of the indexed
-// build: for every density shape, population and worker count, the
-// auctioneer's graph — the implicit tile and a 4-tile plan, both through
-// tile-local candidate indexes — is bit-identical to the all-pairs oracle
-// over plain mask.Set, and so is the oracle's parallel build.
+// build: for every density shape and population, the auctioneer's graph is
+// bit-identical to the all-pairs oracle over plain mask.Set, and so is the
+// oracle's parallel build at every worker count.
 func TestIndexedGraphMatchesOracle(t *testing.T) {
 	p := testParams()
 	for _, shape := range densityShapes {
@@ -92,55 +91,96 @@ func TestIndexedGraphMatchesOracle(t *testing.T) {
 				if got := BuildConflictGraphParallel(subs, workers); !got.Equal(oracle) {
 					t.Fatalf("%s/n=%d/workers=%d: parallel oracle differs from serial", shape, n, workers)
 				}
-				if got := engineGraph(t, p, subs, nil, workers); !got.Equal(oracle) {
-					t.Fatalf("%s/n=%d/workers=%d: implicit-tile graph differs from oracle", shape, n, workers)
-				}
-				if got := engineGraph(t, p, subs, testPlan(t, p, pts, 4), workers); !got.Equal(oracle) {
-					t.Fatalf("%s/n=%d/workers=%d: 4-tile graph differs from oracle", shape, n, workers)
-				}
+			}
+			if got := engineGraph(t, p, subs); !got.Equal(oracle) {
+				t.Fatalf("%s/n=%d: indexed graph differs from oracle", shape, n)
 			}
 		}
 	}
 }
 
 // FuzzIndexedEquivalence replays arbitrary (seed, population, shape,
-// workers, tiling) tuples: the auctioneer's indexed graph — the implicit
-// tile, or a 4-tile plan when sharded is set — must stay bit-identical to
-// the all-pairs oracle on every one. All inputs derive from the fuzz
+// workers) tuples: the auctioneer's indexed graph and the oracle's
+// parallel build at that worker count must stay bit-identical to the
+// serial all-pairs oracle on every one. All inputs derive from the fuzz
 // arguments, so any failure replays deterministically from its corpus file
 // (the FuzzDecodeFrame convention).
 func FuzzIndexedEquivalence(f *testing.F) {
 	for shape := uint8(0); shape < 4; shape++ {
-		f.Add(int64(1), uint8(20), shape, uint8(1), false)
-		f.Add(int64(2), uint8(45), shape, uint8(3), false)
+		f.Add(int64(1), uint8(20), shape, uint8(1))
+		f.Add(int64(2), uint8(45), shape, uint8(3))
 	}
-	f.Add(int64(3), uint8(10), uint8(0), uint8(2), true)
-	f.Add(int64(0), uint8(0), uint8(0), uint8(0), false)
+	f.Add(int64(3), uint8(10), uint8(0), uint8(2))
+	f.Add(int64(0), uint8(0), uint8(0), uint8(0))
 
 	p := testParams()
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, shapeRaw, workersRaw uint8, sharded bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, shapeRaw, workersRaw uint8) {
 		n := int(nRaw%48) + 1
 		shape := densityShapes[int(shapeRaw)%len(densityShapes)]
 		workers := int(workersRaw%5) + 1
-		pts := shapePoints(p, shape, n, seed)
-		subs := locSubs(t, p, pts)
+		subs := locSubs(t, p, shapePoints(p, shape, n, seed))
 
-		var plan *ShardPlan
-		if sharded {
-			plan = testPlan(t, p, pts, 4)
+		oracle := BuildConflictGraph(subs)
+		if got := engineGraph(t, p, subs); !got.Equal(oracle) {
+			t.Fatalf("seed=%d shape=%s n=%d: indexed graph differs from oracle", seed, shape, n)
 		}
-		if got, oracle := engineGraph(t, p, subs, plan, workers), BuildConflictGraph(subs); !got.Equal(oracle) {
-			t.Fatalf("seed=%d shape=%s n=%d workers=%d sharded=%v: indexed graph differs from oracle", seed, shape, n, workers, sharded)
+		if got := BuildConflictGraphParallel(subs, workers); !got.Equal(oracle) {
+			t.Fatalf("seed=%d shape=%s n=%d workers=%d: parallel oracle differs from serial", seed, shape, n, workers)
 		}
 	})
+}
+
+// TestSkewGuardIgnoresColocatedStack pins that the candidate index holds
+// distinct locations, not bidders: 70 bidders stacked on one point post
+// their digests once, so the skew guard — auto threshold max(64, G/8) over
+// G distinct locations — does not fire, while 70 distinct bidders sharing
+// one x column in an otherwise identical population do trip it. Both
+// graphs equal the oracle's.
+func TestSkewGuardIgnoresColocatedStack(t *testing.T) {
+	p := Params{Channels: 1, Lambda: 2, MaxX: 999, MaxY: 999, BMax: 10}
+	const stacked, spread = 70, 30
+	rng := rand.New(rand.NewSource(8))
+	var rest []geo.Point
+	for i := 0; i < spread; i++ {
+		rest = append(rest, geo.Point{X: uint64(300 + rng.Intn(700)), Y: uint64(300 + rng.Intn(700))})
+	}
+	for _, tc := range []struct {
+		tag     string
+		at      func(i int) geo.Point
+		groups  int
+		wantHot bool
+	}{
+		{"colocated", func(int) geo.Point { return geo.Point{X: 5, Y: 5} }, 1 + spread, false},
+		{"column", func(i int) geo.Point { return geo.Point{X: 5, Y: uint64(i)} }, stacked + spread, true},
+	} {
+		pts := make([]geo.Point, 0, stacked+spread)
+		for i := 0; i < stacked; i++ {
+			pts = append(pts, tc.at(i))
+		}
+		subs := locSubs(t, p, append(pts, rest...))
+		auc := engineAuctioneer(t, p, subs)
+		if !auc.ConflictGraph().Equal(BuildConflictGraph(subs)) {
+			t.Errorf("%s: indexed graph differs from oracle", tc.tag)
+		}
+		st := auc.ixStats
+		if st.Bidders != tc.groups {
+			t.Errorf("%s: index holds %d rows, want %d distinct locations", tc.tag, st.Bidders, tc.groups)
+		}
+		if hot := st.HotDigests > 0; hot != tc.wantHot {
+			t.Errorf("%s: index stats %+v, want hot digests = %v", tc.tag, st, tc.wantHot)
+		}
+		if tc.wantHot && st.HotRows < stacked {
+			t.Errorf("%s: hot rows = %d, want at least the %d stacked bidders", tc.tag, st.HotRows, stacked)
+		}
+	}
 }
 
 // TestIndexObserverCounters pins the instrumentation contract: an observed
 // build reports candidates exactly equal to the X-axis match count (no
 // co-located bidders and no hot rows at this size), confirms exactly equal
 // to the edge count, a plausible postings-scanned tally, and one
-// index-build timing for the implicit tile — while the graph stays
-// bit-identical to the unobserved build.
+// index-build timing — while the graph stays bit-identical to the
+// unobserved build.
 func TestIndexObserverCounters(t *testing.T) {
 	p := testParams()
 	auc, pts, bids := randomRound(t, p, 50, 7)

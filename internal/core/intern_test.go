@@ -9,22 +9,21 @@ import (
 )
 
 // TestConflictGraphRepresentationEquivalence pins the interned build
-// (Bloom quick reject + sorted-ID merges, location grouping, tile-local
+// (Bloom quick reject + sorted-ID merges, location grouping, candidate
 // index) to the oracle that evaluates Conflicts on the plain mask.Set
-// submissions directly, across populations, λ, and worker counts.
+// submissions directly, across populations, λ, and encoding worker counts.
 func TestConflictGraphRepresentationEquivalence(t *testing.T) {
 	for _, lambda := range []uint64{1, 2, 4} {
 		p := Params{Channels: 1, Lambda: lambda, MaxX: 99, MaxY: 99, BMax: 100}
 		ring := testRing(t, p, 5, 8)
 		for _, n := range []int{2, 30, 90} {
 			pts := randomPoints(p, n, int64(lambda)*53+int64(n))
-			subs, err := NewLocationSubmissions(p, ring, pts, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := BuildConflictGraph(subs)
 			for _, workers := range []int{1, 2, 4} {
-				if got := engineGraph(t, p, subs, nil, workers); !got.Equal(want) {
+				subs, err := NewLocationSubmissions(p, ring, pts, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := engineGraph(t, p, subs); !got.Equal(BuildConflictGraph(subs)) {
 					t.Errorf("lambda=%d n=%d workers=%d: interned graph differs from oracle", lambda, n, workers)
 				}
 			}
@@ -111,7 +110,7 @@ func TestLocationGroupingAcrossAxisWidths(t *testing.T) {
 	if want.HasEdge(2, 3) {
 		t.Fatal("fixture: bidders 2 and 3 must not conflict")
 	}
-	if got := engineGraph(t, p, locs, nil, 1); !got.Equal(want) {
+	if got := engineGraph(t, p, locs); !got.Equal(want) {
 		t.Errorf("engine graph differs from oracle (edge 2–3: %v)", got.HasEdge(2, 3))
 	}
 	for _, shape := range densityShapes {
@@ -120,7 +119,7 @@ func TestLocationGroupingAcrossAxisWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := engineGraph(t, p, locs, nil, 1); !got.Equal(BuildConflictGraph(locs)) {
+		if got := engineGraph(t, p, locs); !got.Equal(BuildConflictGraph(locs)) {
 			t.Errorf("%s: engine graph differs from oracle on a non-square domain", shape)
 		}
 	}

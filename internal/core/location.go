@@ -163,8 +163,8 @@ func Conflicts(a, b *LocationSubmission) bool {
 // BuildConflictGraph constructs the interference graph from masked
 // submissions only by evaluating Conflicts on every pair over the plain
 // mask.Set representation. It is the verification oracle the auctioneer's
-// tiled, indexed build (Auctioneer.ConflictGraph) is pinned to: it shares
-// none of that build's interning, grouping or candidate generation.
+// indexed build (Auctioneer.ConflictGraph) is pinned to: it shares none of
+// that build's interning, grouping or candidate generation.
 func BuildConflictGraph(subs []*LocationSubmission) *conflict.Graph {
 	return conflict.BuildFromPredicate(len(subs), func(i, j int) bool {
 		return Conflicts(subs[i], subs[j])

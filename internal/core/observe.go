@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"lppa/internal/mask"
 	"lppa/internal/obs"
 )
@@ -25,28 +23,11 @@ type aucObs struct {
 	internHits    *obs.Counter // of those, already present (dedup wins)
 	internMisses  *obs.Counter // of those, first sightings (distinct digests)
 
-	// Candidate generation (graphbuild.go): the tile-local indexes.
+	// Candidate generation (graphbuild.go): the location index.
 	indexPostings   *obs.Counter   // posting-list entries scanned for candidates
 	indexCandidates *obs.Counter   // candidate group pairs handed to the exact confirm
 	indexConfirms   *obs.Counter   // conflict edges the build produced
-	indexBuild      *obs.Histogram // seconds posting and sealing one tile's index
-
-	// Per-shard rank-memo telemetry (explicit shard plans only; shard.go).
-	// The registry handle is kept so the counters can be minted lazily when
-	// a shard plan arrives — the plan's tile count is unknown at SetObserver
-	// time.
-	reg             *obs.Registry
-	shardRankBuilds []*obs.Counter // per-tile column sorts contributing to memos
-	shardMemoHits   []*obs.Counter // memo entries served to the allocator, by home tile
-}
-
-// ensureShardCounters mints the per-shard counter handles for k tiles.
-func (o *aucObs) ensureShardCounters(k int) {
-	for s := len(o.shardRankBuilds); s < k; s++ {
-		lbl := obs.L("shard", strconv.Itoa(s))
-		o.shardRankBuilds = append(o.shardRankBuilds, o.reg.Counter("lppa_shard_rank_builds_total", lbl))
-		o.shardMemoHits = append(o.shardMemoHits, o.reg.Counter("lppa_shard_rank_memo_hits_total", lbl))
-	}
+	indexBuild      *obs.Histogram // seconds posting and sealing the index
 }
 
 // SetObserver attaches a metrics registry to the auctioneer. Call it
@@ -71,11 +52,6 @@ func (a *Auctioneer) SetObserver(reg *obs.Registry) {
 		indexCandidates: reg.Counter("lppa_index_candidates_total"),
 		indexConfirms:   reg.Counter("lppa_index_oracle_confirms_total"),
 		indexBuild:      reg.Histogram("lppa_index_build_seconds", nil),
-
-		reg: reg,
-	}
-	if a.sharded {
-		a.ob.ensureShardCounters(len(a.plan.Tiles))
 	}
 }
 
@@ -95,21 +71,11 @@ func (o *aucObs) flushStats(st *mask.IntersectStats) {
 }
 
 // servedHook returns the rank-cursor allocator's telemetry callback: each
-// memo entry the allocator examines counts as one memo hit, attributed to
-// the bidder's home tile under an explicit shard plan. Nil — no callback,
-// no per-entry branch — when unobserved.
-func (a *Auctioneer) servedHook() func(bidder int) {
+// memo entry the allocator examines counts as one memo hit. Nil — no
+// callback, no per-entry branch — when unobserved.
+func (a *Auctioneer) servedHook() func() {
 	if a.ob == nil {
 		return nil
 	}
-	hits := a.ob.rankMemoHits
-	if !a.sharded {
-		return func(int) { hits.Inc() }
-	}
-	home := a.plan.Home
-	shard := a.ob.shardMemoHits
-	return func(bidder int) {
-		hits.Inc()
-		shard[home[bidder]].Inc()
-	}
+	return a.ob.rankMemoHits.Inc
 }

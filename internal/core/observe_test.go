@@ -10,54 +10,40 @@ import (
 
 // TestObservedAuctioneerIdenticalResults pins the observability contract:
 // attaching a registry may never change a graph, a ranking, or an
-// allocation — only count them — and both runs equal the oracle. Checked
-// for the implicit tile and a 4-tile plan, across worker counts.
+// allocation — only count them — and both runs equal the oracle.
 func TestObservedAuctioneerIdenticalResults(t *testing.T) {
 	p := testParams()
 	for _, seed := range []int64{5, 17} {
-		for _, shards := range []int{0, 4} {
-			for _, workers := range []int{1, 4} {
-				plain, pts, _ := randomRound(t, p, 25, seed)
-				watched, _, _ := randomRound(t, p, 25, seed)
-				if shards > 0 {
-					for _, auc := range []*Auctioneer{plain, watched} {
-						if err := auc.SetShardPlan(testPlan(t, p, pts, shards)); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				plain.SetWorkers(workers)
-				watched.SetWorkers(workers)
-				watched.SetObserver(obs.NewRegistry())
+		plain, _, _ := randomRound(t, p, 25, seed)
+		watched, _, _ := randomRound(t, p, 25, seed)
+		watched.SetObserver(obs.NewRegistry())
 
-				if !plain.ConflictGraph().Equal(watched.ConflictGraph()) {
-					t.Errorf("seed=%d shards=%d workers=%d: observed graph differs", seed, shards, workers)
-				}
-				if !watched.ConflictGraph().Equal(BuildConflictGraph(watched.locs)) {
-					t.Errorf("seed=%d shards=%d workers=%d: observed graph differs from oracle", seed, shards, workers)
-				}
-				if !reflect.DeepEqual(plain.Rankings(), watched.Rankings()) {
-					t.Errorf("seed=%d shards=%d workers=%d: observed rankings differ", seed, shards, workers)
-				}
-				a1, err := plain.AllocateAwards(rand.New(rand.NewSource(seed * 3)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				a2, err := watched.AllocateAwards(rand.New(rand.NewSource(seed * 3)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a1, a2) {
-					t.Errorf("seed=%d shards=%d workers=%d: observed allocation differs", seed, shards, workers)
-				}
-				want, _, err := oracleAwards(p, watched.locs, watched.bids, nil, rand.New(rand.NewSource(seed*3)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a2, want) {
-					t.Errorf("seed=%d shards=%d workers=%d: observed allocation differs from oracle", seed, shards, workers)
-				}
-			}
+		if !plain.ConflictGraph().Equal(watched.ConflictGraph()) {
+			t.Errorf("seed=%d: observed graph differs", seed)
+		}
+		if !watched.ConflictGraph().Equal(BuildConflictGraph(watched.locs)) {
+			t.Errorf("seed=%d: observed graph differs from oracle", seed)
+		}
+		if !reflect.DeepEqual(plain.Rankings(), watched.Rankings()) {
+			t.Errorf("seed=%d: observed rankings differ", seed)
+		}
+		a1, err := plain.AllocateAwards(rand.New(rand.NewSource(seed * 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a2, err := watched.AllocateAwards(rand.New(rand.NewSource(seed * 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a1, a2) {
+			t.Errorf("seed=%d: observed allocation differs", seed)
+		}
+		want, _, err := oracleAwards(p, watched.locs, watched.bids, nil, rand.New(rand.NewSource(seed*3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a2, want) {
+			t.Errorf("seed=%d: observed allocation differs from oracle", seed)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // (BuildConflictGraph), each column's rank order as a stable sort under
 // CompareGE, and the paper's Algorithm 3 as auction.AllocateAwards driven
 // by a CompareGE comparator. It shares none of the engine's interning,
-// tiling, location grouping, candidate index, value ranks or rank cursor.
+// location grouping, candidate index, value ranks or rank cursor.
 
 // oracleGE compares two bidders' masked bids on channel r directly.
 func oracleGE(bids []*BidSubmission) auction.GE {
@@ -88,10 +88,9 @@ func oracleSubmissions(t *testing.T, p Params, shape string, n int, seed int64, 
 	return pts, bids, locs, subs
 }
 
-// engineGraph builds the auctioneer's conflict graph over location
-// submissions alone (bids are empty placeholders the graph never reads),
-// under plan (nil: the implicit single tile) and workers.
-func engineGraph(t testing.TB, p Params, locs []*LocationSubmission, plan *ShardPlan, workers int) *conflict.Graph {
+// engineAuctioneer is an auctioneer over location submissions alone (bids
+// are empty placeholders the conflict graph never reads).
+func engineAuctioneer(t testing.TB, p Params, locs []*LocationSubmission) *Auctioneer {
 	t.Helper()
 	bids := make([]*BidSubmission, len(locs))
 	for i := range bids {
@@ -101,26 +100,27 @@ func engineGraph(t testing.TB, p Params, locs []*LocationSubmission, plan *Shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	auc.SetWorkers(workers)
-	if err := auc.SetShardPlan(plan); err != nil {
-		t.Fatal(err)
-	}
-	return auc.ConflictGraph()
+	return auc
+}
+
+// engineGraph builds the auctioneer's conflict graph over location
+// submissions alone.
+func engineGraph(t testing.TB, p Params, locs []*LocationSubmission) *conflict.Graph {
+	t.Helper()
+	return engineAuctioneer(t, p, locs).ConflictGraph()
 }
 
 // TestEngineMatchesOracle is the equivalence grid of the one execution
-// path: for every density shape, with and without disguised zeros, no
-// plan (the implicit tile) and explicit plans of 1, 4 and 9 tiles, workers
-// 1 and 4, unobserved and observed, the auctioneer's conflict graph,
-// rankings, awards with runner-ups (second price), first-price
-// assignments, and validity-checked awards and voids are exactly the
-// oracle's.
+// path: for every density shape, with and without disguised zeros,
+// unobserved and observed, the auctioneer's conflict graph, rankings,
+// awards with runner-ups (second price), first-price assignments, and
+// validity-checked awards and voids are exactly the oracle's.
 func TestEngineMatchesOracle(t *testing.T) {
 	p := testParams()
 	const n = 60
 	for _, shape := range densityShapes {
 		for _, disguise := range []bool{false, true} {
-			pts, bids, locs, subs := oracleSubmissions(t, p, shape, n, 42, disguise)
+			_, bids, locs, subs := oracleSubmissions(t, p, shape, n, 42, disguise)
 			wantGraph := BuildConflictGraph(locs)
 			wantRanks := make([][]int, p.Channels)
 			for r := range wantRanks {
@@ -136,112 +136,63 @@ func TestEngineMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, shards := range []int{0, 1, 4, 9} {
-				for _, workers := range []int{1, 4} {
-					for _, observed := range []bool{false, true} {
-						tag := fmt.Sprintf("%s/disguise=%v/shards=%d/workers=%d/observed=%v", shape, disguise, shards, workers, observed)
-						engine := func() *Auctioneer {
-							auc, err := NewAuctioneer(p, locs, subs)
-							if err != nil {
-								t.Fatal(err)
-							}
-							auc.SetWorkers(workers)
-							if shards > 0 {
-								if err := auc.SetShardPlan(testPlan(t, p, pts, shards)); err != nil {
-									t.Fatalf("%s: %v", tag, err)
-								}
-							}
-							if observed {
-								auc.SetObserver(obs.NewRegistry())
-							}
-							return auc
-						}
-
-						auc := engine()
-						if !auc.ConflictGraph().Equal(wantGraph) {
-							t.Errorf("%s: graph differs from oracle", tag)
-						}
-						if got := auc.Rankings(); !reflect.DeepEqual(got, wantRanks) {
-							t.Errorf("%s: rankings differ from oracle", tag)
-						}
-						awards, err := auc.AllocateAwards(rand.New(rand.NewSource(55)))
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						if !reflect.DeepEqual(awards, wantAwards) {
-							t.Errorf("%s: awards differ from oracle\n got %v\nwant %v", tag, awards, wantAwards)
-						}
-
-						assignments, err := engine().Allocate(rand.New(rand.NewSource(55)))
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						if len(assignments) != len(wantAwards) {
-							t.Fatalf("%s: %d first-price assignments, want %d", tag, len(assignments), len(wantAwards))
-						}
-						for x, as := range assignments {
-							if as != wantAwards[x].Assignment {
-								t.Errorf("%s: assignment %d = %v, oracle %v", tag, x, as, wantAwards[x].Assignment)
-							}
-						}
-
-						awarded, voided, err := engine().AllocateWithValidity(valid, rand.New(rand.NewSource(56)))
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						if len(awarded) != len(wantValid) {
-							t.Fatalf("%s: %d validity-checked awards, want %d", tag, len(awarded), len(wantValid))
-						}
-						for x, as := range awarded {
-							if as != wantValid[x].Assignment {
-								t.Errorf("%s: validity-checked award %d = %v, oracle %v", tag, x, as, wantValid[x].Assignment)
-							}
-						}
-						if !reflect.DeepEqual(voided, wantVoided) {
-							t.Errorf("%s: voided %v, oracle %v", tag, voided, wantVoided)
-						}
+			for _, observed := range []bool{false, true} {
+				tag := fmt.Sprintf("%s/disguise=%v/observed=%v", shape, disguise, observed)
+				engine := func() *Auctioneer {
+					auc, err := NewAuctioneer(p, locs, subs)
+					if err != nil {
+						t.Fatal(err)
 					}
+					if observed {
+						auc.SetObserver(obs.NewRegistry())
+					}
+					return auc
+				}
+
+				auc := engine()
+				if !auc.ConflictGraph().Equal(wantGraph) {
+					t.Errorf("%s: graph differs from oracle", tag)
+				}
+				if got := auc.Rankings(); !reflect.DeepEqual(got, wantRanks) {
+					t.Errorf("%s: rankings differ from oracle", tag)
+				}
+				awards, err := auc.AllocateAwards(rand.New(rand.NewSource(55)))
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if !reflect.DeepEqual(awards, wantAwards) {
+					t.Errorf("%s: awards differ from oracle\n got %v\nwant %v", tag, awards, wantAwards)
+				}
+
+				assignments, err := engine().Allocate(rand.New(rand.NewSource(55)))
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if len(assignments) != len(wantAwards) {
+					t.Fatalf("%s: %d first-price assignments, want %d", tag, len(assignments), len(wantAwards))
+				}
+				for x, as := range assignments {
+					if as != wantAwards[x].Assignment {
+						t.Errorf("%s: assignment %d = %v, oracle %v", tag, x, as, wantAwards[x].Assignment)
+					}
+				}
+
+				awarded, voided, err := engine().AllocateWithValidity(valid, rand.New(rand.NewSource(56)))
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if len(awarded) != len(wantValid) {
+					t.Fatalf("%s: %d validity-checked awards, want %d", tag, len(awarded), len(wantValid))
+				}
+				for x, as := range awarded {
+					if as != wantValid[x].Assignment {
+						t.Errorf("%s: validity-checked award %d = %v, oracle %v", tag, x, as, wantValid[x].Assignment)
+					}
+				}
+				if !reflect.DeepEqual(voided, wantVoided) {
+					t.Errorf("%s: voided %v, oracle %v", tag, voided, wantVoided)
 				}
 			}
 		}
-	}
-}
-
-// TestShardSizesNilWithoutPlan pins the audit and ops-plane continuity of
-// the implicit tile: an auctioneer without an explicit shard plan reports
-// no tile sizes before or after a full round — so unsharded rounds keep
-// omitting tile anonymity sets — while an explicit plan reports one
-// resident count per tile, and Reset drops the plan.
-func TestShardSizesNilWithoutPlan(t *testing.T) {
-	p := testParams()
-	auc, pts, _ := randomRound(t, p, 30, 19)
-	if got := auc.ShardSizes(); got != nil {
-		t.Fatalf("fresh auctioneer ShardSizes = %v, want nil", got)
-	}
-	if _, err := auc.Allocate(rand.New(rand.NewSource(1))); err != nil {
-		t.Fatal(err)
-	}
-	if got := auc.ShardSizes(); got != nil {
-		t.Fatalf("ShardSizes after an unsharded round = %v, want nil", got)
-	}
-	if got := len(auc.ShardIndexStats()); got != 1 {
-		t.Errorf("implicit tile index stats has %d entries, want 1", got)
-	}
-
-	plan := testPlan(t, p, pts, 4)
-	if err := auc.Reset(auc.locs, auc.bids); err != nil {
-		t.Fatal(err)
-	}
-	if err := auc.SetShardPlan(plan); err != nil {
-		t.Fatal(err)
-	}
-	if got := auc.ShardSizes(); len(got) != len(plan.Tiles) {
-		t.Fatalf("explicit plan ShardSizes = %v, want %d tiles", got, len(plan.Tiles))
-	}
-	if err := auc.Reset(auc.locs, auc.bids); err != nil {
-		t.Fatal(err)
-	}
-	if got := auc.ShardSizes(); got != nil {
-		t.Errorf("ShardSizes after Reset = %v, want nil", got)
 	}
 }

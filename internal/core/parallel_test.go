@@ -131,26 +131,16 @@ func TestGEMemoMatchesRawComparisons(t *testing.T) {
 	}
 }
 
-// TestRankChannelMatchesLegacySort pins RankChannel — value ranks sorted
-// per tile and merged — to the oracle: a stable sort under the strict raw
-// comparator, for the implicit tile and a 4-tile plan.
+// TestRankChannelMatchesLegacySort pins RankChannel — bidders sorted by
+// (value rank, index) — to the oracle: a stable sort under the strict raw
+// comparator.
 func TestRankChannelMatchesLegacySort(t *testing.T) {
 	p := testParams()
-	auc, pts, bids := randomRound(t, p, 25, 17)
-	sharded := buildRound(t, p, pts, bids, 17+1000)
-	if err := sharded.SetShardPlan(testPlan(t, p, pts, 4)); err != nil {
-		t.Fatal(err)
-	}
+	auc, _, _ := randomRound(t, p, 25, 17)
 	for r := 0; r < p.Channels; r++ {
 		want := oracleRanking(auc.bids, r)
-		if got := sharded.RankChannel(r); !reflect.DeepEqual(got, want) {
-			t.Fatalf("channel %d: 4-tile order %v, legacy order %v", r, got, want)
-		}
-		got := auc.RankChannel(r)
-		for x := range want {
-			if got[x] != want[x] {
-				t.Fatalf("channel %d position %d: memo order %v, legacy order %v", r, x, got, want)
-			}
+		if got := auc.RankChannel(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("channel %d: memo order %v, legacy order %v", r, got, want)
 		}
 	}
 }

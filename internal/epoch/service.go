@@ -74,8 +74,8 @@ type Config struct {
 	// SubmitAt bypasses the clock either way.
 	Clock func() float64
 	// RoundOptions compose into every epoch's round.Run — WithWorkers,
-	// WithShards, WithTrace, WithObserver, and the rest all apply per
-	// epoch exactly as in a one-shot round.
+	// WithTrace, WithObserver, and the rest all apply per epoch exactly as
+	// in a one-shot round.
 	RoundOptions []round.Option
 	// Registry, when non-nil, receives the service counters
 	// (lppa_epochs_total, lppa_epoch_bidders_total, admission and
@@ -83,7 +83,7 @@ type Config struct {
 	Registry *obs.Registry
 	// Ops, when non-nil, is the live telemetry plane: the service
 	// installs its status probe, streams seal/shed/drain events and
-	// per-epoch observations (wall time, award digest, anonymity sets)
+	// per-epoch observations (wall time, award digest, anonymity set)
 	// into it, and feeds the SLO burn-rate monitor through the round's
 	// phase observer. nil is free — the observed-twin pin tests hold the
 	// service to bit-identical results either way.
@@ -113,9 +113,9 @@ type EpochResult struct {
 // sealed epoch allocates on the runner goroutine — Seal hands a
 // population across a one-deep queue, so intake for epoch N+1 overlaps
 // allocation of epoch N and sealing N+2 blocks (backpressure) until the
-// runner frees up. Allocation reuses one auctioneer and shard planner
-// across epochs (round.WithEpochState); the determinism contract is in
-// the package comment and pinned by TestEpochEquivalence.
+// runner frees up. Allocation reuses one auctioneer across epochs
+// (round.WithEpochState); the determinism contract is in the package
+// comment and pinned by TestEpochEquivalence.
 type Service struct {
 	cfg   Config
 	adm   *Admission
@@ -385,8 +385,9 @@ func (s *Service) runEpoch(b batch) *EpochResult {
 // observeEpoch reports one finished epoch to the ops plane: wall time,
 // the award-transcript digest (the same bytes the load harness hashes,
 // so live service and offline replay compare digest to digest), and the
-// epoch's anonymity-set summary — per-tile sizes when the round ran
-// sharded, the whole admitted population otherwise.
+// epoch's anonymity set — the admitted population, since the auctioneer
+// holds only masked submissions and learns no coarser location (no tile)
+// that would split it.
 func (s *Service) observeEpoch(b batch, er *EpochResult, wall time.Duration) {
 	eo := ops.EpochObs{Epoch: b.epoch, Bidders: len(b.bidders), Wall: wall}
 	if er.Err != nil {
@@ -398,19 +399,6 @@ func (s *Service) observeEpoch(b batch, er *EpochResult, wall time.Duration) {
 		eo.AwardDigest = awardDigest(b.epoch, b.bidders, res)
 		admitted := len(b.bidders) - len(res.Excluded)
 		eo.AnonMin, eo.AnonMean = admitted, float64(admitted)
-		if res.Auctioneer != nil {
-			if sizes := res.Auctioneer.ShardSizes(); len(sizes) > 0 {
-				sum := 0
-				eo.AnonMin = sizes[0]
-				for _, sz := range sizes {
-					sum += sz
-					if sz < eo.AnonMin {
-						eo.AnonMin = sz
-					}
-				}
-				eo.AnonMean = float64(sum) / float64(len(sizes))
-			}
-		}
 	}
 	s.cfg.Ops.ObserveEpoch(eo)
 }

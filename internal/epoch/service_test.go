@@ -85,10 +85,10 @@ func sameOutcome(t *testing.T, tag string, got, want *round.Result) {
 
 // TestEpochEquivalence is the tentpole contract: every epoch the service
 // runs is bit-identical to a one-shot round.Run over the same admitted
-// set with the epoch's derived seed — across the shards × workers ×
-// charging grid, with back-to-back epochs of different populations so the
-// auctioneer-reuse path (core Reset, shard-planner memo) is what's under
-// test, not a fresh construction.
+// set with the epoch's derived seed — across the workers × charging grid,
+// with back-to-back epochs of different populations so the
+// auctioneer-reuse path (core Reset) is what's under test, not a fresh
+// construction.
 func TestEpochEquivalence(t *testing.T) {
 	p, ring := epochFixture(t)
 	const seed = 77
@@ -98,9 +98,7 @@ func TestEpochEquivalence(t *testing.T) {
 	}{
 		{"serial", nil},
 		{"workers4", []round.Option{round.WithWorkers(4)}},
-		{"shards4", []round.Option{round.WithWorkers(2), round.WithShards(4)}},
-		{"shards1", []round.Option{round.WithWorkers(4), round.WithShards(1)}},
-		{"shards4-serial", []round.Option{round.WithShards(4)}},
+		{"workers2", []round.Option{round.WithWorkers(2)}},
 		{"second-price", []round.Option{round.WithSecondPrice()}},
 	}
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
@@ -167,7 +165,7 @@ func TestEpochEquivalenceChurn(t *testing.T) {
 	const seed = 91
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	s, err := New(Config{Params: p, Ring: ring, Seed: seed, Policy: pol,
-		RoundOptions: []round.Option{round.WithWorkers(2), round.WithShards(4)}})
+		RoundOptions: []round.Option{round.WithWorkers(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +213,10 @@ func TestEpochEquivalenceChurn(t *testing.T) {
 		}
 	}
 	checkEpochOneShot(t, p, ring, pol, seed, results[0], want0,
-		[]round.Option{round.WithWorkers(2), round.WithShards(4)})
+		[]round.Option{round.WithWorkers(2)})
 	// Epoch 1: just the straddler, revised bids.
 	checkEpochOneShot(t, p, ring, pol, seed, results[1], []Submission{revised},
-		[]round.Option{round.WithWorkers(2), round.WithShards(4)})
+		[]round.Option{round.WithWorkers(2)})
 }
 
 // checkEpochOneShot asserts one EpochResult is bit-identical to a

@@ -26,14 +26,13 @@ import (
 // replays a seeded arrival/churn schedule through the epochal pipeline on
 // its logical clock.
 const (
-	VariantInterned = "interned" // default path: the auctioneer's implicit single tile
-	VariantSharded  = "sharded"  // tile-sharded rounds (Shards tiles)
+	VariantInterned = "interned" // one-shot rounds over the whole population
 	VariantService  = "service"  // epochal service, open-loop arrivals
 )
 
 // Variants lists every variant name, in sweep order.
 func Variants() []string {
-	return []string{VariantInterned, VariantSharded, VariantService}
+	return []string{VariantInterned, VariantService}
 }
 
 // Seed-stream salts: each consumer of Config.Seed gets its own splitmix
@@ -53,11 +52,9 @@ type Config struct {
 	Bidders  int
 	Channels int
 	Density  string
-	// Variant selects the execution path; Shards the tile count for
-	// "sharded" (default 8) and, when positive, also composes into
-	// "service" epochs. Workers is the pipeline width (0 = one per CPU).
+	// Variant selects the execution path; Workers is the pipeline width
+	// (0 = one per CPU).
 	Variant string
-	Shards  int
 	Workers int
 	// Rounds is the closed-loop round count, or — for "service" — the
 	// epoch budget: the arrival horizon spans Rounds seal intervals.
@@ -81,13 +78,9 @@ type Config struct {
 }
 
 // Name is the run's stable identity in reports and SLO blocks:
-// variant[+shards]/density/nBidders.
+// variant/density/nBidders.
 func (c Config) Name() string {
-	v := c.Variant
-	if c.Shards > 0 && (c.Variant == VariantSharded || c.Variant == VariantService) {
-		v = fmt.Sprintf("%s%d", c.Variant, c.Shards)
-	}
-	return fmt.Sprintf("%s/%s/n%d", v, c.density(), c.Bidders)
+	return fmt.Sprintf("%s/%s/n%d", c.Variant, c.density(), c.Bidders)
 }
 
 func (c Config) density() string {
@@ -114,21 +107,11 @@ func (c Config) normalize() (Config, error) {
 	if c.Workers < 0 {
 		return c, fmt.Errorf("load: negative workers %d", c.Workers)
 	}
-	if c.Shards < 0 {
-		return c, fmt.Errorf("load: negative shards %d", c.Shards)
-	}
 	c.Density = c.density()
 	switch c.Variant {
 	case VariantInterned, VariantService:
-	case VariantSharded:
-		if c.Shards == 0 {
-			c.Shards = 8
-		}
 	default:
 		return c, fmt.Errorf("load: unknown variant %q (want one of %v)", c.Variant, Variants())
-	}
-	if c.Variant != VariantSharded && c.Variant != VariantService {
-		c.Shards = 0
 	}
 	if c.EpochSeconds == 0 {
 		c.EpochSeconds = 1
@@ -246,7 +229,7 @@ func Run(cfg Config) (*RunReport, error) {
 	}
 	rep := &RunReport{
 		Name: cfg.Name(), Variant: cfg.Variant, Density: cfg.Density,
-		Bidders: cfg.Bidders, Workers: cfg.Workers, Shards: cfg.Shards,
+		Bidders: cfg.Bidders, Workers: cfg.Workers,
 		Rounds: cfg.Rounds,
 	}
 	tracer := obs.NewTracerBuffered("load", spanBudget(cfg))
@@ -289,9 +272,9 @@ func Run(cfg Config) (*RunReport, error) {
 }
 
 // spanBudget sizes the tracer ring so a full run's spans fit: one root
-// plus ~6 phase spans per round, plus per-tile shard spans.
+// plus ~6 phase spans per round.
 func spanBudget(cfg Config) int {
-	perRound := 8 + cfg.Shards
+	const perRound = 8
 	budget := cfg.Rounds * perRound
 	if budget < 4096 {
 		budget = 4096
@@ -320,19 +303,11 @@ func phaseStats(agg *obs.SpanAggregator) map[string]PhaseStats {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// roundOptions maps the variant onto round.Run options. Every variant
-// runs the seeded pipeline (WithWorkers), so worker count changes cost,
-// never outcomes.
+// roundOptions builds the round.Run options every variant shares. Every
+// variant runs the seeded pipeline (WithWorkers), so worker count changes
+// cost, never outcomes.
 func roundOptions(cfg Config, tracer *obs.Tracer) []round.Option {
 	opts := []round.Option{round.WithWorkers(cfg.Workers), round.WithTrace(tracer)}
-	switch cfg.Variant {
-	case VariantSharded:
-		opts = append(opts, round.WithShards(cfg.Shards))
-	case VariantService:
-		if cfg.Shards > 0 {
-			opts = append(opts, round.WithShards(cfg.Shards))
-		}
-	}
 	if cfg.Registry != nil {
 		opts = append(opts, round.WithObserver(cfg.Registry))
 	}

@@ -22,7 +22,7 @@ func smallConfig(variant string) Config {
 // same-seed runs must produce byte-identical award transcripts (equal
 // digests) and identical reports modulo the timing fields.
 func TestRunDeterminism(t *testing.T) {
-	for _, variant := range []string{VariantSharded, VariantService} {
+	for _, variant := range []string{VariantInterned, VariantService} {
 		t.Run(variant, func(t *testing.T) {
 			cfg := smallConfig(variant)
 			cfg.RateLimit = 40 // exercises shed accounting on the service path
@@ -58,28 +58,31 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 // TestRunVariantEquivalence pins the repo-wide bit-identical contract at
-// the harness level: every one-shot variant is an execution strategy, not
-// a different auction, so same-seed runs must agree on the transcript.
+// the harness level: the worker count is an execution strategy, not a
+// different auction, so same-seed one-shot runs must agree on the
+// transcript at every pipeline width.
 func TestRunVariantEquivalence(t *testing.T) {
 	var want *RunReport
-	for _, variant := range []string{VariantInterned, VariantSharded} {
-		rep, err := Run(smallConfig(variant))
+	for _, workers := range []int{1, 2, 4} {
+		cfg := smallConfig(VariantInterned)
+		cfg.Workers = workers
+		rep, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", variant, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if rep.Winners == 0 || rep.Revenue == 0 {
-			t.Fatalf("%s: degenerate run, no awards: %+v", variant, rep)
+			t.Fatalf("workers=%d: degenerate run, no awards: %+v", workers, rep)
 		}
 		if want == nil {
 			want = rep
 			continue
 		}
 		if rep.AwardDigest != want.AwardDigest {
-			t.Errorf("%s award digest %s != %s digest %s", variant, rep.AwardDigest, want.Variant, want.AwardDigest)
+			t.Errorf("workers=%d award digest %s != workers=%d digest %s", workers, rep.AwardDigest, want.Workers, want.AwardDigest)
 		}
 		if rep.Winners != want.Winners || rep.Revenue != want.Revenue {
-			t.Errorf("%s winners/revenue %d/%d != %s %d/%d",
-				variant, rep.Winners, rep.Revenue, want.Variant, want.Winners, want.Revenue)
+			t.Errorf("workers=%d winners/revenue %d/%d != workers=%d %d/%d",
+				workers, rep.Winners, rep.Revenue, want.Workers, want.Winners, want.Revenue)
 		}
 	}
 }
@@ -156,7 +159,6 @@ func TestConfigValidation(t *testing.T) {
 		{Bidders: 10}, // no rounds
 		{Bidders: 10, Rounds: 1, Variant: "warp"},                  // unknown variant
 		{Bidders: 10, Rounds: 1, Variant: "interned", Workers: -1}, // negative workers
-		{Bidders: 10, Rounds: 1, Variant: "sharded", Shards: -2},
 		{Bidders: 10, Rounds: 1, Variant: "interned", Density: "metropolis"},
 		{Bidders: 10, Rounds: 1, Variant: "service", RateLimit: -1},
 		{Bidders: 10, Rounds: 1, Variant: "interned", Chaos: faults.Config{DropFrame: 1.5}},
@@ -172,8 +174,8 @@ func TestConfigValidation(t *testing.T) {
 func TestConfigName(t *testing.T) {
 	cases := map[string]Config{
 		"interned/mixed/n100": {Variant: VariantInterned, Bidders: 100},
-		"sharded8/urban/n50":  {Variant: VariantSharded, Shards: 8, Density: "urban", Bidders: 50},
-		"service4/rural/n10":  {Variant: VariantService, Shards: 4, Density: "rural", Bidders: 10},
+		"interned/urban/n50":  {Variant: VariantInterned, Density: "urban", Bidders: 50},
+		"service/rural/n10":   {Variant: VariantService, Density: "rural", Bidders: 10},
 	}
 	for want, cfg := range cases {
 		if got := cfg.Name(); got != want {

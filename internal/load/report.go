@@ -44,7 +44,6 @@ type RunReport struct {
 	Density string `json:"density"`
 	Bidders int    `json:"bidders"`
 	Workers int    `json:"workers"`
-	Shards  int    `json:"shards,omitempty"`
 
 	// Deterministic workload accounting.
 	Rounds      int    `json:"rounds"`

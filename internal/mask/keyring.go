@@ -125,10 +125,3 @@ func deriveKey(seed []byte, label string, index uint64, n int) Key {
 
 // Channels reports the number of per-channel bid keys.
 func (kr *KeyRing) Channels() int { return len(kr.GB) }
-
-// TileKey derives the coarse-tile routing key from G0 with the same
-// HMAC-SHA256 KDF used for the ring itself. Bidders mask their tile ID
-// under this key so the sharded auctioneer can group submissions by digest
-// equality without learning anything finer than the tile — the auctioneer
-// never holds G0 or the derived key.
-func (kr *KeyRing) TileKey() Key { return deriveKey(kr.G0, "tile-route", 0, hmacKeyLen) }

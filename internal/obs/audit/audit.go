@@ -76,16 +76,6 @@ type Report struct {
 	// across bidders; zero when no coverage area was supplied.
 	MinAnonymityCells  int     `json:"min_anonymity_cells,omitempty"`
 	MeanAnonymityCells float64 `json:"mean_anonymity_cells,omitempty"`
-	// Tiles and TileAnonymitySets describe the sharded planner's routing
-	// leakage: a sharded round tells the auctioneer which coarse tile each
-	// bidder occupies (by masked digest), so the effective location
-	// anonymity set of a bidder is its tile's resident population.
-	// TileAnonymitySets[s] is the resident count of shard s; Min/Mean
-	// summarise it. All zero/absent for unsharded rounds.
-	Tiles             int     `json:"tiles,omitempty"`
-	TileAnonymitySets []int   `json:"tile_anonymity_sets,omitempty"`
-	MinTileAnonymity  int     `json:"min_tile_anonymity,omitempty"`
-	MeanTileAnonymity float64 `json:"mean_tile_anonymity,omitempty"`
 	// ReplaysDeduped and FramesRejected fold in the transport's replay
 	// and reject counters when a metrics registry is supplied: duplicate
 	// or malformed submissions are an attacker-visible event class.
@@ -180,18 +170,6 @@ func Round(res *round.Result, opts Options) (*Report, error) {
 	if opts.Area != nil && n > 0 {
 		rep.MeanAnonymityCells = float64(cellSum) / float64(n)
 	}
-	if sizes := auc.ShardSizes(); len(sizes) > 0 {
-		rep.Tiles = len(sizes)
-		rep.TileAnonymitySets = append([]int(nil), sizes...)
-		sum := 0
-		for _, s := range sizes {
-			sum += s
-			if rep.MinTileAnonymity == 0 || s < rep.MinTileAnonymity {
-				rep.MinTileAnonymity = s
-			}
-		}
-		rep.MeanTileAnonymity = float64(sum) / float64(len(sizes))
-	}
 	if opts.Metrics != nil {
 		snap := opts.Metrics.Snapshot()
 		rep.ReplaysDeduped = sumCounters(snap, "lppa_transport_replays_deduped_total")
@@ -257,10 +235,6 @@ func (r *Report) Summary() string {
 	if r.MinAnonymityCells > 0 {
 		fmt.Fprintf(&b, "audit: anonymity cells min %d mean %.1f (keep %.2f)\n",
 			r.MinAnonymityCells, r.MeanAnonymityCells, r.KeepFraction)
-	}
-	if r.Tiles > 0 {
-		fmt.Fprintf(&b, "audit: %d tiles, tile anonymity min %d mean %.1f\n",
-			r.Tiles, r.MinTileAnonymity, r.MeanTileAnonymity)
 	}
 	if r.ReplaysDeduped > 0 || r.FramesRejected > 0 {
 		fmt.Fprintf(&b, "audit: %d replays deduped, %d frames rejected\n",

@@ -187,66 +187,6 @@ func TestRoundAuditDegradedRound(t *testing.T) {
 	}
 }
 
-// TestRoundAuditShardedTiles pins the sharded-round audit surface: the
-// report carries each tile's resident population as the routing-leakage
-// anonymity set, the sets sum to the audited population, the min/mean
-// summary is consistent, and the Summary mentions tiles. An unsharded
-// round carries none of it (covered by TestRoundAuditSurfaceOnly's zero
-// checks plus the omitempty tags).
-func TestRoundAuditShardedTiles(t *testing.T) {
-	const n = 24
-	p, ring, pts, bids := fixture(t, n, 13)
-	res, err := round.Run(p, ring,
-		round.Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(13))},
-		round.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := audit.Round(res, audit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Tiles == 0 || len(rep.TileAnonymitySets) != rep.Tiles {
-		t.Fatalf("tiles = %d with %d anonymity sets, want matching positive counts",
-			rep.Tiles, len(rep.TileAnonymitySets))
-	}
-	sum, min := 0, rep.TileAnonymitySets[0]
-	for _, s := range rep.TileAnonymitySets {
-		if s <= 0 {
-			t.Errorf("tile anonymity set %d not positive", s)
-		}
-		if s < min {
-			min = s
-		}
-		sum += s
-	}
-	if sum != n {
-		t.Errorf("tile anonymity sets sum to %d, want %d", sum, n)
-	}
-	if rep.MinTileAnonymity != min {
-		t.Errorf("MinTileAnonymity = %d, want %d", rep.MinTileAnonymity, min)
-	}
-	if want := float64(sum) / float64(rep.Tiles); rep.MeanTileAnonymity != want {
-		t.Errorf("MeanTileAnonymity = %f, want %f", rep.MeanTileAnonymity, want)
-	}
-	if s := rep.Summary(); !strings.Contains(s, "tile") {
-		t.Errorf("summary lacks tile line:\n%s", s)
-	}
-
-	unsharded, err := round.Run(p, ring,
-		round.Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(13))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := audit.Round(unsharded, audit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Tiles != 0 || plain.TileAnonymitySets != nil {
-		t.Errorf("unsharded report carries tile fields: %d/%v", plain.Tiles, plain.TileAnonymitySets)
-	}
-}
-
 // TestRoundAuditMetricsFold pins the transport-counter folding: replay and
 // reject counters land in the report summed across label sets.
 func TestRoundAuditMetricsFold(t *testing.T) {

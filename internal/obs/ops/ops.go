@@ -26,8 +26,7 @@ type Config struct {
 	// it.
 	SLO SLOConfig
 	// AnonymityFloor, when > 0, raises the alarm path whenever an
-	// epoch's smallest anonymity set (per-tile when sharded, the whole
-	// population otherwise) falls below it.
+	// epoch's anonymity set (EpochObs.AnonMin) falls below it.
 	AnonymityFloor int
 	// Flight, when set, is force-dumped by the alarm path so the trace
 	// ring around a breach lands on disk.
@@ -100,8 +99,8 @@ type EpochObs struct {
 	// same bytes the load harness hashes, so a live service and an
 	// offline replay can be compared digest to digest.
 	AwardDigest string
-	// AnonMin/AnonMean summarize the epoch's anonymity sets: per-tile
-	// when the round ran sharded, the admitted population otherwise.
+	// AnonMin/AnonMean summarize the epoch's anonymity set: the admitted
+	// population (the epoch service reports its size for both).
 	AnonMin  int
 	AnonMean float64
 }
@@ -160,7 +159,7 @@ func New(cfg Config) *Plane {
 		p.mSampled = r.Counter("lppa_ops_sampled_traces_total")
 		r.Help("lppa_ops_sampled_traces_total", "Epochs that carried full span tracing under the 1-in-K sampler.")
 		p.mAnonMin = r.Gauge("lppa_ops_tile_anonymity_min_cells")
-		r.Help("lppa_ops_tile_anonymity_min_cells", "Smallest anonymity set (bidders per tile) observed in the latest epoch.")
+		r.Help("lppa_ops_tile_anonymity_min_cells", "Smallest anonymity set (admitted bidders) observed in the latest epoch.")
 		p.mAnonViol = r.Counter("lppa_ops_anonymity_floor_violations_total")
 		r.Help("lppa_ops_anonymity_floor_violations_total", "Epochs whose minimum anonymity set fell below the configured floor.")
 		p.mDumps = r.Counter("lppa_ops_flight_dumps_total")

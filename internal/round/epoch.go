@@ -4,39 +4,29 @@ import (
 	"fmt"
 
 	"lppa/internal/core"
-	"lppa/internal/geo"
-	"lppa/internal/mask"
 )
 
-// EpochState carries the pieces of a round that are population-independent
-// across back-to-back epochs of the same auction: the auctioneer (reused
-// via core.Auctioneer.Reset instead of reconstructed per round) and the
-// shard planner's tile grid and tile masker, which depend only on params,
-// ring, and shard count. One EpochState serves one sequence of rounds on
-// one goroutine — it is not safe for concurrent Runs, and the Auctioneer
-// in a Result produced under an EpochState is only valid until the next
-// Run with the same state resets it.
+// EpochState carries the piece of a round that is population-independent
+// across back-to-back epochs of the same auction: the auctioneer, reused
+// via core.Auctioneer.Reset instead of reconstructed per round. One
+// EpochState serves one sequence of rounds on one goroutine — it is not
+// safe for concurrent Runs, and the Auctioneer in a Result produced under
+// an EpochState is only valid until the next Run with the same state
+// resets it.
 type EpochState struct {
 	auc    *core.Auctioneer
 	params core.Params
-
-	grid     geo.TileGrid
-	masker   *mask.Masker
-	gridRing *mask.KeyRing
-	gridFor  core.Params
-	gridK    int
-	haveGrid bool
 }
 
 // NewEpochState returns an empty state; the first Run with it populates
-// the reusable pieces.
+// the auctioneer.
 func NewEpochState() *EpochState { return &EpochState{} }
 
-// WithEpochState makes Run reuse st's auctioneer and shard planner
-// across calls instead of rebuilding them per round. Results are
-// bit-identical to the same call without the option — reuse skips
-// construction work, never changes what a population is awarded (the
-// epoch equivalence grid pins this). Composes with every other option.
+// WithEpochState makes Run reuse st's auctioneer across calls instead of
+// rebuilding it per round. Results are bit-identical to the same call
+// without the option — reuse skips construction work, never changes what a
+// population is awarded (the epoch equivalence grid pins this). Composes
+// with every other option.
 func WithEpochState(st *EpochState) Option {
 	return func(c *runConfig) error {
 		if st == nil {
@@ -65,28 +55,4 @@ func (st *EpochState) auctioneer(params core.Params, locs []*core.LocationSubmis
 		st.auc, st.params = auc, params
 	}
 	return auc, nil
-}
-
-// planner returns the tile grid and masker for one shard plan, memoized
-// in the state when params, ring, and shard count repeat — the common
-// epochal case, where rebuilding them per round is pure waste (the grid
-// is arithmetic, but the masker re-derives an HMAC key).
-func (st *EpochState) planner(params core.Params, ring *mask.KeyRing, shards int) (geo.TileGrid, *mask.Masker, error) {
-	if st != nil && st.haveGrid && st.gridFor == params && st.gridRing == ring && st.gridK == shards {
-		return st.grid, st.masker, nil
-	}
-	tg, err := geo.NewTileGrid(params.MaxX, params.MaxY, params.Lambda, shards)
-	if err != nil {
-		return geo.TileGrid{}, nil, err
-	}
-	masker, err := mask.NewMasker(ring.TileKey())
-	if err != nil {
-		return geo.TileGrid{}, nil, err
-	}
-	if st != nil {
-		st.grid, st.masker = tg, masker
-		st.gridRing, st.gridFor, st.gridK = ring, params, shards
-		st.haveGrid = true
-	}
-	return tg, masker, nil
 }

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"lppa/internal/core"
+	"lppa/internal/obs"
 )
 
 // TestEpochStateReuseBitIdentical pins WithEpochState's contract at the
 // round layer: a sequence of Runs sharing one state — different
 // populations, different option shapes per call — produces exactly what
-// the same calls produce with fresh auctioneers. Reuse (core Reset +
-// shard-planner memo) may only save construction work.
+// the same calls produce with fresh auctioneers. Reuse (core Reset) may
+// only save construction work.
 func TestEpochStateReuseBitIdentical(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	st := NewEpochState()
@@ -21,10 +22,10 @@ func TestEpochStateReuseBitIdentical(t *testing.T) {
 		opts []Option
 	}{
 		{24, 3, nil},
-		{36, 4, []Option{WithWorkers(4), WithShards(4)}}, // grow + shard
-		{24, 5, []Option{WithWorkers(2)}},                // shrink, back to the implicit tile
-		{30, 6, []Option{WithShards(4)}},                 // planner memo hit
-		{30, 7, []Option{WithWorkers(1)}},                // shard plan must not leak from prior epochs
+		{36, 4, []Option{WithWorkers(4)}}, // grow
+		{24, 5, []Option{WithWorkers(2), WithObserver(obs.NewRegistry())}}, // shrink, observed
+		{30, 6, []Option{WithInteractiveCharging()}},
+		{30, 7, []Option{WithWorkers(1)}}, // observer must not leak from prior epochs
 		{30, 8, []Option{WithSecondPrice()}},
 	}
 	for i, c := range calls {
@@ -42,8 +43,8 @@ func TestEpochStateReuseBitIdentical(t *testing.T) {
 		}
 		sameResult(t, "epoch-state call "+string(rune('0'+i)), reused, fresh)
 	}
-	if st.auc == nil || !st.haveGrid {
-		t.Fatal("state never captured the reusable pieces")
+	if st.auc == nil {
+		t.Fatal("state never captured the auctioneer")
 	}
 }
 

@@ -9,12 +9,10 @@ import (
 )
 
 // TestRunPrivateOptsRepresentationInvariance pins the end-to-end soundness
-// of the auctioneer's one execution path: for several seeds and every
-// combination of worker count and tiling — the implicit single tile,
-// WithShards(1) and WithShards(4) — the full private round (outcome,
-// charges, voids, conflict graph, rankings, transcript bytes) is
-// identical, and its conflict graph equals the all-pairs oracle over the
-// plain mask.Set submissions.
+// of the auctioneer's one execution path: for several seeds and worker
+// counts the full private round (outcome, charges, voids, conflict graph,
+// rankings, transcript bytes) is identical, and its conflict graph equals
+// the all-pairs oracle over the plain mask.Set submissions.
 func TestRunPrivateOptsRepresentationInvariance(t *testing.T) {
 	policy := core.DisguisePolicy{P0: 0.6, Decay: 0.9}
 	for _, seed := range []int64{2, 13, 37} {
@@ -26,37 +24,32 @@ func TestRunPrivateOptsRepresentationInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		locs, err := core.NewLocationSubmissions(p, ring, points, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := core.BuildConflictGraph(locs)
 		for _, workers := range []int{1, 2, 4} {
-			for _, shards := range []int{0, 1, 4} {
-				opts := []Option{WithWorkers(workers)}
-				if shards > 0 {
-					opts = append(opts, WithShards(shards))
-				}
-				got, err := Run(p, ring, in(), opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Outcome, base.Outcome) {
-					t.Errorf("seed=%d workers=%d shards=%d: outcome differs", seed, workers, shards)
-				}
-				if got.Voided != base.Voided || got.Violations != base.Violations ||
-					got.SubmissionBytes != base.SubmissionBytes {
-					t.Errorf("seed=%d workers=%d shards=%d: voids/violations/bytes differ", seed, workers, shards)
-				}
-				g := got.Auctioneer.ConflictGraph()
-				if !g.Equal(base.Auctioneer.ConflictGraph()) {
-					t.Errorf("seed=%d workers=%d shards=%d: conflict graphs differ", seed, workers, shards)
-				}
-				if !reflect.DeepEqual(got.Auctioneer.Rankings(), base.Auctioneer.Rankings()) {
-					t.Errorf("seed=%d workers=%d shards=%d: rankings differ", seed, workers, shards)
-				}
-				locs, err := core.NewLocationSubmissions(p, ring, points, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !g.Equal(core.BuildConflictGraph(locs)) {
-					t.Errorf("seed=%d workers=%d shards=%d: conflict graph differs from oracle", seed, workers, shards)
-				}
+			got, err := Run(p, ring, in(), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Outcome, base.Outcome) {
+				t.Errorf("seed=%d workers=%d: outcome differs", seed, workers)
+			}
+			if got.Voided != base.Voided || got.Violations != base.Violations ||
+				got.SubmissionBytes != base.SubmissionBytes {
+				t.Errorf("seed=%d workers=%d: voids/violations/bytes differ", seed, workers)
+			}
+			g := got.Auctioneer.ConflictGraph()
+			if !g.Equal(base.Auctioneer.ConflictGraph()) {
+				t.Errorf("seed=%d workers=%d: conflict graphs differ", seed, workers)
+			}
+			if !reflect.DeepEqual(got.Auctioneer.Rankings(), base.Auctioneer.Rankings()) {
+				t.Errorf("seed=%d workers=%d: rankings differ", seed, workers)
+			}
+			if !g.Equal(oracle) {
+				t.Errorf("seed=%d workers=%d: conflict graph differs from oracle", seed, workers)
 			}
 		}
 	}

@@ -5,10 +5,10 @@
 //
 // Run is the single entry point; functional options select the encoding
 // pipeline (WithWorkers), disguise shape (WithPolicies), charging design
-// (WithInteractiveCharging, WithSecondPrice), the auctioneer's tiling
-// (WithShards), and observability (WithObserver, WithTrace). The
-// auctioneer has one execution path whatever the options: they change how
-// the work is split, never the awards.
+// (WithInteractiveCharging, WithSecondPrice), and observability
+// (WithObserver, WithTrace). The auctioneer has one execution path
+// whatever the options: one conflict-graph build over the whole
+// population, one rank memo per column, one allocator sweep.
 package round
 
 import (

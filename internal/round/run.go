@@ -47,7 +47,6 @@ type runConfig struct {
 	policies    []core.DisguisePolicy
 	interactive bool
 	secondPrice bool
-	shards      int
 	quorum      int
 	straggler   time.Duration
 	reg         *obs.Registry
@@ -60,10 +59,10 @@ type runConfig struct {
 	onPhase     func(phase string, d time.Duration)
 }
 
-// WithWorkers bounds the goroutines used for submission encoding and the
-// auctioneer's per-tile builds (see WithShards). n == 0 means one worker
-// per available CPU; n == 1 pins the seeded pipeline to the calling
-// goroutine.
+// WithWorkers bounds the goroutines used for submission encoding; the
+// auctioneer's conflict graph and rank memos build on the round goroutine
+// whatever n is. n == 0 means one worker per available CPU; n == 1 pins
+// the seeded pipeline to the calling goroutine.
 //
 // Passing this option — with any n — switches Run onto the seeded
 // encoding pipeline: the round rng is consumed serially up front (one TTP
@@ -453,9 +452,8 @@ func tallyCharges(res *Result, results []ttp.ChargeResult) {
 // Options select the execution and charging shape: WithWorkers for the
 // deterministic parallel pipeline, WithPolicies for per-bidder disguise,
 // WithInteractiveCharging or WithSecondPrice (mutually exclusive) for the
-// charging design, WithShards for the auctioneer's tiling, WithObserver
-// for metrics. With no options Run threads one rng through all bidders
-// serially (see WithWorkers).
+// charging design, WithObserver for metrics. With no options Run threads
+// one rng through all bidders serially (see WithWorkers).
 func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Result, error) {
 	var cfg runConfig
 	for _, opt := range opts {
@@ -612,36 +610,7 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 		ph.stop()
 		return nil, err
 	}
-	auc.SetWorkers(workers)
 	auc.SetObserver(cfg.reg)
-
-	if cfg.shards > 0 {
-		// Tile-sharded execution (shard.go): the planner groups the
-		// population — the kept population, under a compacted quorum round —
-		// by masked coarse-tile digest; the auctioneer then builds graphs
-		// and memos per tile. The plan is rng-free and bit-identity is
-		// pinned by the shard equivalence grid.
-		ph.phase("plan")
-		pts := in.Points
-		if len(excluded) > 0 {
-			pts = make([]geo.Point, len(keep))
-			for ci, i := range keep {
-				pts[ci] = in.Points[i]
-			}
-		}
-		plan, err := planShardsWith(cfg.state, params, ring, pts, cfg.shards)
-		if err != nil {
-			ph.stop()
-			return nil, err
-		}
-		if cfg.tracer != nil {
-			plan.OnShard = shardSpans(ph)
-		}
-		if err := auc.SetShardPlan(plan); err != nil {
-			ph.stop()
-			return nil, err
-		}
-	}
 
 	// The graph build is rng-free, so forcing it here (instead of letting
 	// the allocator build it lazily) changes nothing except giving the

@@ -14,8 +14,7 @@ import (
 // TestRunQuorumGridFaultFreeIdentical pins WithQuorum's no-op contract
 // across the option grid: on fault-free inputs, adding a quorum (any
 // threshold) must leave the round bit-identical to the same combination
-// without it — for every charging rule, auctioneer tiling (the implicit
-// tile, WithShards(1), WithShards(4)), and pipeline shape, across seeds.
+// without it — for every charging rule and pipeline shape, across seeds.
 func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	const n = 16
@@ -35,14 +34,6 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 		{"firstprice", nil},
 		{"secondprice", []Option{WithSecondPrice()}},
 	}
-	tilings := []struct {
-		tag  string
-		opts []Option
-	}{
-		{"implicit", nil},
-		{"shards1", []Option{WithShards(1)}},
-		{"shards4", []Option{WithShards(4)}},
-	}
 	quorums := []struct {
 		tag  string
 		opts []Option
@@ -56,32 +47,30 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 		p, ring, pts, bids := parallelFixture(t, n, 2, seed)
 		for _, pl := range pipelines {
 			for _, ch := range charging {
-				for _, it := range tilings {
-					base := append(append(append([]Option(nil), pl.opts...), ch.opts...), it.opts...)
-					run := func(extra ...Option) *Result {
-						t.Helper()
-						res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: pol,
-							Rng: rand.New(rand.NewSource(seed * 7))}, append(append([]Option(nil), base...), extra...)...)
-						if err != nil {
-							t.Fatalf("%s/%s/%s seed=%d: %v", pl.tag, ch.tag, it.tag, seed, err)
-						}
-						return res
+				base := append(append([]Option(nil), pl.opts...), ch.opts...)
+				run := func(extra ...Option) *Result {
+					t.Helper()
+					res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: pol,
+						Rng: rand.New(rand.NewSource(seed * 7))}, append(append([]Option(nil), base...), extra...)...)
+					if err != nil {
+						t.Fatalf("%s/%s seed=%d: %v", pl.tag, ch.tag, seed, err)
 					}
-					want := run()
-					for _, q := range quorums {
-						tag := pl.tag + "/" + ch.tag + "/" + it.tag + "/" + q.tag
-						got := run(q.opts...)
-						sameResult(t, tag, want, got)
-						if len(got.Excluded) != 0 {
-							t.Errorf("%s seed=%d: fault-free round excluded %v", tag, seed, got.Excluded)
-						}
+					return res
+				}
+				want := run()
+				for _, q := range quorums {
+					tag := pl.tag + "/" + ch.tag + "/" + q.tag
+					got := run(q.opts...)
+					sameResult(t, tag, want, got)
+					if len(got.Excluded) != 0 {
+						t.Errorf("%s seed=%d: fault-free round excluded %v", tag, seed, got.Excluded)
 					}
-					// Straggler timeout on the seeded pipeline is likewise a
-					// fault-free no-op (generous deadline, nobody straggles).
-					if pl.tag != "serial" {
-						got := run(WithStragglerTimeout(time.Minute))
-						sameResult(t, pl.tag+"/"+ch.tag+"/"+it.tag+"/straggler", want, got)
-					}
+				}
+				// Straggler timeout on the seeded pipeline is likewise a
+				// fault-free no-op (generous deadline, nobody straggles).
+				if pl.tag != "serial" {
+					got := run(WithStragglerTimeout(time.Minute))
+					sameResult(t, pl.tag+"/"+ch.tag+"/straggler", want, got)
 				}
 			}
 		}

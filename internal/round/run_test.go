@@ -24,7 +24,7 @@ func sameResult(t *testing.T, tag string, a, b *Result) {
 
 // TestRunObserverDoesNotChangeResults pins the observability contract at
 // the round level: attaching a registry never changes any byte of the
-// result, across seeds, worker counts, tilings, and charging modes.
+// result, across seeds, worker counts, and charging modes.
 func TestRunObserverDoesNotChangeResults(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	shapes := []struct {
@@ -36,7 +36,6 @@ func TestRunObserverDoesNotChangeResults(t *testing.T) {
 		{"workers4", []Option{WithWorkers(4)}},
 		{"interactive", []Option{WithInteractiveCharging()}},
 		{"secondprice", []Option{WithSecondPrice()}},
-		{"shards4", []Option{WithWorkers(2), WithShards(4)}},
 	}
 	for _, seed := range []int64{4, 21} {
 		p, ring, pts, bids := parallelFixture(t, 20, 2, seed)

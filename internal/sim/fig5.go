@@ -39,20 +39,15 @@ type Fig5Config struct {
 	Trials int
 	// Workers > 1 runs the private rounds through the deterministic
 	// parallel pipeline (round.Run with WithWorkers): concurrent submission
-	// encoding and conflict-graph construction, identical results for any
-	// worker count. 0 or 1 keeps the legacy serial driver, whose rng
-	// consumption order (and hence exact tables) predates the parallel
-	// path.
+	// encoding, identical results for any worker count. 0 or 1 keeps the
+	// legacy serial driver, whose rng consumption order (and hence exact
+	// tables) predates the parallel path.
 	Workers int
 	// Density, when non-nil, overrides the uniform bidder placement with a
 	// named density mix (dense-urban, sparse-rural, or mixed geometry from
 	// internal/dataset). Only MetricsRound honors it today; the Fig. 5
 	// sweeps keep the paper's uniform placement.
 	Density *dataset.DensityMix
-	// Shards > 0 runs the private rounds through the tile-sharded planner
-	// (round.WithShards): per-tile conflict graphs and rank memos merged by
-	// border-band reconciliation. Bit-identical to the unsharded round.
-	Shards int
 	// Quorum and Straggler let each private round degrade gracefully
 	// (round.WithQuorum / round.WithStragglerTimeout): a submission whose
 	// encoding stalls past Straggler is excluded as long as Quorum usable
@@ -82,9 +77,6 @@ func (cfg Fig5Config) runPrivate(params core.Params, ring *mask.KeyRing, pts []g
 	opts := []round.Option{round.WithObserver(cfg.Metrics)}
 	if cfg.Workers > 1 {
 		opts = append(opts, round.WithWorkers(cfg.Workers))
-	}
-	if cfg.Shards > 0 {
-		opts = append(opts, round.WithShards(cfg.Shards))
 	}
 	if cfg.Quorum > 0 {
 		opts = append(opts, round.WithQuorum(cfg.Quorum))

@@ -24,9 +24,9 @@
 // Run is the one round entry point and the auctioneer has one execution
 // path (DESIGN.md §5g); functional options shape the rest: WithWorkers for
 // the deterministic parallel pipeline, WithSecondPrice /
-// WithInteractiveCharging for the alternative charging rules, WithShards
-// to re-tile the auctioneer, and WithObserver to record phase timings and
-// protocol counters into a metrics Registry (see DESIGN.md §5c).
+// WithInteractiveCharging for the alternative charging rules, and
+// WithObserver to record phase timings and protocol counters into a
+// metrics Registry (see DESIGN.md §5c).
 //
 // See examples/ for complete programs and cmd/lppa-sim for the paper's
 // full evaluation suite.
@@ -323,28 +323,19 @@ func WithQuorum(q int) RunOption { return round.WithQuorum(q) }
 // WithWorkers.
 func WithStragglerTimeout(d time.Duration) RunOption { return round.WithStragglerTimeout(d) }
 
-// WithShards re-tiles the auctioneer into about k coarse tiles routed by
-// masked digests, instead of the one implicit tile holding every bidder:
-// per-tile conflict graphs and rank orders are built independently and
-// reconciled across border bands. Results are bit-identical for any k;
-// the planner's tiles are what the privacy audit reports as anonymity
-// sets. See DESIGN.md §5g.
-func WithShards(k int) RunOption { return round.WithShards(k) }
-
-// EpochState carries the population-independent pieces of a round —
-// the auctioneer and the shard planner's tile grid — across back-to-back
-// epochs of the same auction, so a long-lived service does not rebuild
-// them per round. One EpochState serves one sequence of Runs on one
-// goroutine. See DESIGN.md §5h.
+// EpochState carries the population-independent piece of a round — the
+// auctioneer — across back-to-back epochs of the same auction, so a
+// long-lived service does not rebuild it per round. One EpochState serves
+// one sequence of Runs on one goroutine. See DESIGN.md §5h.
 type EpochState = round.EpochState
 
 // NewEpochState returns an empty reuse state; the first Run carrying it
-// populates the reusable pieces.
+// populates the auctioneer.
 func NewEpochState() *EpochState { return round.NewEpochState() }
 
-// WithEpochState makes Run reuse st's auctioneer and shard planner
-// instead of rebuilding them. Results are bit-identical to the same call
-// without the option; composes with every other option.
+// WithEpochState makes Run reuse st's auctioneer instead of rebuilding it.
+// Results are bit-identical to the same call without the option; composes
+// with every other option.
 func WithEpochState(st *EpochState) RunOption { return round.WithEpochState(st) }
 
 // ErrQuorumNotReached reports a round (in-process or networked) that ended
