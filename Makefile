@@ -3,7 +3,7 @@
 GO ?= go
 CACHE ?= /tmp/lppa-ds.gob
 
-.PHONY: all build test race cover bench bench-json bench-compare alloc-guard trace-guard fuzz fuzz-short chaos epoch-soak experiments examples metrics-snapshot trace-snapshot audit-snapshot load-snapshot load-compare load-smoke ops-smoke clean
+.PHONY: all build test race cover bench alloc-guard trace-guard fuzz fuzz-short chaos epoch-soak experiments examples metrics-snapshot trace-snapshot audit-snapshot load-snapshot load-compare load-smoke ops-smoke clean
 
 all: build test
 
@@ -23,36 +23,16 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Machine-readable snapshot of the auctioneer-path benchmarks. Each PR
-# writes its own file (BENCH_PR1.json parallel pipeline, BENCH_PR2.json
-# interning, BENCH_PR3.json the unified Run API with a nil registry,
-# BENCH_PR5.json the tracing subsystem, BENCH_PR6.json the indexed
-# candidate generation under both density mixes, BENCH_PR7.json the
-# tile-sharded round, BENCH_PR8.json the epochal service and batched
-# accounting) so bench-compare can diff across PRs. The ConflictGraphN300,
-# RankMemoN300 and ConflictGraphIndexed rows compare the test oracle with
-# the auctioneer's engine; AuctioneerSmall prices its fixed cost at n=2
-# and 16; RoundDensity is the full round under each density mix. See
-# EXPERIMENTS.md for the narrative.
-bench-json:
-	$(GO) test -run=NONE -benchmem \
-		-bench='ZeroAllocMask|ParallelMaskAll|ParallelConflictGraph|ParallelPrivateRound|RankMemoAllocation|MaskDigest|PrivateConflictGraph|InternedIntersect|ConflictGraphN300|RankMemoN300|AuctioneerSmall|RoundTraceOverhead|ConflictGraphIndexed|IndexCursorRow|RoundDensity|EpochService|BatchedAccounting|EncodeSubmissions' \
-		. | $(GO) run ./cmd/benchjson > BENCH_PR8.json
-
-# Diff ns/op and allocs/op between the two most recent committed snapshots.
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR7.json BENCH_PR8.json
-
 # Per-phase/per-layer cost profile of one instrumented N=300 private
-# round, as the observability registry's JSON snapshot. CI uploads it next
-# to the BENCH_*.json artifacts.
+# round, as the observability registry's JSON snapshot. CI uploads it as
+# a build artifact.
 metrics-snapshot:
 	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -cache $(CACHE) \
 		-metrics-out METRICS_ROUND.json
 
 # Chrome trace_event snapshot of one instrumented N=300 private round
-# (open TRACE_ROUND.json in ui.perfetto.dev). CI uploads it next to the
-# BENCH_*.json artifacts.
+# (open TRACE_ROUND.json in ui.perfetto.dev). CI uploads it as a build
+# artifact.
 trace-snapshot:
 	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -cache $(CACHE) \
 		-trace-out TRACE_ROUND.json

@@ -66,8 +66,9 @@ func run(args []string) error {
 		flightDir  = fs.String("flight-dir", "", "flight-recorder directory: failed or degraded instrumented rounds auto-dump their traces here")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address for live profiling")
 	)
-	// Round-shaping flags (-workers, -quorum, -straggler, -density) come
-	// from the shared cli block lppa-net registers too.
+	// Round-shaping flags (-workers, -quorum, -density) come from the
+	// shared cli block lppa-net registers too; the networked-only ones
+	// (-straggler, -retries, -chaos) are lppa-net's alone.
 	rf := cli.RoundFlags{Workers: runtime.GOMAXPROCS(0)}
 	rf.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -274,7 +275,6 @@ func runRound(ds *dataset.Dataset, n, channels int, seed int64, mix *dataset.Den
 func applyRoundFlags(cfg *sim.Fig5Config, rf cli.RoundFlags, sinks obsSinks) {
 	cfg.Workers = rf.Workers
 	cfg.Quorum = rf.Quorum
-	cfg.Straggler = rf.Straggler
 	cfg.Metrics = sinks.reg
 	cfg.Trace = sinks.tracer
 	cfg.Flight = sinks.flight

@@ -37,7 +37,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ttpSrv, err := transport.NewTTPServer(params, []byte("networked-example"), 5, 8, lnTTP, logger)
+	cfg, err := transport.New(transport.WithLogger(logger))
+	if err != nil {
+		return err
+	}
+	ttpSrv, err := transport.NewTTPServerWithConfig(params, []byte("networked-example"), 5, 8, lnTTP, cfg)
 	if err != nil {
 		return err
 	}
@@ -48,7 +52,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	aucSrv, err := transport.NewAuctioneerServer(params, n, ttpSrv.Addr().String(), lnAuc, 99, logger)
+	aucSrv, err := transport.NewAuctioneerServerWithConfig(params, n, ttpSrv.Addr().String(), lnAuc, 99, cfg)
 	if err != nil {
 		return err
 	}

@@ -25,25 +25,23 @@ type RoundFlags struct {
 	// Density is the named bidder placement ("urban", "rural", "mixed");
 	// empty keeps each command's own default population (uniform scatter).
 	Density string
-	// Degraded-round policy: quorum rounds proceed without stragglers.
-	Quorum    int
+	// Degraded-round policy: quorum rounds proceed without the bidders
+	// that failed to encode, or (networked) missed the Straggler deadline.
+	Quorum int
+	// Networked-only knobs (RegisterClient).
 	Straggler time.Duration
-	// Client-side hardening knobs (RegisterClient).
 	Retries   int
 	Chaos     string
 	ChaosRate float64
 }
 
 // Register binds the allocation and degraded-round flags (-workers,
-// -quorum, -straggler, -density) onto fs, using the current field values
-// as defaults.
+// -quorum, -density) onto fs, using the current field values as defaults.
 func (f *RoundFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", f.Workers,
 		"goroutines for submission decode and conflict graphs; <2 = serial driver")
 	fs.IntVar(&f.Quorum, "quorum", f.Quorum,
-		"minimum submissions for a degraded round when -straggler fires; 0 requires all bidders")
-	fs.DurationVar(&f.Straggler, "straggler", f.Straggler,
-		"collection deadline; stragglers past it are excluded down to -quorum, 0 waits forever")
+		"minimum usable submissions for a degraded round; 0 requires all bidders")
 	fs.StringVar(&f.Density, "density", f.Density,
 		"bidder placement: urban|rural|mixed (empty = the command's default uniform scatter)")
 }
@@ -87,9 +85,11 @@ func (f *RoundFlags) Mix() (*dataset.DensityMix, error) {
 	return &m, nil
 }
 
-// RegisterClient binds the client-side hardening flags (-retries, -chaos,
-// -chaos-rate) onto fs. Separate from Register because the in-process
-// simulator has no client leg to harden.
+// RegisterClient binds the networked-only flags — the auctioneer's
+// collection deadline (-straggler) and the client-side hardening flags
+// (-retries, -chaos, -chaos-rate) — onto fs. Separate from Register
+// because the in-process simulator has no network leg to wait on or
+// harden.
 func (f *RoundFlags) RegisterClient(fs *flag.FlagSet) {
 	if f.Retries == 0 {
 		f.Retries = transport.DefaultRetryPolicy.MaxAttempts
@@ -97,6 +97,8 @@ func (f *RoundFlags) RegisterClient(fs *flag.FlagSet) {
 	if f.ChaosRate == 0 {
 		f.ChaosRate = 0.5
 	}
+	fs.DurationVar(&f.Straggler, "straggler", f.Straggler,
+		"networked auctioneer's collection deadline; stragglers past it are excluded down to -quorum, 0 waits forever")
 	fs.IntVar(&f.Retries, "retries", f.Retries,
 		"bidder submission attempts before giving up")
 	fs.StringVar(&f.Chaos, "chaos", f.Chaos,
@@ -106,9 +108,9 @@ func (f *RoundFlags) RegisterClient(fs *flag.FlagSet) {
 }
 
 // RoundOptions maps the parsed allocation and degraded-round flags onto
-// round.Run options. Invalid combinations (straggler on the serial
-// pipeline, quorum below 1) are left for round.Run to reject with its own
-// message, so the CLI and library agree on what is legal.
+// round.Run options. Invalid combinations (a quorum beyond the
+// population) are left for round.Run to reject with its own message, so
+// the CLI and library agree on what is legal.
 func (f *RoundFlags) RoundOptions() []round.Option {
 	var opts []round.Option
 	if f.Workers > 1 {
@@ -116,9 +118,6 @@ func (f *RoundFlags) RoundOptions() []round.Option {
 	}
 	if f.Quorum > 0 {
 		opts = append(opts, round.WithQuorum(f.Quorum))
-	}
-	if f.Straggler > 0 {
-		opts = append(opts, round.WithStragglerTimeout(f.Straggler))
 	}
 	return opts
 }

@@ -30,14 +30,17 @@ func TestRoundFlagsDefaultsAreFieldValues(t *testing.T) {
 
 func TestRoundFlagsParseAndOptions(t *testing.T) {
 	var f RoundFlags
-	parse(t, f.Register,
-		"-workers", "4", "-quorum", "2", "-straggler", "5s")
+	parse(t, func(fs *flag.FlagSet) {
+		f.Register(fs)
+		f.RegisterClient(fs)
+	}, "-workers", "4", "-quorum", "2", "-straggler", "5s")
 	if f.Workers != 4 || f.Quorum != 2 || f.Straggler != 5*time.Second {
 		t.Fatalf("parsed flags: %+v", f)
 	}
-	// Every set knob contributes exactly one round option.
-	if got := len(f.RoundOptions()); got != 3 {
-		t.Errorf("RoundOptions() = %d options, want 3", got)
+	// Every set in-process knob contributes exactly one round option; the
+	// networked-only -straggler contributes none.
+	if got := len(f.RoundOptions()); got != 2 {
+		t.Errorf("RoundOptions() = %d options, want 2", got)
 	}
 	if got := len((&RoundFlags{}).RoundOptions()); got != 0 {
 		t.Errorf("zero flags = %d options, want 0", got)
@@ -102,7 +105,6 @@ func TestRoundFlagsValidate(t *testing.T) {
 		{"workers-zero-is-auto", []string{"-workers", "0"}, true},
 		{"negative-workers", []string{"-workers", "-3"}, false},
 		{"negative-quorum", []string{"-quorum", "-2"}, false},
-		{"negative-straggler", []string{"-straggler", "-5s"}, false},
 		{"bad-density", []string{"-density", "metropolis"}, false},
 		{"density-urban", []string{"-density", "urban"}, true},
 		{"density-rural", []string{"-density", "rural"}, true},
@@ -120,12 +122,13 @@ func TestRoundFlagsValidate(t *testing.T) {
 			}
 		})
 	}
-	// Client-side knobs validate through the same call.
+	// Networked-only knobs validate through the same call.
 	clientCases := []struct {
 		name string
 		args []string
 		ok   bool
 	}{
+		{"negative-straggler", []string{"-straggler", "-5s"}, false},
 		{"negative-retries", []string{"-retries", "-1"}, false},
 		{"chaos-rate-over-one", []string{"-chaos-rate", "1.5"}, false},
 		{"chaos-rate-negative", []string{"-chaos-rate", "-0.5"}, false},

@@ -55,12 +55,22 @@ func NewLocationEncoder(params Params, ring *mask.KeyRing) (*LocationEncoder, er
 	return &LocationEncoder{params: params, masker: masker}, nil
 }
 
+// CheckPoint reports whether pt lies in the coordinate domain — the one
+// way a valid encoder can fail to mask a location, so callers can screen
+// a population's points before encoding them in bulk.
+func (p Params) CheckPoint(pt geo.Point) error {
+	if pt.X > p.MaxX || pt.Y > p.MaxY {
+		return fmt.Errorf("core: point (%d,%d) outside domain (%d,%d)", pt.X, pt.Y, p.MaxX, p.MaxY)
+	}
+	return nil
+}
+
 // Encode builds the masked location submission for a bidder at pt, exactly
 // as NewLocationSubmission does.
 func (e *LocationEncoder) Encode(pt geo.Point) (*LocationSubmission, error) {
 	p := e.params
-	if pt.X > p.MaxX || pt.Y > p.MaxY {
-		return nil, fmt.Errorf("core: point (%d,%d) outside domain (%d,%d)", pt.X, pt.Y, p.MaxX, p.MaxY)
+	if err := p.CheckPoint(pt); err != nil {
+		return nil, err
 	}
 	delta := 2*p.Lambda - 1
 	wx, wy := p.CoordWidthX(), p.CoordWidthY()

@@ -65,7 +65,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("g").Set(7)
 	r.Histogram("h", nil).Observe(1)
 	r.Histogram("h", nil).ObserveDuration(time.Second)
-	pt := r.PhaseTimer("p", nil)
+	pt := NewPhases(r, "p", nil, SpanContext{}, nil)
 	pt.Phase("encode")
 	pt.Phase("charge")
 	pt.Stop()
@@ -109,7 +109,7 @@ func TestConcurrentUpdates(t *testing.T) {
 
 func TestPhaseTimerRecordsEachPhaseOnce(t *testing.T) {
 	r := NewRegistry()
-	pt := r.PhaseTimer("round_phase_seconds", nil)
+	pt := NewPhases(r, "round_phase_seconds", nil, SpanContext{}, nil)
 	pt.Phase("encode")
 	pt.Phase("allocate")
 	pt.Stop()

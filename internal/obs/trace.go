@@ -106,7 +106,15 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	d := time.Since(s.Start)
+	s.endAt(time.Now())
+}
+
+// endAt is End with the clock reading supplied by the caller.
+func (s *Span) endAt(now time.Time) {
+	if s == nil {
+		return
+	}
+	d := now.Sub(s.Start)
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
@@ -209,28 +217,33 @@ func (t *Tracer) StartTrace(name string, attrs ...Label) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.start(name, SpanContext{Trace: TraceID(t.core.nextID())}, attrs)
+	return t.start(name, SpanContext{Trace: TraceID(t.core.nextID())}, attrs, time.Now())
 }
 
 // StartSpan opens a child span. parent may be a local span's Context or
 // a context received over the wire; an invalid parent yields a root span
 // in a fresh trace.
 func (t *Tracer) StartSpan(name string, parent SpanContext, attrs ...Label) *Span {
+	return t.startSpanAt(name, parent, time.Now(), attrs...)
+}
+
+// startSpanAt is StartSpan with the clock reading supplied by the caller.
+func (t *Tracer) startSpanAt(name string, parent SpanContext, at time.Time, attrs ...Label) *Span {
 	if t == nil {
 		return nil
 	}
 	if parent.Trace == 0 {
-		return t.StartTrace(name, attrs...)
+		parent = SpanContext{Trace: TraceID(t.core.nextID())}
 	}
-	return t.start(name, parent, attrs)
+	return t.start(name, parent, attrs, at)
 }
 
-func (t *Tracer) start(name string, parent SpanContext, attrs []Label) *Span {
+func (t *Tracer) start(name string, parent SpanContext, attrs []Label, at time.Time) *Span {
 	s := &Span{
 		Name:   name,
 		Proc:   t.proc,
 		Ctx:    SpanContext{Trace: parent.Trace, Span: SpanID(t.core.nextID())},
-		Start:  time.Now(),
+		Start:  at,
 		Attrs:  attrs,
 		tracer: t.core,
 	}

@@ -97,16 +97,20 @@ func TestEncodeSubmissionsWorkerInvariance(t *testing.T) {
 	for i := range samplers {
 		samplers[i] = sampler
 	}
-	encode := func(workers int) ([]*core.LocationSubmission, []*core.BidSubmission, int) {
-		locs, subs, bytes, err := encodeSubmissions(p, ring, points, bids, samplers, rand.New(rand.NewSource(99)), workers)
-		if err != nil {
-			t.Fatal(err)
+	encodeAll := func(workers int) ([]*core.LocationSubmission, []*core.BidSubmission, int) {
+		locs, subs, bytesPer, errs := encode(p, ring, points, bids, samplers, rand.New(rand.NewSource(99)), workers, true)
+		bytes := 0
+		for i, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes += bytesPer[i]
 		}
 		return locs, subs, bytes
 	}
-	wantLocs, wantSubs, wantBytes := encode(1)
+	wantLocs, wantSubs, wantBytes := encodeAll(1)
 	for _, workers := range []int{2, 5, 16} {
-		locs, subs, bytes := encode(workers)
+		locs, subs, bytes := encodeAll(workers)
 		if bytes != wantBytes {
 			t.Errorf("workers=%d: %d submission bytes, want %d", workers, bytes, wantBytes)
 		}

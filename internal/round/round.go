@@ -3,9 +3,19 @@
 // runs the plaintext baseline for comparison. The experiment drivers and
 // examples build on this package.
 //
-// Run is the single entry point; functional options select the encoding
-// pipeline (WithWorkers), disguise shape (WithPolicies), charging design
-// (WithInteractiveCharging, WithSecondPrice), and observability
+// A round splits at the paper's trust boundary. The bidder half (encode)
+// masks every bidder's location and bids under the key ring; the
+// auctioneer half, Auction, sees only the masked submissions: it builds
+// the conflict graph, allocates channels (Algorithm 3) and settles the
+// winners through a Charger, holding no key ring and no plaintext. Run is
+// the in-process round: the bidder half, quorum compaction, then Auction
+// charged by the in-process TTP. The networked auctioneer
+// (internal/transport) runs Auction over the submissions it collected and
+// charges through its TTP client, so both paths share one auctioneer.
+//
+// Functional options select the encoding pipeline (WithWorkers), disguise
+// shape (WithPolicies), charging design (WithInteractiveCharging,
+// WithSecondPrice), degradation (WithQuorum), and observability
 // (WithObserver, WithTrace). The auctioneer has one execution path
 // whatever the options: one conflict-graph build over the whole
 // population, one rank memo per column, one allocator sweep.
@@ -29,8 +39,8 @@ type Result struct {
 	// Voided counts awards the TTP invalidated (disguised or true zeros
 	// that won); each voided award wastes its channel slot this round.
 	Voided int
-	// Violations counts protocol violations the TTP detected (should be
-	// zero with honest bidders).
+	// Violations counts protocol violations the TTP detected, plus awards
+	// its reply left without a verdict (zero with honest parties).
 	Violations int
 	// Auctioneer exposes the transcript (rankings, conflict graph) for
 	// attack evaluation.
@@ -39,10 +49,10 @@ type Result struct {
 	// Theorem 4 communication-cost experiment.
 	SubmissionBytes int
 	// Excluded lists bidders (original indices, ascending) left out of a
-	// degraded quorum round — their submissions failed to encode or missed
-	// the straggler deadline. Empty on full-attendance rounds. Assignment
-	// bidder indices in Outcome always refer to the original population,
-	// but Auctioneer's transcript indexes the compacted one.
+	// degraded quorum round — their submissions failed to encode. Empty on
+	// full-attendance rounds. Assignment bidder indices in Outcome always
+	// refer to the original population, but Auctioneer's transcript
+	// indexes the compacted one.
 	Excluded []int
 	// Trace is the round's trace ID when the round was traced (WithTrace,
 	// or a WithTraceSampler round the sampler picked); zero otherwise.

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"lppa/internal/auction"
 	"lppa/internal/core"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
@@ -37,8 +36,8 @@ type Input struct {
 	Rng *rand.Rand
 }
 
-// Option tunes how Run executes. Options compose; conflicting charging
-// modes are rejected by Run.
+// Option tunes how Run (and Auction) executes. Options compose;
+// conflicting charging modes are rejected.
 type Option func(*runConfig) error
 
 type runConfig struct {
@@ -48,7 +47,6 @@ type runConfig struct {
 	interactive bool
 	secondPrice bool
 	quorum      int
-	straggler   time.Duration
 	reg         *obs.Registry
 	tracer      *obs.Tracer
 	flight      *obs.FlightRecorder
@@ -57,6 +55,20 @@ type runConfig struct {
 	epoch       int
 	hasEpoch    bool
 	onPhase     func(phase string, d time.Duration)
+}
+
+// configure applies opts and rejects conflicting charging modes.
+func configure(opts []Option) (runConfig, error) {
+	var cfg runConfig
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			return runConfig{}, err
+		}
+	}
+	if cfg.interactive && cfg.secondPrice {
+		return runConfig{}, fmt.Errorf("round: interactive charging and second-price charging are mutually exclusive")
+	}
+	return cfg, nil
 }
 
 // WithWorkers bounds the goroutines used for submission encoding; the
@@ -127,39 +139,18 @@ func WithObserver(reg *obs.Registry) Option {
 }
 
 // WithQuorum lets the round degrade gracefully instead of aborting: a
-// bidder whose submission cannot be produced (malformed input, or a
-// straggler past WithStragglerTimeout) is excluded and the auction runs
-// over the remaining population, as long as at least q usable submissions
-// remain — otherwise Run returns ErrQuorumNotReached. Excluded bidders
-// are reported in Result.Excluded and count as unsatisfied. On fault-free
-// inputs the option is a no-op: results are bit-identical to the same
-// call without it.
+// bidder whose submission cannot be produced (malformed input) is
+// excluded and the auction runs over the remaining population, as long as
+// at least q usable submissions remain — otherwise Run returns
+// ErrQuorumNotReached. Excluded bidders are reported in Result.Excluded
+// and count as unsatisfied. On fault-free inputs the option is a no-op:
+// results are bit-identical to the same call without it.
 func WithQuorum(q int) Option {
 	return func(c *runConfig) error {
 		if q < 1 {
 			return fmt.Errorf("round: quorum %d, need at least 1", q)
 		}
 		c.quorum = q
-		return nil
-	}
-}
-
-// WithStragglerTimeout bounds how long the round waits for any bidder's
-// submission to materialize; bidders still unfinished when it fires are
-// excluded under the WithQuorum rules (the option implies a quorum of the
-// full population when WithQuorum is not also given, so a fired timeout
-// with no usable exclusions fails the round rather than silently shrinking
-// it). Requires the seeded pipeline (WithWorkers): per-bidder seeding is
-// what makes abandoning a straggler safe. Exclusion by deadline depends on
-// scheduling and is therefore not deterministic — it exists so a wedged
-// submission source cannot hang the round, which the chaos harness
-// exercises over the networked transport.
-func WithStragglerTimeout(d time.Duration) Option {
-	return func(c *runConfig) error {
-		if d <= 0 {
-			return fmt.Errorf("round: straggler timeout %v, need positive", d)
-		}
-		c.straggler = d
 		return nil
 	}
 }
@@ -226,85 +217,38 @@ func WithPhaseObserver(fn func(phase string, d time.Duration)) Option {
 	}
 }
 
-// phaser pairs the metrics PhaseTimer with tracing spans so both views of
-// the round agree on phase boundaries. With a nil tracer every span field
-// stays nil and the span calls are no-ops, so an untraced round runs the
-// pre-tracing code path bit-identically.
-type phaser struct {
-	timer    *obs.PhaseTimer
-	tracer   *obs.Tracer
-	root     *obs.Span
-	cur      *obs.Span
-	onPhase  func(phase string, d time.Duration)
-	curName  string
-	curStart time.Time
-	epoch    int
-	hasEpoch bool
-}
-
-// phase closes the current phase (timer and span) and opens the named one
-// as a child of the round root.
-func (p *phaser) phase(name string) {
-	p.timer.Phase(name)
-	if p.onPhase != nil {
-		now := time.Now()
-		if p.curName != "" {
-			p.onPhase(p.curName, now.Sub(p.curStart))
-		}
-		p.curName, p.curStart = name, now
-	}
-	p.cur.End()
-	p.cur = nil
-	if p.tracer != nil {
-		p.cur = p.tracer.StartSpan(name, p.root.Context())
-	}
-}
-
-// stop closes the current phase without opening another (round over or
-// aborting).
-func (p *phaser) stop() {
-	p.timer.Stop()
-	if p.onPhase != nil && p.curName != "" {
-		p.onPhase(p.curName, time.Since(p.curStart))
-		p.curName = ""
-	}
-	p.cur.End()
-	p.cur = nil
-}
-
-// finish closes the round root span — recording the failure and any
-// quorum exclusions — and hands the trace to the flight recorder.
-func (p *phaser) finish(res *Result, err error, flight *obs.FlightRecorder) {
-	p.cur.End()
-	p.cur = nil
-	if p.root == nil {
+// finishTrace closes the round root span — recording the failure and any
+// quorum exclusions — and hands the trace to the flight recorder. A nil
+// root (untraced round) does nothing.
+func finishTrace(cfg *runConfig, root *obs.Span, res *Result, err error) {
+	if root == nil {
 		return
 	}
 	if err != nil {
-		p.root.SetError(err.Error())
+		root.SetError(err.Error())
 	}
 	degraded := res != nil && len(res.Excluded) > 0
 	if degraded {
 		for _, id := range res.Excluded {
-			p.root.Event("straggler_excluded", obs.L("bidder", strconv.Itoa(id)))
+			root.Event("straggler_excluded", obs.L("bidder", strconv.Itoa(id)))
 		}
 	}
-	p.root.End()
-	if flight == nil {
+	root.End()
+	if cfg.flight == nil {
 		return
 	}
 	rt := &obs.RoundTrace{
 		Label:    "round",
 		Degraded: degraded,
-		Epoch:    p.epoch,
-		HasEpoch: p.hasEpoch,
-		Duration: p.root.Duration,
-		Spans:    p.tracer.TakeTrace(p.root.Ctx.Trace),
+		Epoch:    cfg.epoch,
+		HasEpoch: cfg.hasEpoch,
+		Duration: root.Duration,
+		Spans:    cfg.tracer.TakeTrace(root.Ctx.Trace),
 	}
 	if err != nil {
 		rt.Err = err.Error()
 	}
-	_, _ = flight.Record(rt)
+	_, _ = cfg.flight.Record(rt)
 }
 
 // roundObs caches the round-level metric handles for one Run.
@@ -345,23 +289,6 @@ func (o *roundObs) note(res *Result, workers, bytesTotal, digests int) {
 	o.workers.Set(int64(workers))
 }
 
-// countDigests tallies how many masked digests one population submitted
-// (location families and covers plus per-channel bid families and covers).
-// Observed rounds only; O(n·k) map-len reads.
-func countDigests(locs []*core.LocationSubmission, subs []*core.BidSubmission) int {
-	total := 0
-	for _, l := range locs {
-		total += l.XFamily.Len() + l.YFamily.Len() + l.XRange.Len() + l.YRange.Len()
-	}
-	for _, s := range subs {
-		for r := range s.Channels {
-			cb := &s.Channels[r]
-			total += cb.Family.Len() + cb.Range.Len()
-		}
-	}
-	return total
-}
-
 // buildSamplers returns one disguise sampler per bidder. Bidders with the
 // same policy share a sampler (Sample only reads the precomputed CDF);
 // policies with P0 ≥ 1 never disguise and get nil.
@@ -385,69 +312,14 @@ func buildSamplers(policies []core.DisguisePolicy, bmax uint64) ([]*core.Disguis
 	return out, nil
 }
 
-// encodeSerial produces every bidder's submissions on the calling
-// goroutine, threading the round rng through bidders in index order — the
-// randomness shape of a Run without WithWorkers, which the paper-figure
-// drivers (internal/sim) still use.
-func encodeSerial(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	samplers []*core.DisguiseSampler, rng *rand.Rand) ([]*core.LocationSubmission, []*core.BidSubmission, int, error) {
-	n := len(points)
-	locs := make([]*core.LocationSubmission, n)
-	subs := make([]*core.BidSubmission, n)
-	bytesTotal := 0
-	// Location masking draws no randomness and runs under the ring's shared
-	// key, so equal points yield byte-identical immutable submissions —
-	// co-located bidders share one. The bid encoder below still consumes
-	// the rng stream bidder by bidder, so the transcript is unchanged.
-	locMemo := make(map[geo.Point]*core.LocationSubmission, n)
-	enc := &encoder{params: params, ring: ring}
-	for i := 0; i < n; i++ {
-		loc := locMemo[points[i]]
-		if loc == nil {
-			var err error
-			if loc, err = enc.location(i, points[i]); err != nil {
-				return nil, nil, 0, err
-			}
-			locMemo[points[i]] = loc
-		}
-		locs[i] = loc
-		sub, err := enc.bids(i, samplers[i], bids[i], rng)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		subs[i] = sub
-		bytesTotal += core.SubmissionBytes(sub) + core.LocationBytes(loc)
-	}
-	return locs, subs, bytesTotal, nil
-}
-
-// tallyCharges folds the TTP's batch verdicts into the outcome: valid
-// awards are charged and satisfied, invalid ones voided, errors counted as
-// protocol violations.
-func tallyCharges(res *Result, results []ttp.ChargeResult) {
-	out := res.Outcome
-	for i, r := range results {
-		switch {
-		case r.Err != nil:
-			res.Violations++
-		case !r.Valid:
-			res.Voided++
-		default:
-			out.Charges[i] = r.Price
-			out.Revenue += r.Price
-			out.SatisfiedBidders++
-		}
-	}
-}
-
 // Run executes one complete private LPPA round:
 //
 //  1. The TTP derives its key material from the caller's ring.
 //  2. Every bidder builds a masked location submission and an advanced
 //     masked bid submission under its disguise policy.
-//  3. The auctioneer builds the conflict graph and allocates channels over
-//     masked data (Algorithm 3).
-//  4. The TTP adjudicates the winners' charges; voided awards are dropped.
+//  3. Auction builds the conflict graph and allocates channels over masked
+//     data (Algorithm 3), and the TTP adjudicates the winners' charges;
+//     voided awards are dropped.
 //
 // Options select the execution and charging shape: WithWorkers for the
 // deterministic parallel pipeline, WithPolicies for per-bidder disguise,
@@ -455,20 +327,9 @@ func tallyCharges(res *Result, results []ttp.ChargeResult) {
 // charging design, WithObserver for metrics. With no options Run threads
 // one rng through all bidders serially (see WithWorkers).
 func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Result, error) {
-	var cfg runConfig
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.interactive && cfg.secondPrice {
-		return nil, fmt.Errorf("round: interactive charging and second-price charging are mutually exclusive")
-	}
-	if cfg.straggler > 0 && !cfg.seeded {
-		// The serial pipeline threads one rng through all bidders, so a
-		// deadline could leave a background encoder racing the allocator
-		// for it; per-bidder seeding makes abandonment safe.
-		return nil, fmt.Errorf("round: WithStragglerTimeout requires the seeded pipeline (add WithWorkers)")
+	cfg, err := configure(opts)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.sampler != nil && cfg.tracer != nil {
 		return nil, fmt.Errorf("round: WithTrace and WithTraceSampler are mutually exclusive")
@@ -484,32 +345,31 @@ func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Res
 			cfg.tracer, sampleIdx = tr, idx
 		}
 	}
-	ph := &phaser{
-		timer: cfg.reg.PhaseTimer("lppa_round_phase_seconds", nil), tracer: cfg.tracer,
-		onPhase: cfg.onPhase, epoch: cfg.epoch, hasEpoch: cfg.hasEpoch,
-	}
+	var root *obs.Span
 	if cfg.tracer != nil {
-		ph.root = cfg.tracer.StartTrace("round",
+		root = cfg.tracer.StartTrace("round",
 			obs.L("bidders", strconv.Itoa(len(in.Points))),
 			obs.L("channels", strconv.Itoa(params.Channels)))
 		if cfg.hasEpoch {
-			ph.root.Annotate("epoch", strconv.Itoa(cfg.epoch))
+			root.Annotate("epoch", strconv.Itoa(cfg.epoch))
 		}
 		if cfg.sampler != nil {
-			ph.root.Annotate("sample_index", strconv.FormatUint(sampleIdx, 10))
+			root.Annotate("sample_index", strconv.FormatUint(sampleIdx, 10))
 		}
 	}
+	ph := obs.NewPhases(cfg.reg, PhaseMetric, cfg.tracer, root.Context(), cfg.onPhase)
 	res, err := run(params, ring, in, &cfg, ph)
-	if res != nil && ph.root != nil {
-		res.Trace = ph.root.Ctx.Trace
+	ph.Stop()
+	if res != nil && root != nil {
+		res.Trace = root.Ctx.Trace
 	}
-	ph.finish(res, err, cfg.flight)
+	finishTrace(&cfg, root, res, err)
 	return res, err
 }
 
-// run is the Run body: everything between option validation and trace
-// finalization, with phase boundaries reported through ph.
-func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *phaser) (*Result, error) {
+// run is the Run body: the bidder half (encode), quorum compaction, and
+// Auction, with phase boundaries reported through ph.
+func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *obs.Phases) (*Result, error) {
 	n := len(in.Points)
 	if n == 0 {
 		return nil, fmt.Errorf("round: no bidders")
@@ -519,6 +379,9 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 	}
 	if in.Rng == nil {
 		return nil, fmt.Errorf("round: nil rng")
+	}
+	if cfg.quorum > n {
+		return nil, fmt.Errorf("round: quorum %d exceeds population %d", cfg.quorum, n)
 	}
 	policies := cfg.policies
 	if policies == nil {
@@ -530,9 +393,7 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 		return nil, fmt.Errorf("round: %d points, %d policies", n, len(policies))
 	}
 
-	ro := newRoundObs(cfg.reg)
 	rng := in.Rng
-
 	trusted, err := ttp.FromRing(params, ring, rand.New(rand.NewSource(rng.Int63())))
 	if err != nil {
 		return nil, err
@@ -542,152 +403,70 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 		return nil, err
 	}
 
-	ph.phase("encode")
-	var (
-		locs       []*core.LocationSubmission
-		subs       []*core.BidSubmission
-		bytesTotal int
-		excluded   []int
-		keep       []int
-	)
+	ph.Phase("encode")
 	workers := 1
-	tolerant := cfg.quorum > 0 || cfg.straggler > 0
-	switch {
-	case tolerant:
-		// Quorum mode: per-bidder failures and stragglers are excluded
-		// instead of aborting the round, down to the quorum floor.
-		effQuorum := cfg.quorum
-		if effQuorum == 0 {
-			effQuorum = n
-		}
-		if effQuorum > n {
-			ph.stop()
-			return nil, fmt.Errorf("round: quorum %d exceeds population %d", effQuorum, n)
-		}
-		var (
-			bytesPer []int
-			errs     []error
-		)
-		if cfg.seeded {
-			workers = mask.Workers(cfg.workers, n)
-		}
-		locs, subs, bytesPer, errs = encodeTolerant(params, ring, in.Points, in.Bids,
-			samplers, rng, workers, cfg.seeded, cfg.straggler)
-		for i := 0; i < n; i++ {
-			if errs[i] == nil && locs[i] != nil && subs[i] != nil {
-				keep = append(keep, i)
-				bytesTotal += bytesPer[i]
-			} else {
-				excluded = append(excluded, i)
-			}
-		}
-		if len(keep) < effQuorum {
-			ph.stop()
-			return nil, fmt.Errorf("%w: %d of %d usable submissions, need %d",
-				ErrQuorumNotReached, len(keep), n, effQuorum)
-		}
-		if len(excluded) > 0 {
-			clocs := make([]*core.LocationSubmission, len(keep))
-			csubs := make([]*core.BidSubmission, len(keep))
-			for ci, i := range keep {
-				clocs[ci], csubs[ci] = locs[i], subs[i]
-			}
-			locs, subs = clocs, csubs
-		}
-	case cfg.seeded:
+	if cfg.seeded {
 		workers = mask.Workers(cfg.workers, n)
-		locs, subs, bytesTotal, err = encodeSubmissions(params, ring, in.Points, in.Bids, samplers, rng, workers)
-	default:
-		locs, subs, bytesTotal, err = encodeSerial(params, ring, in.Points, in.Bids, samplers, rng)
 	}
+	locs, subs, bytesPer, errs := encode(params, ring, in.Points, in.Bids, samplers, rng, workers, cfg.seeded)
+	// Without WithQuorum the first failed bidder fails the round; with it,
+	// failed bidders are excluded down to the quorum floor and the auction
+	// runs over the compacted survivors.
+	var keep, excluded []int
+	bytesTotal := 0
+	for i, err := range errs {
+		if err == nil {
+			keep = append(keep, i)
+			bytesTotal += bytesPer[i]
+			continue
+		}
+		if cfg.quorum == 0 {
+			return nil, err
+		}
+		excluded = append(excluded, i)
+	}
+	if len(keep) < cfg.quorum {
+		return nil, fmt.Errorf("%w: %d of %d usable submissions, need %d",
+			ErrQuorumNotReached, len(keep), n, cfg.quorum)
+	}
+	if len(excluded) > 0 {
+		clocs := make([]*core.LocationSubmission, len(keep))
+		csubs := make([]*core.BidSubmission, len(keep))
+		for ci, i := range keep {
+			clocs[ci], csubs[ci] = locs[i], subs[i]
+		}
+		locs, subs = clocs, csubs
+	}
+
+	charge := func(reqs []core.ChargeRequest) ([]ttp.ChargeResult, error) {
+		return trusted.ProcessBatch(reqs), nil
+	}
+	var validate func([]byte) bool
+	if cfg.interactive {
+		validate = trusted.ValidateAward
+	}
+	res, err := auctionRound(params, locs, subs, charge, validate, rng, ph, cfg)
 	if err != nil {
-		ph.stop()
 		return nil, err
 	}
-
-	auc, err := cfg.state.auctioneer(params, locs, subs)
-	if err != nil {
-		ph.stop()
-		return nil, err
-	}
-	auc.SetObserver(cfg.reg)
-
-	// The graph build is rng-free, so forcing it here (instead of letting
-	// the allocator build it lazily) changes nothing except giving the
-	// phase its own wall-time series.
-	ph.phase("conflict_graph")
-	auc.ConflictGraph()
-
-	ph.phase("allocate")
-	res := &Result{Auctioneer: auc, SubmissionBytes: bytesTotal}
-	switch {
-	case cfg.secondPrice:
-		awards, err := auc.AllocateAwards(rng)
-		if err != nil {
-			ph.stop()
-			return nil, err
-		}
-		out := &auction.Outcome{
-			Assignments: make([]auction.Assignment, len(awards)),
-			Charges:     make([]uint64, len(awards)),
-			Bidders:     n,
-		}
-		for i, aw := range awards {
-			out.Assignments[i] = aw.Assignment
-		}
-		res.Outcome = out
-		ph.phase("charge")
-		tallyCharges(res, trusted.ProcessBatch(auc.ChargeRequestsSecondPrice(awards)))
-	case cfg.interactive:
-		// The validity oracle interleaves TTP round trips with the
-		// allocation sweep, so their cost lands in the allocate phase —
-		// that is the interactive design's point.
-		validity := func(i, r int) bool { return trusted.ValidateAward(auc.SealedBid(i, r)) }
-		assignments, voided, err := auc.AllocateWithValidity(validity, rng)
-		if err != nil {
-			ph.stop()
-			return nil, err
-		}
-		res.Outcome = &auction.Outcome{
-			Assignments: assignments,
-			Charges:     make([]uint64, len(assignments)),
-			Bidders:     n,
-		}
-		res.Voided = len(voided)
-		ph.phase("charge")
-		tallyCharges(res, trusted.ProcessBatch(auc.ChargeRequests(assignments)))
-	default:
-		// Batch charging (the paper's section V.C.2): the allocation
-		// completes blindly, then the TTP adjudicates all winners at once.
-		// A zero that won is voided after the fact — the award already
-		// consumed the bidder's row and the channel slot, which is exactly
-		// the performance cost Fig. 5(e)(f) charts.
-		assignments, err := auc.Allocate(rng)
-		if err != nil {
-			ph.stop()
-			return nil, err
-		}
-		res.Outcome = &auction.Outcome{
-			Assignments: assignments,
-			Charges:     make([]uint64, len(assignments)),
-			Bidders:     n,
-		}
-		ph.phase("charge")
-		tallyCharges(res, trusted.ProcessBatch(auc.ChargeRequests(assignments)))
-	}
-	// A compacted quorum round allocated over the surviving population;
-	// translate assignment indices back to original bidder ids so callers
-	// see one stable numbering. Outcome.Bidders already counts the full
-	// population, so excluded bidders depress satisfaction as they should.
+	res.SubmissionBytes = bytesTotal
+	// Outcome.Bidders counts the full population, so excluded bidders
+	// depress satisfaction as they should; a compacted quorum round
+	// allocated over the survivors, so assignment indices are translated
+	// back to original bidder ids and callers see one stable numbering.
+	res.Outcome.Bidders = n
 	if len(excluded) > 0 {
 		for i := range res.Outcome.Assignments {
 			res.Outcome.Assignments[i].Bidder = keep[res.Outcome.Assignments[i].Bidder]
 		}
 		res.Excluded = excluded
 	}
-	ph.stop()
-	if ro != nil {
-		ro.note(res, workers, bytesTotal, countDigests(locs, subs))
+	if ro := newRoundObs(cfg.reg); ro != nil {
+		digests := 0
+		for _, c := range res.Auctioneer.DigestCounts() {
+			digests += c
+		}
+		ro.note(res, workers, bytesTotal, digests)
 	}
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"lppa/internal/core"
 	"lppa/internal/geo"
@@ -65,12 +64,6 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 					if len(got.Excluded) != 0 {
 						t.Errorf("%s seed=%d: fault-free round excluded %v", tag, seed, got.Excluded)
 					}
-				}
-				// Straggler timeout on the seeded pipeline is likewise a
-				// fault-free no-op (generous deadline, nobody straggles).
-				if pl.tag != "serial" {
-					got := run(WithStragglerTimeout(time.Minute))
-					sameResult(t, pl.tag+"/"+ch.tag+"/straggler", want, got)
 				}
 			}
 		}
@@ -139,7 +132,7 @@ func TestRunQuorumNotReached(t *testing.T) {
 	}
 }
 
-// TestRunStragglerOptionValidation covers the new options' error paths.
+// TestRunStragglerOptionValidation covers WithQuorum's error paths.
 func TestRunStragglerOptionValidation(t *testing.T) {
 	p, ring, pts, bids := parallelFixture(t, 4, 2, 1)
 	in := Input{Points: pts, Bids: bids, Policy: core.DefaultDisguise(), Rng: rand.New(rand.NewSource(1))}
@@ -148,11 +141,5 @@ func TestRunStragglerOptionValidation(t *testing.T) {
 	}
 	if _, err := Run(p, ring, in, WithQuorum(99)); err == nil {
 		t.Error("quorum beyond population accepted")
-	}
-	if _, err := Run(p, ring, in, WithStragglerTimeout(0)); err == nil {
-		t.Error("zero straggler timeout accepted")
-	}
-	if _, err := Run(p, ring, in, WithStragglerTimeout(time.Second)); err == nil {
-		t.Error("straggler timeout without WithWorkers accepted")
 	}
 }

@@ -74,14 +74,13 @@ func (s *Series) Run(ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
 			return nil, err
 		}
 	}
-	locs := make([]*core.LocationSubmission, n)
-	subs := make([]*core.BidSubmission, n)
-	enc := &encoder{params: s.params, ring: ring}
-	for i := 0; i < n; i++ {
-		if locs[i], err = enc.location(i, points[i]); err != nil {
-			return nil, err
-		}
-		if subs[i], err = enc.bids(i, sampler, bids[i], rng); err != nil {
+	samplers := make([]*core.DisguiseSampler, n)
+	for i := range samplers {
+		samplers[i] = sampler
+	}
+	locs, subs, _, errs := encode(s.params, ring, points, bids, samplers, rng, 1, false)
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}

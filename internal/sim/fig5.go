@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"lppa/internal/attack"
 	"lppa/internal/bidder"
@@ -48,15 +47,12 @@ type Fig5Config struct {
 	// internal/dataset). Only MetricsRound honors it today; the Fig. 5
 	// sweeps keep the paper's uniform placement.
 	Density *dataset.DensityMix
-	// Quorum and Straggler let each private round degrade gracefully
-	// (round.WithQuorum / round.WithStragglerTimeout): a submission whose
-	// encoding stalls past Straggler is excluded as long as Quorum usable
-	// submissions remain. They bound who participates, never how the
-	// admitted set allocates; on a healthy in-process run every bidder
-	// makes the deadline and results are unchanged. Straggler requires the
-	// parallel pipeline (Workers > 1), which round.Run enforces.
-	Quorum    int
-	Straggler time.Duration
+	// Quorum lets each private round degrade gracefully (round.WithQuorum):
+	// a bidder whose submission cannot be encoded is excluded as long as
+	// Quorum usable submissions remain. It bounds who participates, never
+	// how the admitted set allocates; on a healthy run results are
+	// unchanged.
+	Quorum int
 	// Metrics, when non-nil, records every private round the experiment
 	// runs (phase timings, comparison counters, round totals). Results are
 	// bit-identical with or without it.
@@ -80,9 +76,6 @@ func (cfg Fig5Config) runPrivate(params core.Params, ring *mask.KeyRing, pts []g
 	}
 	if cfg.Quorum > 0 {
 		opts = append(opts, round.WithQuorum(cfg.Quorum))
-	}
-	if cfg.Straggler > 0 {
-		opts = append(opts, round.WithStragglerTimeout(cfg.Straggler))
 	}
 	if cfg.Trace != nil {
 		opts = append(opts, round.WithTrace(cfg.Trace))

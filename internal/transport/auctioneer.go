@@ -15,6 +15,7 @@ import (
 	"lppa/internal/core"
 	"lppa/internal/obs"
 	"lppa/internal/round"
+	"lppa/internal/ttp"
 )
 
 // DefaultIdleTimeout bounds the wait for each next frame on server-side
@@ -109,23 +110,12 @@ type RoundOutcome struct {
 	Excluded []int
 }
 
-// NewAuctioneerServer starts the auctioneer for one round of exactly
-// bidders participants with first-price charging and default
-// configuration.
-func NewAuctioneerServer(params core.Params, bidders int, ttpAddr string, ln net.Listener, seed int64, log *slog.Logger) (*AuctioneerServer, error) {
-	return NewAuctioneerServerWithConfig(params, bidders, ttpAddr, ln, seed, Config{Logger: log})
-}
-
-// NewSecondPriceAuctioneerServer is NewAuctioneerServer with clearing-price
-// (second-price) charging: the TTP unblinds each award-time runner-up's
-// sealed bid as the charge.
-func NewSecondPriceAuctioneerServer(params core.Params, bidders int, ttpAddr string, ln net.Listener, seed int64, log *slog.Logger) (*AuctioneerServer, error) {
-	return NewAuctioneerServerWithConfig(params, bidders, ttpAddr, ln, seed, Config{Logger: log, SecondPrice: true})
-}
-
-// NewAuctioneerServerWithConfig is NewAuctioneerServer with explicit
-// operational configuration (timeouts, quorum, logger, metrics, charging
-// rule).
+// NewAuctioneerServerWithConfig starts the auctioneer for one round of
+// exactly bidders participants (fewer under cfg's quorum rules), seeding
+// its allocator with seed. cfg carries the operational configuration —
+// timeouts, quorum, logger, metrics, tracing, charging rule — and its
+// zero value is first-price charging with default timeouts; build one
+// with New.
 func NewAuctioneerServerWithConfig(params core.Params, bidders int, ttpAddr string, ln net.Listener, seed int64, cfg Config) (*AuctioneerServer, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -496,10 +486,11 @@ func (s *AuctioneerServer) receiveSubmission(c *Conn) {
 	}
 }
 
-// runRound computes the auction over the collected submissions. With a
-// partial population (quorum round) the auction runs over the compacted
-// survivor slice; assignment indices are translated back to original
-// bidder ids before anything leaves this function.
+// runRound runs round.Auction over the collected submissions, charging
+// through the TTP server, and turns its outcome into per-bidder results.
+// With a partial population (quorum round) the auction runs over the
+// compacted survivor slice; assignment indices are translated back to
+// original bidder ids before anything leaves this function.
 func (s *AuctioneerServer) runRound(subs map[int]Submission) (*RoundOutcome, map[int]Result, error) {
 	ids := make([]int, 0, len(subs))
 	for id := range subs {
@@ -513,46 +504,26 @@ func (s *AuctioneerServer) runRound(subs map[int]Submission) (*RoundOutcome, map
 		sub := subs[id]
 		locs[ci], bids[ci] = sub.Parts()
 	}
-	auc, err := core.NewAuctioneer(s.params, locs, bids)
+	var verdicts []ttp.ChargeResult
+	charge := func(reqs []core.ChargeRequest) ([]ttp.ChargeResult, error) {
+		wire, err := submitChargesRetry(s.ttpAddr, reqs, 3, 100*time.Millisecond)
+		if err != nil {
+			return nil, fmt.Errorf("transport: settle with ttp: %w", err)
+		}
+		verdicts = chargeResultsFromWire(wire)
+		return verdicts, nil
+	}
+	opts := []round.Option{round.WithObserver(s.reg)}
+	if s.secondPrice {
+		opts = append(opts, round.WithSecondPrice())
+	}
+	phases := obs.NewPhases(s.reg, round.PhaseMetric, s.tracer, s.root.Context(), nil)
+	res, err := round.Auction(s.params, locs, bids, charge, s.rng, phases, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	auc.SetObserver(s.reg)
-	timer := s.reg.PhaseTimer("lppa_round_phase_seconds", nil)
-	defer timer.Stop()
-	// cur mirrors the timer's current phase as a child span of the round
-	// root; with tracing off every operation is a nil no-op.
-	var cur *obs.Span
-	phase := func(name string) {
-		timer.Phase(name)
-		cur.End()
-		cur = s.tracer.StartSpan(name, s.root.Context())
-	}
-	defer func() { cur.End() }()
-	phase("conflict_graph")
-	auc.ConflictGraph()
-	phase("allocate")
-	var reqs []core.ChargeRequest
-	if s.secondPrice {
-		awards, err := auc.AllocateAwards(s.rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		reqs = auc.ChargeRequestsSecondPrice(awards)
-	} else {
-		assignments, err := auc.Allocate(s.rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		reqs = auc.ChargeRequests(assignments)
-	}
-	phase("charge")
-	wireResults, err := submitChargesRetry(s.ttpAddr, reqs, 3, 100*time.Millisecond)
-	if err != nil {
-		return nil, nil, fmt.Errorf("transport: settle with ttp: %w", err)
-	}
 
-	outcome := &RoundOutcome{}
+	outcome := &RoundOutcome{Revenue: res.Outcome.Revenue, Voided: res.Voided + res.Violations}
 	for id := 0; id < s.bidders; id++ {
 		if _, ok := subs[id]; !ok {
 			outcome.Excluded = append(outcome.Excluded, id)
@@ -561,35 +532,24 @@ func (s *AuctioneerServer) runRound(subs map[int]Submission) (*RoundOutcome, map
 			}
 		}
 	}
+	// Each award's verdict sits at its position in the batch; an award
+	// the TTP's reply left without one is void, as the round counted it.
 	results := make(map[int]Result, len(ids))
-	for _, r := range wireResults {
-		if r.Bidder < 0 || r.Bidder >= len(ids) {
-			s.log.Error("auctioneer: ttp result for unknown bidder", "bidder", r.Bidder)
-			continue
+	for i, as := range res.Outcome.Assignments {
+		id := ids[as.Bidder]
+		r := Result{BidderID: id, Channel: as.Channel, Voided: true}
+		if i < len(verdicts) && verdicts[i].Err == nil && verdicts[i].Valid {
+			r.Voided, r.Won, r.Price = false, true, verdicts[i].Price
 		}
-		id := ids[r.Bidder]
-		res := Result{BidderID: id, Channel: r.Channel}
-		switch {
-		case r.Err != "":
-			res.Voided = true
-			outcome.Voided++
-		case !r.Valid:
-			res.Voided = true
-			outcome.Voided++
-		default:
-			res.Won = true
-			res.Price = r.Price
-			outcome.Revenue += r.Price
-		}
-		results[id] = res
+		results[id] = r
 	}
 	for _, id := range ids {
-		res, ok := results[id]
+		r, ok := results[id]
 		if !ok {
-			res = Result{BidderID: id}
-			results[id] = res
+			r = Result{BidderID: id}
+			results[id] = r
 		}
-		outcome.Results = append(outcome.Results, res)
+		outcome.Results = append(outcome.Results, r)
 	}
 	return outcome, results, nil
 }

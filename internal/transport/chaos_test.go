@@ -72,7 +72,7 @@ func runChaosRound(t *testing.T, seed int64, n int, faulty map[int]faults.Config
 	t.Helper()
 	p := testParams()
 	log := quietLogger()
-	ttpSrv, err := NewTTPServer(p, []byte("chaos"), 3, 4, listen(t), log)
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("chaos"), 3, 4, listen(t), Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestChaosKilledBidderDoesNotHangRound(t *testing.T) {
 // sentinel instead of hanging.
 func TestAuctioneerQuorumNotReached(t *testing.T) {
 	p := testParams()
-	ttpSrv, err := NewTTPServer(p, []byte("nq"), 3, 4, listen(t), quietLogger())
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("nq"), 3, 4, listen(t), Config{Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}

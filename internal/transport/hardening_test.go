@@ -131,7 +131,7 @@ func TestAuctioneerSurvivesMalformedConn(t *testing.T) {
 	p := testParams()
 	log := quietLogger()
 	reg := obs.NewRegistry()
-	ttpSrv, err := NewTTPServer(p, []byte("hard"), 3, 4, listen(t), log)
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("hard"), 3, 4, listen(t), Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}

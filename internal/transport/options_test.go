@@ -104,7 +104,7 @@ func TestNewFlightRecorderRequiresTrace(t *testing.T) {
 func TestAdmissionShedsConnPreDecode(t *testing.T) {
 	p := testParams()
 	log := quietLogger()
-	ttpSrv, err := NewTTPServer(p, []byte("shed"), 3, 4, listen(t), log)
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("shed"), 3, 4, listen(t), Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestAdmissionEndToEnd(t *testing.T) {
 	log := quietLogger()
 	reg := obs.NewRegistry()
 
-	ttpSrv, err := NewTTPServer(p, []byte("e2e-admission"), 3, 4, listen(t), log)
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("e2e-admission"), 3, 4, listen(t), Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}

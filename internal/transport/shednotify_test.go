@@ -14,7 +14,7 @@ import (
 func TestShedNotifyHook(t *testing.T) {
 	p := testParams()
 	log := quietLogger()
-	ttpSrv, err := NewTTPServer(p, []byte("shed-notify"), 3, 4, listen(t), log)
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("shed-notify"), 3, 4, listen(t), Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestKeyRingWireRoundTrip(t *testing.T) {
 
 func TestTTPServerServesKeyRing(t *testing.T) {
 	p := testParams()
-	srv, err := NewTTPServer(p, []byte("seed-a"), 3, 4, listen(t), quietLogger())
+	srv, err := NewTTPServerWithConfig(p, []byte("seed-a"), 3, 4, listen(t), Config{Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTTPServerServesKeyRing(t *testing.T) {
 
 func TestTTPServerCharging(t *testing.T) {
 	p := testParams()
-	srv, err := NewTTPServer(p, []byte("seed-b"), 3, 4, listen(t), quietLogger())
+	srv, err := NewTTPServerWithConfig(p, []byte("seed-b"), 3, 4, listen(t), Config{Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +157,13 @@ func TestFullNetworkedRound(t *testing.T) {
 	const n = 6
 	log := quietLogger()
 
-	ttpSrv, err := NewTTPServer(p, []byte("round-seed"), 3, 4, listen(t), log)
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("round-seed"), 3, 4, listen(t), Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ttpSrv.Close()
 
-	aucSrv, err := NewAuctioneerServer(p, n, ttpSrv.Addr().String(), listen(t), 7, log)
+	aucSrv, err := NewAuctioneerServerWithConfig(p, n, ttpSrv.Addr().String(), listen(t), 7, Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +227,12 @@ func TestFullNetworkedRound(t *testing.T) {
 func TestAuctioneerRejectsBadBidderID(t *testing.T) {
 	p := testParams()
 	log := quietLogger()
-	ttpSrv, err := NewTTPServer(p, []byte("x"), 3, 4, listen(t), log)
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("x"), 3, 4, listen(t), Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ttpSrv.Close()
-	aucSrv, err := NewAuctioneerServer(p, 2, ttpSrv.Addr().String(), listen(t), 1, log)
+	aucSrv, err := NewAuctioneerServerWithConfig(p, 2, ttpSrv.Addr().String(), listen(t), 1, Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +262,10 @@ func TestConnExpectErrorSurfaced(t *testing.T) {
 }
 
 func TestNewAuctioneerServerValidation(t *testing.T) {
-	if _, err := NewAuctioneerServer(core.Params{}, 1, "", listen(t), 1, quietLogger()); err == nil {
+	if _, err := NewAuctioneerServerWithConfig(core.Params{}, 1, "", listen(t), 1, Config{Logger: quietLogger()}); err == nil {
 		t.Error("bad params accepted")
 	}
-	if _, err := NewAuctioneerServer(testParams(), 0, "", listen(t), 1, quietLogger()); err == nil {
+	if _, err := NewAuctioneerServerWithConfig(testParams(), 0, "", listen(t), 1, Config{Logger: quietLogger()}); err == nil {
 		t.Error("zero bidders accepted")
 	}
 }
@@ -321,12 +321,12 @@ func TestSecondPriceNetworkedRound(t *testing.T) {
 	p := testParams()
 	const n = 3
 	log := quietLogger()
-	ttpSrv, err := NewTTPServer(p, []byte("sp-round"), 3, 4, listen(t), log)
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("sp-round"), 3, 4, listen(t), Config{Logger: log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ttpSrv.Close()
-	aucSrv, err := NewSecondPriceAuctioneerServer(p, n, ttpSrv.Addr().String(), listen(t), 5, log)
+	aucSrv, err := NewAuctioneerServerWithConfig(p, n, ttpSrv.Addr().String(), listen(t), 5, Config{Logger: log, SecondPrice: true})
 	if err != nil {
 		t.Fatal(err)
 	}

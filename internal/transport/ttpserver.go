@@ -39,15 +39,10 @@ type TTPServer struct {
 	closed bool
 }
 
-// NewTTPServer creates the TTP party and starts serving on ln with default
-// configuration. The key ring is derived from seed for reproducible
+// NewTTPServerWithConfig creates the TTP party and starts serving on ln
+// under cfg's operational configuration (timeouts, logger, metrics,
+// tracing). The key ring is derived from seed for reproducible
 // experiments; production deployments pass a random seed.
-func NewTTPServer(params core.Params, seed []byte, rd, cr uint64, ln net.Listener, log *slog.Logger) (*TTPServer, error) {
-	return NewTTPServerWithConfig(params, seed, rd, cr, ln, Config{Logger: log})
-}
-
-// NewTTPServerWithConfig is NewTTPServer with explicit operational
-// configuration (idle timeout, logger, metrics).
 func NewTTPServerWithConfig(params core.Params, seed []byte, rd, cr uint64, ln net.Listener, cfg Config) (*TTPServer, error) {
 	ring, err := mask.DeriveKeyRing(seed, params.Channels, rd, cr)
 	if err != nil {

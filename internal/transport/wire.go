@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -300,6 +301,19 @@ func ChargeResultsToWire(rs []ttp.ChargeResult) []WireChargeResult {
 		out[i] = WireChargeResult{Bidder: r.Bidder, Channel: r.Channel, Valid: r.Valid, Price: r.Price}
 		if r.Err != nil {
 			out[i].Err = r.Err.Error()
+		}
+	}
+	return out
+}
+
+// chargeResultsFromWire restores the TTP's verdicts on the auctioneer
+// side; a flattened error comes back as an opaque one.
+func chargeResultsFromWire(ws []WireChargeResult) []ttp.ChargeResult {
+	out := make([]ttp.ChargeResult, len(ws))
+	for i, w := range ws {
+		out[i] = ttp.ChargeResult{Bidder: w.Bidder, Channel: w.Channel, Valid: w.Valid, Price: w.Price}
+		if w.Err != "" {
+			out[i].Err = errors.New(w.Err)
 		}
 	}
 	return out

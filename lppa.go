@@ -21,12 +21,16 @@
 //	    Rng:    rng,
 //	})
 //
-// Run is the one round entry point and the auctioneer has one execution
-// path (DESIGN.md §5g); functional options shape the rest: WithWorkers for
-// the deterministic parallel pipeline, WithSecondPrice /
-// WithInteractiveCharging for the alternative charging rules, and
-// WithObserver to record phase timings and protocol counters into a
-// metrics Registry (see DESIGN.md §5c).
+// Run is the one in-process round entry point. Its auctioneer half is the
+// key-free round.Auction, which the networked auctioneer runs too, and the
+// auctioneer has one execution path (DESIGN.md §5g). Functional options
+// shape the rest: WithWorkers for the deterministic parallel pipeline,
+// WithPolicies for per-bidder disguise, WithSecondPrice /
+// WithInteractiveCharging for the alternative charging rules, WithQuorum
+// for graceful degradation, WithEpochState for auctioneer reuse, and
+// WithObserver, WithTrace, WithTraceSampler and WithFlightRecorder to
+// record phase timings, protocol counters and span trees (see DESIGN.md
+// §5c and §5e).
 //
 // See examples/ for complete programs and cmd/lppa-sim for the paper's
 // full evaluation suite.
@@ -317,11 +321,6 @@ func WithObserver(reg *Registry) RunOption { return round.WithObserver(reg) }
 // ErrQuorumNotReached. A fault-free round is bit-identical with or without
 // the option.
 func WithQuorum(q int) RunOption { return round.WithQuorum(q) }
-
-// WithStragglerTimeout bounds how long Run waits for any bidder's
-// submission; stragglers are excluded under the WithQuorum rules. Requires
-// WithWorkers.
-func WithStragglerTimeout(d time.Duration) RunOption { return round.WithStragglerTimeout(d) }
 
 // EpochState carries the population-independent piece of a round — the
 // auctioneer — across back-to-back epochs of the same auction, so a
