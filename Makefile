@@ -3,7 +3,7 @@
 GO ?= go
 CACHE ?= /tmp/lppa-ds.gob
 
-.PHONY: all build test race cover bench alloc-guard trace-guard fuzz fuzz-short chaos epoch-soak experiments examples metrics-snapshot trace-snapshot audit-snapshot load-snapshot load-compare load-smoke ops-smoke clean
+.PHONY: all build test race cover bench alloc-guard trace-guard fuzz fuzz-short chaos epoch-soak experiments examples metrics-snapshot trace-snapshot audit-snapshot ops-smoke clean
 
 all: build test
 
@@ -58,35 +58,6 @@ alloc-guard:
 		-bench='ZeroAllocMask|InternedIntersect|IndexCursorRow' . \
 		| awk '/^Benchmark/ { a = $$(NF-1); if (a+0 != 0) { print "allocs/op regression: " $$0; bad = 1 } print } END { exit bad }'
 
-# Workload snapshot of the composed system: N=10000 mixed-density runs of
-# the one-shot round and the epochal service (open-loop Poisson arrivals
-# with churn), with throughput, per-phase latency percentiles, and an
-# embedded SLO block (floor = measured/4, p99 ceiling = measured*4).
-# Versioned per PR like the BENCH_*.json snapshots (LOAD_PR9.json is the
-# earlier sharded/service snapshot); see EXPERIMENTS.md for the narrative.
-load-snapshot:
-	$(GO) run ./cmd/lppa-load run -n 10000 -density mixed -variants interned,service \
-		-rounds 5 -rate-limit 5000 -seed 1 -o LOAD_PR15.json
-
-# Gate a fresh run against the committed snapshot's SLOs. Exits nonzero on
-# any violation — and fails closed when the baseline is missing or carries
-# no SLO block.
-load-compare:
-	$(GO) run ./cmd/lppa-load run -n 10000 -density mixed -variants interned,service \
-		-rounds 5 -rate-limit 5000 -seed 1 -o /tmp/lppa-load-candidate.json
-	$(GO) run ./cmd/lppa-load compare LOAD_PR15.json /tmp/lppa-load-candidate.json
-
-# CI smoke: the harness tests under -race (determinism regression, fuzz
-# seeds, compare gate fail-closed), then a small-N sweep across every
-# variant with chaos and a rate limit, self-gated through the comparator.
-load-smoke:
-	$(GO) test -race -count=1 ./internal/load/ ./cmd/lppa-load/
-	$(GO) run ./cmd/lppa-load run -n 200 -density mixed \
-		-variants interned,service \
-		-rounds 3 -rate-limit 100 -chaos drop -chaos-rate 0.05 \
-		-seed 1 -o LOAD_SMOKE.json
-	$(GO) run ./cmd/lppa-load compare LOAD_SMOKE.json LOAD_SMOKE.json
-
 # CI smoke of the live ops plane: boots the epochal demo with an
 # impossibly tight SLO and asserts the probe endpoints, burn-rate alarm,
 # event log, sampled traces, and forced flight dump end to end.
@@ -101,7 +72,6 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzRunMatchesPlaintextTruth -fuzztime=10s ./internal/round/
 	$(GO) test -run=NONE -fuzz=FuzzIndexedEquivalence -fuzztime=10s ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzLoadReportDecode -fuzztime=10s ./internal/load/
 
 # Quicker smoke of the attacker-facing decoders only (the wire frame parser
 # fed by untrusted peers) — the CI test job runs this on every push.

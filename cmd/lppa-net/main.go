@@ -74,8 +74,7 @@ func run(args []string) error {
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address for live profiling")
 	)
 	// Round-shaping, epoch, and ops flags come from the shared cli blocks,
-	// so lppa-net, lppa-sim, and lppa-load agree on names, defaults, and
-	// help strings.
+	// so lppa-net and lppa-sim agree on names, defaults, and help strings.
 	var rf cli.RoundFlags
 	rf.Register(fs)
 	rf.RegisterClient(fs)

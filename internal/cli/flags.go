@@ -39,7 +39,7 @@ type RoundFlags struct {
 // -quorum, -density) onto fs, using the current field values as defaults.
 func (f *RoundFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", f.Workers,
-		"goroutines for submission decode and conflict graphs; <2 = serial driver")
+		"goroutines for bidder-side submission encoding (the seeded pipeline); <2 = serial rng driver")
 	fs.IntVar(&f.Quorum, "quorum", f.Quorum,
 		"minimum usable submissions for a degraded round; 0 requires all bidders")
 	fs.StringVar(&f.Density, "density", f.Density,

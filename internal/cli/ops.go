@@ -10,13 +10,12 @@ import (
 	"strings"
 	"time"
 
-	"lppa/internal/load"
 	"lppa/internal/obs"
 	"lppa/internal/obs/ops"
 )
 
 // ServePprof exposes net/http/pprof's default-mux handlers when addr is
-// non-empty — the one -pprof-addr implementation all three commands
+// non-empty — the one -pprof-addr implementation lppa-net and lppa-sim
 // share, so profiling a soak is always `go tool pprof
 // http://addr/debug/pprof/profile`.
 func ServePprof(addr string) error {
@@ -33,14 +32,12 @@ func ServePprof(addr string) error {
 }
 
 // OpsFlags binds the ops-plane flags: the structured event log, the SLO
-// burn-rate monitor (inline spec or a LOAD_*.json baseline), the
-// deterministic trace sampler, the anonymity floor, and breach-time
-// profile capture. The zero value leaves every pillar off.
+// burn-rate monitor (inline phase=ceiling spec), the deterministic trace
+// sampler, the anonymity floor, and breach-time profile capture. The
+// zero value leaves every pillar off.
 type OpsFlags struct {
 	Events      string
 	SLOSpec     string
-	SLOFile     string
-	SLORun      string
 	FastWindow  int
 	SlowWindow  int
 	AnonFloor   int
@@ -55,10 +52,6 @@ func (f *OpsFlags) Register(fs *flag.FlagSet) {
 		"append structured ops events as JSONL to this file (- for stderr); empty keeps the in-memory ring only")
 	fs.StringVar(&f.SLOSpec, "slo", f.SLOSpec,
 		"inline SLO spec: comma-separated phase=ceiling pairs, e.g. round=250ms,allocate=80ms")
-	fs.StringVar(&f.SLOFile, "slo-file", f.SLOFile,
-		"load the SLO phase ceilings from this LOAD_*.json report (requires -slo-run)")
-	fs.StringVar(&f.SLORun, "slo-run", f.SLORun,
-		"run name inside -slo-file whose max_phase_p99_ms block becomes the ceilings")
 	fs.IntVar(&f.FastWindow, "slo-fast-window", f.FastWindow,
 		"samples in the fast burn-rate window (0 = monitor default)")
 	fs.IntVar(&f.SlowWindow, "slo-slow-window", f.SlowWindow,
@@ -83,12 +76,6 @@ func (f *OpsFlags) Validate() error {
 	if f.FastWindow < 0 || f.SlowWindow < 0 {
 		return fmt.Errorf("cli: burn-rate windows must be non-negative (0 picks the default)")
 	}
-	if f.SLOSpec != "" && f.SLOFile != "" {
-		return fmt.Errorf("cli: -slo and -slo-file are mutually exclusive")
-	}
-	if (f.SLOFile == "") != (f.SLORun == "") {
-		return fmt.Errorf("cli: -slo-file and -slo-run go together")
-	}
 	if _, err := f.phases(); err != nil {
 		return err
 	}
@@ -98,8 +85,8 @@ func (f *OpsFlags) Validate() error {
 // Enabled reports whether any ops pillar was asked for — commands use it
 // to decide whether a plane is worth building outside epoch mode.
 func (f *OpsFlags) Enabled() bool {
-	return f.Events != "" || f.SLOSpec != "" || f.SLOFile != "" ||
-		f.AnonFloor > 0 || f.SampleEvery > 0 || f.ProfileDir != ""
+	return f.Events != "" || f.SLOSpec != "" || f.AnonFloor > 0 ||
+		f.SampleEvery > 0 || f.ProfileDir != ""
 }
 
 // Sampler builds the deterministic 1-in-K trace sampler (nil when
@@ -139,38 +126,14 @@ func (f *OpsFlags) phases() (map[string]time.Duration, error) {
 	return phases, nil
 }
 
-// SLOConfig assembles the burn-rate monitor's config from the inline spec
-// or the LOAD_*.json baseline. An empty result (no Phases) disables the
-// monitor.
+// SLOConfig assembles the burn-rate monitor's config from the inline
+// spec. An empty result (no Phases) disables the monitor.
 func (f *OpsFlags) SLOConfig() (ops.SLOConfig, error) {
-	cfg := ops.SLOConfig{FastWindow: f.FastWindow, SlowWindow: f.SlowWindow}
-	if f.SLOSpec != "" {
-		phases, err := f.phases()
-		if err != nil {
-			return ops.SLOConfig{}, err
-		}
-		cfg.Phases = phases
-		return cfg, nil
-	}
-	if f.SLOFile == "" {
-		return cfg, nil
-	}
-	rep, err := load.ReadReport(f.SLOFile)
+	phases, err := f.phases()
 	if err != nil {
 		return ops.SLOConfig{}, err
 	}
-	if rep.SLO == nil {
-		return ops.SLOConfig{}, fmt.Errorf("cli: -slo-file %s has no SLO block", f.SLOFile)
-	}
-	ceilings, ok := rep.SLO.MaxPhaseP99Ms[f.SLORun]
-	if !ok {
-		return ops.SLOConfig{}, fmt.Errorf("cli: -slo-file %s records no phase ceilings for run %q", f.SLOFile, f.SLORun)
-	}
-	cfg.Phases = make(map[string]time.Duration, len(ceilings))
-	for phase, ms := range ceilings {
-		cfg.Phases[phase] = time.Duration(ms * float64(time.Millisecond))
-	}
-	return cfg, nil
+	return ops.SLOConfig{Phases: phases, FastWindow: f.FastWindow, SlowWindow: f.SlowWindow}, nil
 }
 
 // Plane assembles the ops plane: the event sink from -ops-events, the

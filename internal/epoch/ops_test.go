@@ -160,11 +160,9 @@ func TestServiceProbeAndDrainEvents(t *testing.T) {
 func TestServiceShedTelemetry(t *testing.T) {
 	p, ring := epochFixture(t)
 	plane := ops.New(ops.Config{Events: ops.NewEventLog(nil)})
-	now := 0.0
 	s, err := New(Config{
 		Params: p, Ring: ring, Seed: 3, Policy: core.DisguisePolicy{P0: 1},
 		Admission: AdmissionConfig{Rate: 1, Burst: 3},
-		Clock:     func() float64 { return now },
 		Ops:       plane,
 	})
 	if err != nil {
@@ -172,7 +170,7 @@ func TestServiceShedTelemetry(t *testing.T) {
 	}
 	shed := 0
 	for _, sub := range population(p, 10, 77) { // all at t=0: burst of 3 admits
-		if err := s.Submit(sub); err != nil {
+		if err := s.SubmitAt(sub, 0); err != nil {
 			shed++
 		}
 	}
@@ -191,7 +189,8 @@ func TestServiceShedTelemetry(t *testing.T) {
 	if events < 1 || events > 7 {
 		t.Fatalf("%d shed events, want throttled ≥1", events)
 	}
-	if _, err := s.Finish(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	drain(t, s)
 }

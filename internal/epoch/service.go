@@ -68,11 +68,6 @@ type Config struct {
 	// Interval, when positive, seals the collecting epoch on a wall-clock
 	// cadence. Zero leaves sealing to explicit Seal calls (tests, CLI).
 	Interval time.Duration
-	// Clock, when non-nil, is the admission clock Submit reads (seconds,
-	// monotone). The load harness injects a logical clock here so plain
-	// Submit calls replay deterministically; nil keeps wall time.
-	// SubmitAt bypasses the clock either way.
-	Clock func() float64
 	// RoundOptions compose into every epoch's round.Run — WithWorkers,
 	// WithTrace, WithObserver, and the rest all apply per epoch exactly as
 	// in a one-shot round.
@@ -201,12 +196,8 @@ func (s *Service) Status() ops.ServiceStatus {
 // the runner (the channel is buffered, not unbounded).
 func (s *Service) Results() <-chan *EpochResult { return s.results }
 
-// Submit offers one submission to the collecting epoch at the service
-// clock — Config.Clock when injected, wall time otherwise.
+// Submit offers one submission to the collecting epoch at wall time.
 func (s *Service) Submit(sub Submission) error {
-	if s.cfg.Clock != nil {
-		return s.SubmitAt(sub, s.cfg.Clock())
-	}
 	return s.SubmitAt(sub, s.adm.now())
 }
 
@@ -383,8 +374,8 @@ func (s *Service) runEpoch(b batch) *EpochResult {
 }
 
 // observeEpoch reports one finished epoch to the ops plane: wall time,
-// the award-transcript digest (the same bytes the load harness hashes,
-// so live service and offline replay compare digest to digest), and the
+// the award-transcript digest (the same bytes bench/ hashes per op, so
+// live service and offline replay compare digest to digest), and the
 // epoch's anonymity set — the admitted population, since the auctioneer
 // holds only masked submissions and learns no coarser location (no tile)
 // that would split it.
@@ -403,8 +394,8 @@ func (s *Service) observeEpoch(b batch, er *EpochResult, wall time.Duration) {
 	s.cfg.Ops.ObserveEpoch(eo)
 }
 
-// awardDigest hashes the epoch's award transcript in the load harness's
-// writeAward line format: the bidder set, every assignment with its
+// awardDigest hashes the epoch's award transcript in the line format
+// bench/'s award digests use: the bidder set, every assignment with its
 // charge, and the outcome totals.
 func awardDigest(epoch int, bidders []int, res *round.Result) string {
 	h := sha256.New()
@@ -452,24 +443,4 @@ func (s *Service) Close() error {
 	<-s.done
 	s.cfg.Ops.NoteClosed()
 	return nil
-}
-
-// Finish runs the service to completion: it drains Results on a helper
-// goroutine (so the runner's buffered sends can never wedge the
-// shutdown), Closes — sealing any residual intake as the final epoch —
-// and returns every remaining result in seal order. The run-to-completion
-// hook for drivers that submit and seal from one goroutine; must not race
-// other Results readers or in-flight Seal calls.
-func (s *Service) Finish() ([]*EpochResult, error) {
-	var out []*EpochResult
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for r := range s.results {
-			out = append(out, r)
-		}
-	}()
-	err := s.Close()
-	<-drained
-	return out, err
 }

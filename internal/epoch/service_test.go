@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"lppa/internal/mask"
 	"lppa/internal/obs"
 	"lppa/internal/round"
+	"lppa/internal/sim"
 )
 
 func epochFixture(t *testing.T) (core.Params, *mask.KeyRing) {
@@ -197,12 +199,12 @@ func TestEpochEquivalenceChurn(t *testing.T) {
 	if ok, err := s.Withdraw(leaver.Bidder); err != nil || ok {
 		t.Fatalf("post-seal withdraw of sealed bidder: ok=%v err=%v (epoch 0 already owns it)", ok, err)
 	}
-	results, err := s.Finish()
-	if err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	results := drain(t, s)
 	if len(results) != 2 {
-		t.Fatalf("%d results, want 2 (sealed epoch + Finish's residual seal)", len(results))
+		t.Fatalf("%d results, want 2 (sealed epoch + Close's residual seal)", len(results))
 	}
 
 	// Epoch 0: everyone but the leaver, original bids.
@@ -246,16 +248,146 @@ func checkEpochOneShot(t *testing.T, p core.Params, ring *mask.KeyRing, pol core
 	sameOutcome(t, "churn-epoch", res.Result, oneShot)
 }
 
-// TestServiceInjectedClock pins Config.Clock: with a logical clock wired
-// in, plain Submit calls replay the same admit/shed sequence as SubmitAt,
-// independent of wall time.
+// TestServiceArrivalReplay replays a seeded Poisson arrival schedule with
+// resubmit and depart churn through SubmitAt/Withdraw/Seal on the
+// schedule's own clock, under an admission rate limit that sheds and with
+// every dupEvery-th submission sent twice, against a reference model of
+// intake: an admitted entry replaces the bidder's pending one, a depart
+// removes it, and a seal takes everything pending. Every epoch must admit
+// exactly the model's set and match a one-shot round over it; a replay
+// with the same seed must reproduce the epochs, and another seed must not.
+func TestServiceArrivalReplay(t *testing.T) {
+	p, ring := epochFixture(t)
+	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
+	opts := []round.Option{round.WithWorkers(2)}
+	const (
+		n        = 60
+		horizon  = 2.0 // logical seconds
+		epochLen = 0.5
+		dupEvery = 7
+	)
+	replay := func(seed int64) []string {
+		sched, err := sim.BuildSchedule(sim.ArrivalConfig{
+			Process: "poisson", ResubmitFrac: 0.3, DepartFrac: 0.2, Horizon: horizon,
+		}, n, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{
+			Params: p, Ring: ring, Seed: seed, Policy: pol,
+			Admission:    AdmissionConfig{Rate: 20, Burst: 4},
+			RoundOptions: opts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pop := population(p, n, seed)
+		bidRng := rand.New(rand.NewSource(seed + 1))
+
+		pending := make(map[int]Submission) // the model's collecting epoch
+		var want [][]Submission             // the model's sealed epochs
+		seal := func() {
+			if len(pending) == 0 {
+				return // an empty seal consumes no epoch number
+			}
+			ids := make([]int, 0, len(pending))
+			for id := range pending {
+				ids = append(ids, id)
+			}
+			sort.Ints(ids)
+			epoch := make([]Submission, len(ids))
+			for i, id := range ids {
+				epoch[i] = pending[id]
+			}
+			want = append(want, epoch)
+			pending = make(map[int]Submission)
+		}
+		shed := 0
+		submit := func(sub Submission, at float64) {
+			err := s.SubmitAt(sub, at)
+			var rl *ErrRateLimited
+			switch {
+			case err == nil:
+				pending[sub.Bidder] = sub
+			case errors.As(err, &rl):
+				shed++
+			default:
+				t.Fatalf("submit bidder %d at %.3fs: %v", sub.Bidder, at, err)
+			}
+		}
+
+		nextSeal, submitted := epochLen, 0
+		for _, ev := range sched {
+			for ev.At >= nextSeal {
+				if err := s.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				seal()
+				nextSeal += epochLen
+			}
+			sub := pop[ev.Bidder]
+			switch ev.Kind {
+			case sim.EventDepart:
+				_, had := pending[sub.Bidder]
+				if ok, err := s.Withdraw(sub.Bidder); err != nil || ok != had {
+					t.Fatalf("withdraw bidder %d at %.3fs: ok=%v err=%v, model pending=%v",
+						sub.Bidder, ev.At, ok, err, had)
+				}
+				delete(pending, sub.Bidder)
+				continue
+			case sim.EventResubmit:
+				sub.Bids = make([]uint64, p.Channels)
+				for r := range sub.Bids {
+					sub.Bids[r] = uint64(bidRng.Intn(int(p.BMax))) + 1
+				}
+			}
+			submitted++
+			submit(sub, ev.At)
+			if submitted%dupEvery == 0 {
+				submit(sub, ev.At) // the same frame delivered twice
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seal() // Close seals the residual intake as the final epoch
+		results := drain(t, s)
+
+		if shed == 0 {
+			t.Fatalf("seed %d: %d submissions at 20/s, burst 4 shed nothing", seed, submitted)
+		}
+		if len(results) != len(want) || len(want) < 2 {
+			t.Fatalf("seed %d: service sealed %d epochs, model %d (want ≥2)", seed, len(results), len(want))
+		}
+		t.Logf("seed %d: %d submissions, %d shed, %d epochs", seed, submitted, shed, len(results))
+		digests := make([]string, len(results))
+		for e, res := range results {
+			if res.Epoch != e {
+				t.Fatalf("seed %d: result %d labelled epoch %d", seed, e, res.Epoch)
+			}
+			checkEpochOneShot(t, p, ring, pol, seed, res, want[e], opts)
+			digests[e] = awardDigest(res.Epoch, res.Bidders, res.Result)
+		}
+		return digests
+	}
+
+	first := replay(5)
+	if again := replay(5); !reflect.DeepEqual(first, again) {
+		t.Fatalf("same-seed replays differ:\n %v\n %v", first, again)
+	}
+	if other := replay(6); reflect.DeepEqual(first, other) {
+		t.Fatal("a different seed reproduced the same epochs")
+	}
+}
+
+// TestServiceInjectedClock pins SubmitAt's explicit admission clock:
+// submissions at one logical instant admit exactly the burst, and a later
+// logical instant refills the bucket, independent of wall time.
 func TestServiceInjectedClock(t *testing.T) {
 	p, ring := epochFixture(t)
-	now := 0.0
 	s, err := New(Config{
 		Params: p, Ring: ring, Seed: 13, Policy: core.DisguisePolicy{P0: 1},
 		Admission: AdmissionConfig{Rate: 1, Burst: 5},
-		Clock:     func() float64 { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,21 +395,20 @@ func TestServiceInjectedClock(t *testing.T) {
 	pop := population(p, 8, 91)
 	admitted := 0
 	for _, sub := range pop { // all at logical t=0: exactly the burst admits
-		if err := s.Submit(sub); err == nil {
+		if err := s.SubmitAt(sub, 0); err == nil {
 			admitted++
 		}
 	}
 	if admitted != 5 {
 		t.Fatalf("admitted %d at t=0, want burst of 5", admitted)
 	}
-	now = 100 // refill
-	if err := s.Submit(pop[7]); err != nil {
+	if err := s.SubmitAt(pop[7], 100); err != nil { // refill
 		t.Fatalf("submit after logical refill: %v", err)
 	}
-	results, err := s.Finish()
-	if err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	results := drain(t, s)
 	if len(results) != 1 || len(results[0].Bidders) != 6 {
 		t.Fatalf("results %+v, want one epoch of 6 bidders", results)
 	}

@@ -96,7 +96,7 @@ type EpochObs struct {
 	Err      string
 	Wall     time.Duration
 	// AwardDigest is the SHA-256 of the epoch's award transcript — the
-	// same bytes the load harness hashes, so a live service and an
+	// line format bench/'s award digests hash, so a live service and an
 	// offline replay can be compared digest to digest.
 	AwardDigest string
 	// AnonMin/AnonMean summarize the epoch's anonymity set: the admitted
@@ -374,8 +374,7 @@ func (p *Plane) ObserveEpoch(eo EpochObs) {
 	}
 
 	// The whole-epoch wall time runs through the same monitor as the
-	// intra-round phases, under the "round" phase the LOAD_*.json SLO
-	// block bounds.
+	// intra-round phases, under the "round" phase (-slo round=…).
 	breach, recovered := p.monitor.Observe("round", eo.Wall)
 	p.handleVerdict(eo.Epoch, "round", breach, recovered)
 }

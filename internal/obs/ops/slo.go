@@ -9,16 +9,16 @@ import (
 	"lppa/internal/obs"
 )
 
-// The burn-rate monitor. The SLO block in a LOAD_*.json snapshot records
-// p99 latency ceilings per phase; treating "sample over its ceiling" as
-// budget spend gives each phase an error budget of Objective (1% for a
-// p99 ceiling). Following the multi-window burn-rate pattern, a breach
-// requires BOTH a fast window burning hot (catches sharp regressions
-// within a few epochs) AND a slow window burning above sustain (filters
-// one-off spikes that a single fast window would page on). Burn is
-// computed against the full window size even before the window fills, so
-// a cold monitor cannot alarm off one unlucky sample — the violating
-// samples must accumulate either way.
+// The burn-rate monitor. The -slo spec sets p99 latency ceilings per
+// phase; treating "sample over its ceiling" as budget spend gives each
+// phase an error budget of Objective (1% for a p99 ceiling). Following
+// the multi-window burn-rate pattern, a breach requires BOTH a fast
+// window burning hot (catches sharp regressions within a few epochs) AND
+// a slow window burning above sustain (filters one-off spikes that a
+// single fast window would page on). Burn is computed against the full
+// window size even before the window fills, so a cold monitor cannot
+// alarm off one unlucky sample — the violating samples must accumulate
+// either way.
 
 // SLOConfig configures the burn-rate monitor.
 type SLOConfig struct {
@@ -197,7 +197,7 @@ func (m *Monitor) Breached() []string {
 
 // Status renders every tracked phase for /statusz, keyed by phase name.
 // Percentiles are rebuilt from the slow window through obs.LatencySummary
-// — the same nearest-rank math the load harness reports. Nil-safe.
+// (exact nearest-rank). Nil-safe.
 func (m *Monitor) Status() map[string]PhaseStatus {
 	if m == nil {
 		return nil

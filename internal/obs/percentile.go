@@ -5,45 +5,23 @@ import (
 	"time"
 )
 
-// Span→percentile aggregation for the load harness: spans sharing a name
-// (one per phase per round — encode, plan, conflict_graph, allocate,
-// charge, plus the round root) fold into a LatencySummary, and the
-// summary answers p50/p95/p99 by nearest-rank over the exact sample set.
-// Workload runs are thousands of spans, not millions, so keeping every
-// sample beats a sketch: the percentiles are exact and the memory is
-// noise next to one round's submissions.
+// Exact nearest-rank percentiles over a small sample set. The ops
+// plane's burn-rate monitor rebuilds one LatencySummary from each
+// phase's slow window (96 samples by default) to answer p50/p95/p99 for
+// /statusz; at that size keeping every sample beats a sketch: the
+// percentiles are exact and the memory is noise.
 
-// LatencySummary accumulates duration samples for one span name.
-// Not safe for concurrent use; aggregate on the drain goroutine.
+// LatencySummary accumulates duration samples for one phase.
+// Not safe for concurrent use.
 type LatencySummary struct {
 	samples []time.Duration
 	sorted  bool
-	sum     time.Duration
-	max     time.Duration
 }
 
 // Observe folds one duration into the summary.
 func (s *LatencySummary) Observe(d time.Duration) {
 	s.samples = append(s.samples, d)
 	s.sorted = len(s.samples) == 1
-	s.sum += d
-	if d > s.max {
-		s.max = d
-	}
-}
-
-// Count reports how many samples the summary holds.
-func (s *LatencySummary) Count() int { return len(s.samples) }
-
-// Max reports the largest sample (0 when empty).
-func (s *LatencySummary) Max() time.Duration { return s.max }
-
-// Mean reports the arithmetic mean (0 when empty).
-func (s *LatencySummary) Mean() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.sum / time.Duration(len(s.samples))
 }
 
 // Quantile reports the nearest-rank q-quantile (q in [0,1]) over the
@@ -76,45 +54,4 @@ func (s *LatencySummary) Quantile(q float64) time.Duration {
 		rank = n
 	}
 	return s.samples[rank-1]
-}
-
-// SpanAggregator groups finished spans by name into LatencySummaries.
-// Feed it Tracer.Take batches as rounds finish; summaries stay exact
-// regardless of batching. Not safe for concurrent use.
-type SpanAggregator struct {
-	byName map[string]*LatencySummary
-}
-
-// NewSpanAggregator returns an empty aggregator.
-func NewSpanAggregator() *SpanAggregator {
-	return &SpanAggregator{byName: make(map[string]*LatencySummary)}
-}
-
-// AddSpans folds a batch of finished spans into the per-name summaries.
-func (a *SpanAggregator) AddSpans(spans []*Span) {
-	for _, sp := range spans {
-		if sp == nil {
-			continue
-		}
-		s := a.byName[sp.Name]
-		if s == nil {
-			s = &LatencySummary{}
-			a.byName[sp.Name] = s
-		}
-		s.Observe(sp.Duration)
-	}
-}
-
-// Summary returns the accumulator for one span name (nil when the name
-// never appeared).
-func (a *SpanAggregator) Summary(name string) *LatencySummary { return a.byName[name] }
-
-// Names lists the span names seen so far, sorted.
-func (a *SpanAggregator) Names() []string {
-	out := make([]string, 0, len(a.byName))
-	for n := range a.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

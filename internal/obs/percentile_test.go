@@ -18,9 +18,6 @@ func TestLatencySummaryQuantiles(t *testing.T) {
 		}
 		s.Observe(time.Duration(ms) * time.Millisecond)
 	}
-	if s.Count() != 100 {
-		t.Fatalf("count %d, want 100", s.Count())
-	}
 	cases := []struct {
 		q    float64
 		want time.Duration
@@ -36,12 +33,6 @@ func TestLatencySummaryQuantiles(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	if s.Max() != 100*time.Millisecond {
-		t.Errorf("Max = %v", s.Max())
-	}
-	if got := s.Mean(); got != 50500*time.Microsecond {
-		t.Errorf("Mean = %v, want 50.5ms", got)
-	}
 	// Quantiles stay monotone.
 	prev := time.Duration(-1)
 	for _, q := range []float64{0.1, 0.25, 0.5, 0.9, 0.95, 0.99} {
@@ -55,8 +46,8 @@ func TestLatencySummaryQuantiles(t *testing.T) {
 
 func TestLatencySummaryEmptyAndSingle(t *testing.T) {
 	var s LatencySummary
-	if s.Quantile(0.99) != 0 || s.Count() != 0 || s.Mean() != 0 || s.Max() != 0 {
-		t.Fatal("empty summary must report zeros")
+	if s.Quantile(0.99) != 0 {
+		t.Fatal("empty summary must report 0")
 	}
 	s.Observe(7 * time.Millisecond)
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
@@ -67,8 +58,7 @@ func TestLatencySummaryEmptyAndSingle(t *testing.T) {
 }
 
 func TestLatencySummaryObserveAfterQuantile(t *testing.T) {
-	// Interleaving Observe and Quantile (the harness aggregates per epoch
-	// batch) must keep quantiles exact.
+	// Interleaving Observe and Quantile must keep quantiles exact.
 	var s LatencySummary
 	s.Observe(10 * time.Millisecond)
 	s.Observe(30 * time.Millisecond)
@@ -78,31 +68,5 @@ func TestLatencySummaryObserveAfterQuantile(t *testing.T) {
 	s.Observe(20 * time.Millisecond)
 	if got := s.Quantile(0.5); got != 20*time.Millisecond {
 		t.Fatalf("after re-observe Quantile(0.5) = %v", got)
-	}
-}
-
-func TestSpanAggregatorGroupsByName(t *testing.T) {
-	tr := NewTracer("agg-test")
-	for i := 0; i < 3; i++ {
-		root := tr.StartTrace("round")
-		child := tr.StartSpan("encode", root.Context())
-		child.End()
-		root.End()
-	}
-	agg := NewSpanAggregator()
-	// Feed in two batches to pin incremental aggregation.
-	spans := tr.Take()
-	agg.AddSpans(spans[:2])
-	agg.AddSpans(spans[2:])
-	agg.AddSpans(nil)
-	if got := agg.Names(); len(got) != 2 || got[0] != "encode" || got[1] != "round" {
-		t.Fatalf("names = %v", got)
-	}
-	if agg.Summary("round").Count() != 3 || agg.Summary("encode").Count() != 3 {
-		t.Fatalf("counts: round=%d encode=%d",
-			agg.Summary("round").Count(), agg.Summary("encode").Count())
-	}
-	if agg.Summary("missing") != nil {
-		t.Fatal("unknown name must return nil")
 	}
 }

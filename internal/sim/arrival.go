@@ -6,12 +6,12 @@ import (
 	"sort"
 )
 
-// Arrival/churn model for the load harness (cmd/lppa-load): a seeded,
-// fully deterministic schedule of bidder events over logical time. The
-// harness replays the schedule through the epochal service's explicit
-// clock (SubmitAt/Withdraw), so the admit/shed sequence — and therefore
-// every sealed epoch — is a pure function of (config, seed). Wall time
-// never enters the schedule; it only enters the throughput measurement.
+// Arrival/churn model for the benchmark's service-open workload
+// (bench/service.go): a seeded, fully deterministic schedule of bidder
+// events over logical time. Its caller replays the schedule through the
+// epochal service's explicit clock (SubmitAt/Withdraw), so the admit/shed
+// sequence — and therefore every sealed epoch — is a pure function of
+// (config, seed). Wall time never enters the schedule.
 
 // EventKind classifies one arrival-schedule entry.
 type EventKind int
@@ -48,8 +48,8 @@ type ArrivalEvent struct {
 	Kind   EventKind
 }
 
-// ArrivalConfig shapes a schedule. The zero value is invalid; every
-// harness path goes through Validate.
+// ArrivalConfig shapes a schedule. The zero value is invalid;
+// BuildSchedule runs Validate first.
 type ArrivalConfig struct {
 	// Process selects the inter-arrival law: "poisson" (exponential gaps
 	// at Rate arrivals/sec), "uniform" (each join time uniform over the

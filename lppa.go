@@ -387,7 +387,7 @@ func NewTraceSampler(proc string, seed int64, k int) *TraceSampler {
 // WithTraceSampler traces the round only when the sampler's deterministic
 // 1-in-K schedule picks it; unsampled rounds stay on the allocation-free
 // untraced path. Mutually exclusive with WithTrace; a nil sampler is a
-// no-op. See DESIGN.md §5i.
+// no-op. See DESIGN.md §5j.
 func WithTraceSampler(s *TraceSampler) RunOption { return round.WithTraceSampler(s) }
 
 // AuditRound tallies what one round's transcript exposed to the
