@@ -51,8 +51,8 @@ trace-guard:
 	$(GO) test -run TestTraceDisabledAllocationFree -count=1 -v .
 
 # Fail if the zero-allocation benchmarks report any allocations: the masked
-# comparison, interned intersection, and index candidate-scan hot paths must
-# stay allocation-free.
+# comparison, the counted interned intersection every auctioneer build runs,
+# and the index candidate-scan hot paths must stay allocation-free.
 alloc-guard:
 	$(GO) test -run=NONE -benchtime=1x -benchmem \
 		-bench='ZeroAllocMask|InternedIntersect|IndexCursorRow' . \

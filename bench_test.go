@@ -1122,11 +1122,12 @@ func BenchmarkAblationPlacementDensity(b *testing.B) {
 
 // --- Interned-set benchmarks (PR 2) -------------------------------------
 
-// BenchmarkInternedIntersect pins the interned fast path at the set shapes
-// the protocol produces (family ≈ w+1 IDs vs padded cover = 2w−2 IDs) plus
-// the skewed shape that triggers galloping. Acceptance criterion: the
-// -benchmem column must read 0 allocs/op on every sub-benchmark (the CI
-// alloc guard fails otherwise).
+// BenchmarkInternedIntersect pins the interned fast path — the counted
+// intersection every auctioneer graph and rank-memo build runs — at the
+// set shapes the protocol produces (family ≈ w+1 IDs vs padded cover =
+// 2w−2 IDs) plus the skewed shape that triggers galloping. Acceptance
+// criterion: the -benchmem column must read 0 allocs/op on every
+// sub-benchmark (the CI alloc guard fails otherwise).
 func BenchmarkInternedIntersect(b *testing.B) {
 	m, err := mask.NewMasker(make(mask.Key, 32))
 	if err != nil {
@@ -1156,8 +1157,12 @@ func BenchmarkInternedIntersect(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var st mask.IntersectStats
 			for i := 0; i < b.N; i++ {
-				tc.a.Intersects(tc.b)
+				tc.a.IntersectsCounted(tc.b, &st)
+			}
+			if st.Calls != uint64(b.N) {
+				b.Fatalf("tallied %d calls over %d iterations", st.Calls, b.N)
 			}
 		})
 	}

@@ -31,10 +31,10 @@ type Column func(r int) (order, rank []int)
 //   - both paths draw the same rng values (one Intn per award over an
 //     identical tie list; the channel pool is shared code).
 //
-// served, when non-nil, is called once per memo entry the allocator
-// examines (the memo-hit telemetry hook); nil skips all accounting. See
-// AllocateAwards for the void-award semantics.
-func AllocateAwardsOrdered(n, k int, present [][]bool, g *conflict.Graph, column Column, valid Validity, served func(), rng *rand.Rand) ([]Award, []Assignment, error) {
+// *served is incremented once per memo entry the allocator examines (the
+// memo-hit tally); served must be non-nil. See AllocateAwards for the
+// void-award semantics.
+func AllocateAwardsOrdered(n, k int, present [][]bool, g *conflict.Graph, column Column, valid Validity, served *uint64, rng *rand.Rand) ([]Award, []Assignment, error) {
 	if g.N() != n {
 		return nil, nil, fmt.Errorf("auction: conflict graph has %d nodes, want %d", g.N(), n)
 	}
@@ -96,9 +96,7 @@ func AllocateAwardsOrdered(n, k int, present [][]bool, g *conflict.Graph, column
 		ties = ties[:0]
 		e := c
 		for ; e < n && rk[o[e]] == headRank; e++ {
-			if served != nil {
-				served()
-			}
+			*served++
 			if present[o[e]][r] {
 				ties = append(ties, o[e])
 			}
@@ -138,9 +136,7 @@ func AllocateAwardsOrdered(n, k int, present [][]bool, g *conflict.Graph, column
 			if f < n {
 				r2 := rk[o[f]]
 				for ; f < n && rk[o[f]] == r2; f++ {
-					if served != nil {
-						served()
-					}
+					*served++
 					if present[o[f]][r] {
 						runnerUp = o[f]
 					}

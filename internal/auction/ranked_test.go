@@ -96,7 +96,8 @@ func TestAllocateAwardsOrderedMatchesLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 		orderedRng := rand.New(rand.NewSource(seed * 101))
-		gotAwards, gotVoided, err := AllocateAwardsOrdered(n, k, clonePresent(present), g, column, valid, nil, orderedRng)
+		var served uint64
+		gotAwards, gotVoided, err := AllocateAwardsOrdered(n, k, clonePresent(present), g, column, valid, &served, orderedRng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,8 +115,8 @@ func TestAllocateAwardsOrderedMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestAllocateAwardsOrderedServed pins the telemetry hook contract: served
-// is called for the memo entries the allocator examines.
+// TestAllocateAwardsOrderedServed pins the memo-hit tally contract: served
+// counts the memo entries the allocator examines.
 func TestAllocateAwardsOrderedServed(t *testing.T) {
 	const n, k = 12, 3
 	_, g, _, column := rankedFixture(t, n, k, 5)
@@ -126,14 +127,14 @@ func TestAllocateAwardsOrderedServed(t *testing.T) {
 			present[i][r] = true
 		}
 	}
-	servedCount := 0
+	var servedCount uint64
 	_, _, err := AllocateAwardsOrdered(n, k, clonePresent(present), g, column, nil,
-		func() { servedCount++ }, rand.New(rand.NewSource(9)))
+		&servedCount, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if servedCount == 0 {
-		t.Error("served hook never invoked")
+		t.Error("served never counted")
 	}
 }
 
@@ -141,10 +142,11 @@ func TestAllocateAwardsOrderedServed(t *testing.T) {
 func TestAllocateAwardsOrderedValidation(t *testing.T) {
 	_, g, _, column := rankedFixture(t, 4, 2, 1)
 	rng := rand.New(rand.NewSource(1))
-	if _, _, err := AllocateAwardsOrdered(5, 2, make([][]bool, 5), g, column, nil, nil, rng); err == nil {
+	var served uint64
+	if _, _, err := AllocateAwardsOrdered(5, 2, make([][]bool, 5), g, column, nil, &served, rng); err == nil {
 		t.Error("graph size mismatch accepted")
 	}
-	if _, _, err := AllocateAwardsOrdered(4, 2, make([][]bool, 3), g, column, nil, nil, rng); err == nil {
+	if _, _, err := AllocateAwardsOrdered(4, 2, make([][]bool, 3), g, column, nil, &served, rng); err == nil {
 		t.Error("short present accepted")
 	}
 	bad := Column(func(r int) ([]int, []int) { return []int{0}, []int{0} })
@@ -152,7 +154,7 @@ func TestAllocateAwardsOrderedValidation(t *testing.T) {
 	for i := range present {
 		present[i] = []bool{true, true}
 	}
-	if _, _, err := AllocateAwardsOrdered(4, 2, present, g, bad, nil, nil, rng); err == nil {
+	if _, _, err := AllocateAwardsOrdered(4, 2, present, g, bad, nil, &served, rng); err == nil {
 		t.Error("short column memo accepted")
 	}
 }

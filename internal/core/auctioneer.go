@@ -36,14 +36,12 @@ type Auctioneer struct {
 	rank      [][]int
 	rankOrder [][]int
 	// colCalls[r] is the masked-intersection count spent building column
-	// r's rank memo. Filled only on observed auctioneers (SetObserver):
-	// the unobserved hot path stays uncounted.
+	// r's rank memo (zero until the column is built).
 	colCalls []uint64
 
-	// ob, when non-nil, routes lazy cache builds and memo lookups through
-	// their counted twins (observe.go). Nil — the default — keeps every
-	// hot path on the exact unobserved code.
-	ob *aucObs
+	// ob receives each build's tallies (observe.go); its zero value, the
+	// default, discards them.
+	ob aucObs
 }
 
 // NewAuctioneer collects one location and one bid submission per bidder.
@@ -68,37 +66,6 @@ func NewAuctioneer(params Params, locs []*LocationSubmission, bids []*BidSubmiss
 
 // N reports the number of bidders.
 func (a *Auctioneer) N() int { return len(a.bids) }
-
-// Reset re-arms the auctioneer for a new population under the same
-// params: the submissions are swapped and every lazily built,
-// population-specific cache (conflict graph and index stats, rank memos,
-// comparison tallies) is dropped. The observer also returns to its
-// post-NewAuctioneer default (detached), so the next round re-applies
-// exactly the options it was asked for instead of inheriting a previous
-// epoch's. This is the epochal service's reuse path (internal/epoch): one
-// auctioneer per service lifetime instead of one per round.
-func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) error {
-	if len(locs) != len(bids) {
-		return fmt.Errorf("core: %d location submissions vs %d bid submissions", len(locs), len(bids))
-	}
-	if len(locs) == 0 {
-		return fmt.Errorf("core: no bidders")
-	}
-	for i, b := range bids {
-		if len(b.Channels) != a.params.Channels {
-			return fmt.Errorf("core: bidder %d submitted %d channel bids, want %d",
-				i, len(b.Channels), a.params.Channels)
-		}
-	}
-	a.locs, a.bids = locs, bids
-	a.graph = nil
-	a.ixStats = mask.IndexStats{}
-	a.rank = nil
-	a.rankOrder = nil
-	a.colCalls = nil
-	a.ob = nil
-	return nil
-}
 
 // SetWorkers does nothing: the conflict graph and the rank memos build
 // serially.
@@ -149,7 +116,10 @@ func (a *Auctioneer) allocateAwards(valid auction.Validity, rng *rand.Rand) ([]a
 		a.columnRank(r)
 		return a.rankOrder[r], a.rank[r]
 	}
-	return auction.AllocateAwardsOrdered(n, k, fullPresent(n, k), a.ConflictGraph(), column, valid, a.servedHook(), rng)
+	var served uint64
+	awards, voided, err := auction.AllocateAwardsOrdered(n, k, fullPresent(n, k), a.ConflictGraph(), column, valid, &served, rng)
+	a.ob.rankMemoHits.Add(served)
+	return awards, voided, err
 }
 
 // Allocate runs the private spectrum allocation (Algorithm 3 over masked
@@ -229,9 +199,10 @@ func (a *Auctioneer) DigestCounts() []int {
 
 // ComparisonsPerChannel returns how many masked set intersections the
 // rank-memo build spent per channel — the auctioneer's per-column work,
-// and an upper bound on the ordering information each column leaked.
-// Populated only on observed auctioneers (SetObserver) and only for
-// columns actually built; unobserved runs return nil.
+// and an upper bound on the ordering information each column leaked. It
+// has one entry per channel once any column is built (zero for columns
+// never built), whether or not a registry is attached, and is nil before
+// that.
 func (a *Auctioneer) ComparisonsPerChannel() []uint64 {
 	if a.colCalls == nil {
 		return nil
@@ -255,34 +226,9 @@ type ChargeRequest struct {
 }
 
 // ChargeRequests assembles the TTP batch for a set of assignments
-// (section V.C.2: batching reduces TTP online time). All sealed copies and
-// family digests share two flat backing arrays — one allocation each for
-// the whole batch instead of two per request; full-capacity subslices keep
-// the requests append-isolated from one another.
+// (section V.C.2: batching reduces TTP online time).
 func (a *Auctioneer) ChargeRequests(assignments []auction.Assignment) []ChargeRequest {
-	sealedTotal, famTotal := 0, 0
-	for _, as := range assignments {
-		cb := &a.bids[as.Bidder].Channels[as.Channel]
-		sealedTotal += len(cb.Sealed)
-		famTotal += cb.Family.Len()
-	}
-	sealedBuf := make([]byte, 0, sealedTotal)
-	famBuf := make([]mask.Digest, 0, famTotal)
-	reqs := make([]ChargeRequest, len(assignments))
-	for idx, as := range assignments {
-		cb := &a.bids[as.Bidder].Channels[as.Channel]
-		s0 := len(sealedBuf)
-		sealedBuf = append(sealedBuf, cb.Sealed...)
-		f0 := len(famBuf)
-		famBuf = cb.Family.AppendDigests(famBuf)
-		reqs[idx] = ChargeRequest{
-			Bidder:  as.Bidder,
-			Channel: as.Channel,
-			Sealed:  sealedBuf[s0:len(sealedBuf):len(sealedBuf)],
-			Family:  famBuf[f0:len(famBuf):len(famBuf)],
-		}
-	}
-	return reqs
+	return a.chargeBatch(len(assignments), func(i int) (auction.Assignment, int) { return assignments[i], -1 })
 }
 
 // AllocateAwards is Allocate with award-time runner-ups, for second-price
@@ -294,39 +240,48 @@ func (a *Auctioneer) AllocateAwards(rng *rand.Rand) ([]auction.Award, error) {
 
 // ChargeRequestsSecondPrice assembles a second-price TTP batch: each
 // request carries the winner's sealed bid (validity + price/prefix
-// verification) and the runner-up's sealed bid (the clearing price). Like
-// ChargeRequests, winner and runner-up sealed copies share one flat buffer
-// and family digests another, so the batch costs two allocations instead
-// of three per award.
+// verification) and the runner-up's sealed bid (the clearing price).
 func (a *Auctioneer) ChargeRequestsSecondPrice(awards []auction.Award) []ChargeRequest {
+	return a.chargeBatch(len(awards), func(i int) (auction.Assignment, int) { return awards[i].Assignment, awards[i].RunnerUp })
+}
+
+// chargeBatch builds n charge requests; award(i) gives the i-th winner's
+// assignment and its runner-up, negative for none (first price). All
+// sealed copies, winners' and runner-ups', share one flat backing array
+// and all family digests another — one allocation each for the whole
+// batch instead of two or three per request; full-capacity subslices keep
+// the requests append-isolated from one another.
+func (a *Auctioneer) chargeBatch(n int, award func(i int) (auction.Assignment, int)) []ChargeRequest {
 	sealedTotal, famTotal := 0, 0
-	for _, aw := range awards {
-		cb := &a.bids[aw.Bidder].Channels[aw.Channel]
+	for i := 0; i < n; i++ {
+		as, ru := award(i)
+		cb := &a.bids[as.Bidder].Channels[as.Channel]
 		sealedTotal += len(cb.Sealed)
 		famTotal += cb.Family.Len()
-		if aw.RunnerUp >= 0 {
-			sealedTotal += len(a.bids[aw.RunnerUp].Channels[aw.Channel].Sealed)
+		if ru >= 0 {
+			sealedTotal += len(a.bids[ru].Channels[as.Channel].Sealed)
 		}
 	}
 	sealedBuf := make([]byte, 0, sealedTotal)
 	famBuf := make([]mask.Digest, 0, famTotal)
-	reqs := make([]ChargeRequest, len(awards))
-	for idx, aw := range awards {
-		cb := &a.bids[aw.Bidder].Channels[aw.Channel]
+	reqs := make([]ChargeRequest, n)
+	for i := range reqs {
+		as, ru := award(i)
+		cb := &a.bids[as.Bidder].Channels[as.Channel]
 		s0 := len(sealedBuf)
 		sealedBuf = append(sealedBuf, cb.Sealed...)
 		f0 := len(famBuf)
 		famBuf = cb.Family.AppendDigests(famBuf)
-		reqs[idx] = ChargeRequest{
-			Bidder:  aw.Bidder,
-			Channel: aw.Channel,
+		reqs[i] = ChargeRequest{
+			Bidder:  as.Bidder,
+			Channel: as.Channel,
 			Sealed:  sealedBuf[s0:len(sealedBuf):len(sealedBuf)],
 			Family:  famBuf[f0:len(famBuf):len(famBuf)],
 		}
-		if aw.RunnerUp >= 0 {
+		if ru >= 0 {
 			r0 := len(sealedBuf)
-			sealedBuf = append(sealedBuf, a.bids[aw.RunnerUp].Channels[aw.Channel].Sealed...)
-			reqs[idx].RunnerUpSealed = sealedBuf[r0:len(sealedBuf):len(sealedBuf)]
+			sealedBuf = append(sealedBuf, a.bids[ru].Channels[as.Channel].Sealed...)
+			reqs[i].RunnerUpSealed = sealedBuf[r0:len(sealedBuf):len(sealedBuf)]
 		}
 	}
 	return reqs

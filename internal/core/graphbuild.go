@@ -39,13 +39,6 @@ func (a *Auctioneer) buildGraph() *conflict.Graph {
 	iloc, total, distinct := internLocations(a.locs)
 
 	var st mask.IntersectStats
-	pred := func(i, j int) bool { return iloc[i].conflicts(&iloc[j]) }
-	if a.ob != nil {
-		// Counted twin: the tally lands in the registry once, after the
-		// build.
-		pred = func(i, j int) bool { return iloc[i].conflictsCounted(&iloc[j], &st) }
-	}
-
 	groupOf := make(map[uint64]int, n)
 	groups := make([][]int, 0, n)
 	for i := range iloc {
@@ -58,18 +51,13 @@ func (a *Auctioneer) buildGraph() *conflict.Graph {
 		}
 	}
 
-	var start time.Time
-	if a.ob != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	ix := mask.NewIndex(len(groups))
 	for _, A := range groups {
 		ix.Add(iloc[A[0]].xFamily, iloc[A[0]].xRange)
 	}
 	cur := ix.Cursor()
-	if a.ob != nil {
-		a.ob.indexBuild.Observe(time.Since(start).Seconds())
-	}
+	indexBuild := time.Since(start)
 
 	g := conflict.NewGraph(n)
 	for ga, A := range groups {
@@ -79,7 +67,7 @@ func (a *Auctioneer) buildGraph() *conflict.Graph {
 			}
 		}
 		for _, gb := range cur.Row(ga) {
-			if B := groups[gb]; pred(A[0], B[0]) {
+			if B := groups[gb]; iloc[A[0]].conflicts(&iloc[B[0]], &st) {
 				for _, i := range A {
 					for _, j := range B {
 						g.AddEdge(i, j)
@@ -90,13 +78,13 @@ func (a *Auctioneer) buildGraph() *conflict.Graph {
 	}
 	a.ixStats = ix.Stats()
 
-	if a.ob != nil {
-		scanned, emitted := cur.Stats()
-		a.ob.noteIntern(total, distinct)
-		a.ob.flushStats(&st)
-		a.ob.indexPostings.Add(scanned)
-		a.ob.indexCandidates.Add(emitted)
-		a.ob.indexConfirms.Add(uint64(g.Edges()))
-	}
+	// One fold per build; with no registry attached every handle is nil.
+	scanned, emitted := cur.Stats()
+	a.ob.indexBuild.Observe(indexBuild.Seconds())
+	a.ob.noteIntern(total, distinct)
+	a.ob.flushStats(&st)
+	a.ob.indexPostings.Add(scanned)
+	a.ob.indexCandidates.Add(emitted)
+	a.ob.indexConfirms.Add(uint64(g.Edges()))
 	return g
 }

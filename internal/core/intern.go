@@ -44,8 +44,7 @@ func (l *internedLocation) key() uint64 {
 // per axis, families first (which makes key exact), then range covers. It
 // also reports how many digests passed through the dictionaries and how
 // many were distinct (dictionary misses) — the difference is the intern
-// hit count the observability layer exports. Callers that do not observe
-// ignore both.
+// hit count the observability layer exports.
 func internLocations(subs []*LocationSubmission) (out []internedLocation, total, distinct int) {
 	capX, capY := 0, 0
 	if len(subs) > 0 {
@@ -83,14 +82,9 @@ func internLocations(subs []*LocationSubmission) (out []internedLocation, total,
 }
 
 // conflicts is Conflicts on the interned representation: i's coordinate
-// families must intersect j's range covers on both axes.
-func (a *internedLocation) conflicts(b *internedLocation) bool {
-	return a.xFamily.Intersects(b.xRange) && a.yFamily.Intersects(b.yRange)
-}
-
-// conflictsCounted is conflicts with intersection tallies (observed
-// conflict-graph builds only; the uncounted path stays untouched).
-func (a *internedLocation) conflictsCounted(b *internedLocation, st *mask.IntersectStats) bool {
+// families must intersect j's range covers on both axes. Every
+// intersection is tallied into st.
+func (a *internedLocation) conflicts(b *internedLocation, st *mask.IntersectStats) bool {
 	return a.xFamily.IntersectsCounted(b.xRange, st) && a.yFamily.IntersectsCounted(b.yRange, st)
 }
 
@@ -125,13 +119,7 @@ func internColumn(bids []*BidSubmission, r int) (out []internedChannelBid, total
 	return out, total, dict.Len()
 }
 
-// ge is CompareGE on the interned representation.
-func (a *internedChannelBid) ge(b *internedChannelBid) bool {
-	return a.family.Intersects(b.rng)
-}
-
-// geCounted is ge with intersection tallies (observed rank-memo builds
-// only).
-func (a *internedChannelBid) geCounted(b *internedChannelBid, st *mask.IntersectStats) bool {
+// ge is CompareGE on the interned representation, tallied into st.
+func (a *internedChannelBid) ge(b *internedChannelBid, st *mask.IntersectStats) bool {
 	return a.family.IntersectsCounted(b.rng, st)
 }

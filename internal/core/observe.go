@@ -5,15 +5,15 @@ import (
 	"lppa/internal/obs"
 )
 
-// Observability wiring for the auctioneer (DESIGN.md §5c). The unobserved
-// hot paths — the conflict-graph builder (graphbuild.go), columnRank's
-// value ranking, the allocator's memo reads — run uncounted: attaching a
-// registry swaps in counted twins of the same operations, and every
-// predicate outcome is unchanged because the counted mask operations
-// delegate to the uncounted ones.
+// Observability wiring for the auctioneer (DESIGN.md §5c). Every build
+// counts: the conflict-graph builder (graphbuild.go), columnRank's value
+// ranking and the allocator's memo reads tally into locals, and each
+// build folds its tallies once through the handles below. With no
+// registry attached the handles are nil and the fold is a no-op.
 
 // aucObs holds the auctioneer's counter handles, resolved once in
-// SetObserver so the observed paths never take the registry lock.
+// SetObserver so a build never takes the registry lock. The zero value,
+// every handle nil, is the detached state.
 type aucObs struct {
 	comparisons   *obs.Counter // masked set intersections evaluated
 	bloomRejects  *obs.Counter // of those, decided by the Bloom pre-check
@@ -32,14 +32,10 @@ type aucObs struct {
 
 // SetObserver attaches a metrics registry to the auctioneer. Call it
 // before the first ConflictGraph/GE/Allocate use — the lazily built caches
-// are counted only while being built. A nil registry detaches (the
-// default), leaving every hot path exactly as fast as an unobserved run.
+// report their counts when they are built. A nil registry detaches (the
+// default). Results are identical either way.
 func (a *Auctioneer) SetObserver(reg *obs.Registry) {
-	if reg == nil {
-		a.ob = nil
-		return
-	}
-	a.ob = &aucObs{
+	a.ob = aucObs{
 		comparisons:   reg.Counter("lppa_auctioneer_comparisons_total"),
 		bloomRejects:  reg.Counter("lppa_auctioneer_bloom_rejects_total"),
 		rankMemoHits:  reg.Counter("lppa_auctioneer_rank_memo_hits_total"),
@@ -68,14 +64,4 @@ func (o *aucObs) noteIntern(total, distinct int) {
 func (o *aucObs) flushStats(st *mask.IntersectStats) {
 	o.comparisons.Add(st.Calls)
 	o.bloomRejects.Add(st.BloomRejects)
-}
-
-// servedHook returns the rank-cursor allocator's telemetry callback: each
-// memo entry the allocator examines counts as one memo hit. Nil — no
-// callback, no per-entry branch — when unobserved.
-func (a *Auctioneer) servedHook() func() {
-	if a.ob == nil {
-		return nil
-	}
-	return a.ob.rankMemoHits.Inc
 }

@@ -23,16 +23,12 @@ func (a *Auctioneer) columnRank(r int) []int {
 	if a.rank == nil {
 		a.rank = make([][]int, a.params.Channels)
 		a.rankOrder = make([][]int, a.params.Channels)
+		a.colCalls = make([]uint64, a.params.Channels)
 	}
 	if a.rank[r] == nil {
 		col, total, distinct := internColumn(a.bids, r)
 		var st mask.IntersectStats
-		ge := func(i, j int) bool { return col[i].ge(&col[j]) }
-		if a.ob != nil {
-			a.ob.noteIntern(total, distinct)
-			ge = func(i, j int) bool { return col[i].geCounted(&col[j], &st) }
-		}
-		rank := bidValueRanks(col, ge)
+		rank := bidValueRanks(col, func(i, j int) bool { return col[i].ge(&col[j], &st) })
 		order := make([]int, len(rank))
 		for i := range order {
 			order[i] = i
@@ -46,14 +42,10 @@ func (a *Auctioneer) columnRank(r int) []int {
 		})
 		a.rankOrder[r] = order
 		a.rank[r] = rank
-		if a.ob != nil {
-			if a.colCalls == nil {
-				a.colCalls = make([]uint64, a.params.Channels)
-			}
-			a.colCalls[r] = st.Calls
-			a.ob.rankBuilds.Inc()
-			a.ob.flushStats(&st)
-		}
+		a.colCalls[r] = st.Calls
+		a.ob.noteIntern(total, distinct)
+		a.ob.rankBuilds.Inc()
+		a.ob.flushStats(&st)
 	}
 	return a.rank[r]
 }

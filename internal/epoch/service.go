@@ -96,6 +96,11 @@ type batch struct {
 // EpochResult reports one finished epoch. Assignment bidder indices in
 // Result are compact (0..n−1, the round's view); Bidders maps them back
 // to external bidder identities: external = Bidders[compact].
+//
+// Result carries no transcript: its Auctioneer is nil, so a service that
+// keeps its results does not keep every epoch's submissions. To inspect
+// an epoch's transcript, replay it with round.Run over its admitted set
+// and EpochSeed.
 type EpochResult struct {
 	Epoch   int
 	Bidders []int
@@ -108,13 +113,11 @@ type EpochResult struct {
 // sealed epoch allocates on the runner goroutine — Seal hands a
 // population across a one-deep queue, so intake for epoch N+1 overlaps
 // allocation of epoch N and sealing N+2 blocks (backpressure) until the
-// runner frees up. Allocation reuses one auctioneer across epochs
-// (round.WithEpochState); the determinism contract is in the package
-// comment and pinned by TestEpochEquivalence.
+// runner frees up. The determinism contract is in the package comment
+// and pinned by TestEpochEquivalence.
 type Service struct {
-	cfg   Config
-	adm   *Admission
-	state *round.EpochState
+	cfg Config
+	adm *Admission
 
 	mu     sync.Mutex
 	intake map[int]Submission
@@ -151,7 +154,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		adm:     adm,
-		state:   round.NewEpochState(),
 		intake:  make(map[int]Submission),
 		queue:   make(chan batch, 1),
 		results: make(chan *EpochResult, 16),
@@ -324,13 +326,12 @@ func (s *Service) run() {
 }
 
 // runEpoch executes one sealed epoch: derived rng, the caller's round
-// options plus the reuse state, winner billing, and the epoch-close
-// accounting flush.
+// options, winner billing, and the epoch-close accounting flush.
 func (s *Service) runEpoch(b batch) *EpochResult {
 	rng := rand.New(rand.NewSource(EpochSeed(s.cfg.Seed, b.epoch)))
-	opts := make([]round.Option, 0, len(s.cfg.RoundOptions)+3)
+	opts := make([]round.Option, 0, len(s.cfg.RoundOptions)+2)
 	opts = append(opts, s.cfg.RoundOptions...)
-	opts = append(opts, round.WithEpochState(s.state), round.WithEpochNumber(b.epoch))
+	opts = append(opts, round.WithEpochNumber(b.epoch))
 	var start time.Time
 	if s.cfg.Ops != nil {
 		epoch := b.epoch
@@ -345,6 +346,9 @@ func (s *Service) runEpoch(b batch) *EpochResult {
 		Policy: s.cfg.Policy,
 		Rng:    rng,
 	}, opts...)
+	if res != nil {
+		res.Auctioneer = nil // published results hold no transcript (see EpochResult)
+	}
 	er := &EpochResult{Epoch: b.epoch, Bidders: b.bidders, Result: res, Err: err}
 	if s.epochs != nil {
 		s.epochs.Inc()

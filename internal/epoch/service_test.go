@@ -73,7 +73,7 @@ func drain(t *testing.T, s *Service) []*EpochResult {
 }
 
 // sameOutcome compares everything a round Result exposes except the
-// Auctioneer pointer (reused by the service, fresh in the one-shot).
+// Auctioneer pointer (nil on service results, which carry no transcript).
 func sameOutcome(t *testing.T, tag string, got, want *round.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Outcome, want.Outcome) {
@@ -88,9 +88,8 @@ func sameOutcome(t *testing.T, tag string, got, want *round.Result) {
 // TestEpochEquivalence is the tentpole contract: every epoch the service
 // runs is bit-identical to a one-shot round.Run over the same admitted
 // set with the epoch's derived seed — across the workers × charging grid,
-// with back-to-back epochs of different populations so the
-// auctioneer-reuse path (core Reset) is what's under test, not a fresh
-// construction.
+// with back-to-back epochs of different populations. Every published
+// result carries no auctioneer, so the service pins no transcript.
 func TestEpochEquivalence(t *testing.T) {
 	p, ring := epochFixture(t)
 	const seed = 77
@@ -114,7 +113,7 @@ func TestEpochEquivalence(t *testing.T) {
 		}
 		pops := [][]Submission{
 			population(p, 30, 11),
-			population(p, 45, 12), // different size: Reset must rescale
+			population(p, 45, 12),
 			population(p, 30, 13),
 		}
 		for e, pop := range pops {
@@ -133,6 +132,9 @@ func TestEpochEquivalence(t *testing.T) {
 		for e, res := range results {
 			if res.Epoch != e {
 				t.Fatalf("%s: result %d labelled epoch %d", tc.tag, e, res.Epoch)
+			}
+			if res.Result.Auctioneer != nil {
+				t.Errorf("%s epoch %d: published result holds its auctioneer", tc.tag, e)
 			}
 			pop := pops[e]
 			wantIDs := make([]int, len(pop))

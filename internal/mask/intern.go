@@ -255,9 +255,8 @@ func (s IntSet) Intersects(other IntSet) bool {
 
 // IntersectStats tallies counted masked-set intersections: how many were
 // evaluated and how many the Bloom signature pre-check decided alone.
-// The auctioneer's observed paths (core.Auctioneer.SetObserver) aggregate
-// these into an obs.Registry; the uncounted Intersects stays the hot path
-// so disabled observability costs nothing.
+// Every auctioneer build counts into one and folds it into its registry
+// handles once (core.Auctioneer.SetObserver).
 type IntersectStats struct {
 	Calls        uint64
 	BloomRejects uint64

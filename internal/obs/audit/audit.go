@@ -64,8 +64,9 @@ type Report struct {
 	DigestsTotal int `json:"digests_total"`
 	// ComparisonsPerChannel is the masked-intersection count the rank
 	// build spent per channel column — an upper bound on the ordering
-	// information each column leaked. Present only when the round ran
-	// with an observer (round.WithObserver); nil otherwise.
+	// information each column leaked. Always present, observed round or
+	// not: the audit ranks every channel first, so every column has its
+	// count.
 	ComparisonsPerChannel []uint64 `json:"comparisons_per_channel,omitempty"`
 	// DegreeHist[d] counts bidders with conflict degree d.
 	DegreeHist []int `json:"degree_hist"`

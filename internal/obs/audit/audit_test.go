@@ -123,7 +123,7 @@ func TestRoundAuditFullAttendance(t *testing.T) {
 
 // TestRoundAuditSurfaceOnly pins the Area-less mode: digest counts and
 // degrees are reported, anonymity fields stay zero, and an unobserved
-// round carries no comparison counts.
+// round still carries one comparison count per channel.
 func TestRoundAuditSurfaceOnly(t *testing.T) {
 	p, ring, pts, bids := fixture(t, 8, 3)
 	res, err := round.Run(p, ring,
@@ -135,8 +135,8 @@ func TestRoundAuditSurfaceOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ComparisonsPerChannel != nil {
-		t.Errorf("unobserved round reported comparisons %v", rep.ComparisonsPerChannel)
+	if len(rep.ComparisonsPerChannel) != int(p.Channels) {
+		t.Errorf("unobserved round reported comparisons %v, want one per channel", rep.ComparisonsPerChannel)
 	}
 	if rep.MinAnonymityCells != 0 || rep.MeanAnonymityCells != 0 {
 		t.Errorf("surface-only report carries anonymity summary %d/%f",

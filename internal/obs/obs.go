@@ -8,9 +8,9 @@
 // metric handle obtained from one — is a valid no-op. Instrumented code
 // never branches on "is observability on"; it calls Add/Set/Observe
 // unconditionally on handles that may be nil, and the nil receiver check
-// is the entire disabled-path cost. Hot loops that cannot afford even
-// that fetch their handles once up front and skip instrumentation
-// entirely when the handle is nil (see core.Auctioneer.SetObserver).
+// is the entire disabled-path cost. Hot loops count into plain locals and
+// fold them through their handles once per build, so a loop iteration
+// never touches a handle (see core.Auctioneer.SetObserver).
 //
 // All metric mutations are atomic, so one Registry can serve every party
 // and goroutine of a process; metric creation is guarded by a mutex and

@@ -32,11 +32,10 @@ type Charger func(reqs []core.ChargeRequest) ([]ttp.ChargeResult, error)
 // rng drives the allocator's channel shuffles and tie breaks. phases
 // receives the conflict_graph, allocate and charge boundaries and is
 // stopped when Auction returns; nil reports nothing. Auction reads the
-// charging, observer and epoch-state options (WithSecondPrice,
-// WithObserver, WithEpochState); the rest shape Run's bidder half and
-// tracing, which the caller owns through phases. Interactive charging
-// needs the in-process TTP's validity oracle, so it is Run's alone and
-// Auction rejects it.
+// charging and observer options (WithSecondPrice, WithObserver); the rest
+// shape Run's bidder half and tracing, which the caller owns through
+// phases. Interactive charging needs the in-process TTP's validity
+// oracle, so it is Run's alone and Auction rejects it.
 //
 // Outcome.Bidders and the assignment indices count the given submissions.
 func Auction(params core.Params, locs []*core.LocationSubmission, subs []*core.BidSubmission,
@@ -57,7 +56,7 @@ func Auction(params core.Params, locs []*core.LocationSubmission, subs []*core.B
 func auctionRound(params core.Params, locs []*core.LocationSubmission, subs []*core.BidSubmission,
 	charge Charger, validate func(sealed []byte) bool, rng *rand.Rand, ph *obs.Phases, cfg *runConfig) (*Result, error) {
 	defer ph.Stop()
-	auc, err := cfg.state.auctioneer(params, locs, subs)
+	auc, err := core.NewAuctioneer(params, locs, subs)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,6 @@ type runConfig struct {
 	reg         *obs.Registry
 	tracer      *obs.Tracer
 	flight      *obs.FlightRecorder
-	state       *EpochState
 	sampler     *obs.TraceSampler
 	epoch       int
 	hasEpoch    bool
@@ -251,18 +250,16 @@ func finishTrace(cfg *runConfig, root *obs.Span, res *Result, err error) {
 	_, _ = cfg.flight.Record(rt)
 }
 
-// roundObs caches the round-level metric handles for one Run.
+// roundObs caches the round-level metric handles for one Run; they are
+// nil, and so discard updates, when no registry is attached.
 type roundObs struct {
 	rounds, winners, revenue, voided, violations *obs.Counter
 	bytes, digests                               *obs.Counter
 	workers                                      *obs.Gauge
 }
 
-func newRoundObs(reg *obs.Registry) *roundObs {
-	if reg == nil {
-		return nil
-	}
-	return &roundObs{
+func newRoundObs(reg *obs.Registry) roundObs {
+	return roundObs{
 		rounds:     reg.Counter("lppa_rounds_total"),
 		winners:    reg.Counter("lppa_round_winners_total"),
 		revenue:    reg.Counter("lppa_round_revenue_total"),
@@ -276,9 +273,6 @@ func newRoundObs(reg *obs.Registry) *roundObs {
 
 // note folds one finished round into the registry.
 func (o *roundObs) note(res *Result, workers, bytesTotal, digests int) {
-	if o == nil {
-		return
-	}
 	o.rounds.Inc()
 	o.winners.Add(uint64(res.Outcome.SatisfiedBidders))
 	o.revenue.Add(res.Outcome.Revenue)
@@ -461,12 +455,11 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *o
 		}
 		res.Excluded = excluded
 	}
-	if ro := newRoundObs(cfg.reg); ro != nil {
-		digests := 0
-		for _, c := range res.Auctioneer.DigestCounts() {
-			digests += c
-		}
-		ro.note(res, workers, bytesTotal, digests)
+	digests := 0
+	for _, c := range res.Auctioneer.DigestCounts() {
+		digests += c
 	}
+	ro := newRoundObs(cfg.reg)
+	ro.note(res, workers, bytesTotal, digests)
 	return res, nil
 }

@@ -23,7 +23,6 @@ type Series struct {
 
 	pending map[int]*pendingRound
 	nextID  int
-	results []SeriesRound
 }
 
 type pendingRound struct {
@@ -31,11 +30,13 @@ type pendingRound struct {
 	bidders     int
 }
 
-// SeriesRound is one settled auction.
+// SeriesRound is one settled auction. Voided and Violations count as in
+// Result.
 type SeriesRound struct {
-	RoundID int
-	Outcome *auction.Outcome
-	Voided  int
+	RoundID    int
+	Outcome    *auction.Outcome
+	Voided     int
+	Violations int
 }
 
 // NewSeries builds a multi-auction runner. maxRequests/maxRounds bound the
@@ -114,26 +115,13 @@ func (s *Series) settle(settlements []Settlement) []SeriesRound {
 			continue
 		}
 		delete(s.pending, st.RoundID)
-		outcome := &auction.Outcome{
+		res := Result{Outcome: &auction.Outcome{
 			Assignments: p.assignments,
 			Charges:     make([]uint64, len(p.assignments)),
 			Bidders:     p.bidders,
-		}
-		sr := SeriesRound{RoundID: st.RoundID, Outcome: outcome}
-		for i, r := range st.Results {
-			if i >= len(outcome.Charges) {
-				break
-			}
-			if r.Err != nil || !r.Valid {
-				sr.Voided++
-				continue
-			}
-			outcome.Charges[i] = r.Price
-			outcome.Revenue += r.Price
-			outcome.SatisfiedBidders++
-		}
-		out = append(out, sr)
-		s.results = append(s.results, sr)
+		}}
+		tallyCharges(&res, st.Results)
+		out = append(out, SeriesRound{RoundID: st.RoundID, Outcome: res.Outcome, Voided: res.Voided, Violations: res.Violations})
 	}
 	return out
 }

@@ -1,12 +1,14 @@
 package round
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"lppa/internal/core"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
+	"lppa/internal/ttp"
 )
 
 func seriesFixture(t *testing.T) (core.Params, *mask.KeyRing, []geo.Point, [][]uint64) {
@@ -101,6 +103,50 @@ func TestSeriesFlushSettlesRemainder(t *testing.T) {
 				t.Errorf("round %d: charge %d != bid %d", sr.RoundID, c, bids[a.Bidder][a.Channel])
 			}
 		}
+	}
+}
+
+// TestSeriesSettlementTally pins Series settlement to Run's tally: a TTP
+// error verdict is a violation, not a void, and an award the settlement
+// left without a verdict is a violation too. Bids are all positive and
+// nobody disguises, so no honest verdict is a void.
+func TestSeriesSettlementTally(t *testing.T) {
+	p, ring, points, bids := seriesFixture(t)
+	for i := range bids {
+		for r := range bids[i] {
+			if bids[i][r] == 0 {
+				bids[i][r] = 1
+			}
+		}
+	}
+	s, err := NewSeries(p, ring, 1<<20, 1, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	settle := func(reqs []core.ChargeRequest) []ttp.ChargeResult {
+		results := s.trusted.ProcessBatch(reqs)
+		results[0].Err = errors.New("forged price")
+		return results[:len(results)-1]
+	}
+	if s.batcher, err = NewBatcher(1<<20, 1, settle); err != nil {
+		t.Fatal(err)
+	}
+	settled, err := s.Run(ring, points, bids, core.DisguisePolicy{P0: 1}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(settled) != 1 {
+		t.Fatalf("settled %d rounds, want 1", len(settled))
+	}
+	sr := settled[0]
+	if n := len(sr.Outcome.Assignments); n < 3 {
+		t.Fatalf("%d awards, need at least 3 to separate the first, the last and an honest one", n)
+	}
+	if sr.Violations != 2 || sr.Voided != 0 {
+		t.Errorf("violations=%d voided=%d, want 2 and 0", sr.Violations, sr.Voided)
+	}
+	if want := len(sr.Outcome.Assignments) - 2; sr.Outcome.SatisfiedBidders != want {
+		t.Errorf("satisfied %d, want %d", sr.Outcome.SatisfiedBidders, want)
 	}
 }
 

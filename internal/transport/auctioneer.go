@@ -67,7 +67,7 @@ type AuctioneerServer struct {
 	admit        func() (bool, time.Duration)
 	onShed       func(time.Duration)
 	reg          *obs.Registry
-	ob           *netObs
+	ob           netObs
 	tracer       *obs.Tracer
 	flight       *obs.FlightRecorder
 	// root is the round's root span (nil when untraced); recv_submission
@@ -223,7 +223,7 @@ func (s *AuctioneerServer) acceptLoop() {
 		// handler goroutine parked on the idle timeout.
 		if s.admit != nil {
 			if ok, retry := s.admit(); !ok {
-				s.ob.rateLimit()
+				s.ob.rateLimited.Inc()
 				if s.onShed != nil {
 					s.onShed(retry)
 				}
@@ -301,7 +301,7 @@ func (s *AuctioneerServer) startRound() {
 		s.fail(err)
 		return
 	}
-	s.ob.exclude(len(outcome.Excluded))
+	s.ob.excluded.Add(uint64(len(outcome.Excluded)))
 	s.finishTrace("", len(outcome.Excluded) > 0)
 
 	s.mu.Lock()
@@ -380,7 +380,7 @@ func (s *AuctioneerServer) finishTrace(errStr string, degraded bool) {
 // rejectConn answers a connection with a protocol error and closes it.
 // span, when non-nil, is marked failed with the same reason.
 func (s *AuctioneerServer) rejectConn(c *Conn, span *obs.Span, reason string, retryable bool) {
-	s.ob.reject()
+	s.ob.rejects.Inc()
 	span.SetError(reason)
 	_ = c.Send(KindError, ErrorMsg{Reason: reason, Retryable: retryable})
 	c.Close()
@@ -401,14 +401,11 @@ func (s *AuctioneerServer) recvSpan(c *Conn, bidder int) *obs.Span {
 }
 
 func (s *AuctioneerServer) receiveSubmission(c *Conn) {
-	var start time.Time
-	if s.ob != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	var sub Submission
 	if err := c.Expect(KindSubmission, &sub); err != nil {
 		s.ob.noteErr(err)
-		s.ob.reject()
+		s.ob.rejects.Inc()
 		if s.tracer != nil {
 			s.root.Event("frame_rejected", obs.L("err", err.Error()))
 		}
@@ -416,9 +413,7 @@ func (s *AuctioneerServer) receiveSubmission(c *Conn) {
 		c.Close()
 		return
 	}
-	if s.ob != nil {
-		s.ob.subLat.ObserveDuration(time.Since(start))
-	}
+	s.ob.subLat.ObserveDuration(time.Since(start))
 	span := s.recvSpan(c, sub.BidderID)
 	defer span.End()
 	if err := sub.Validate(s.params); err != nil {
@@ -448,7 +443,7 @@ func (s *AuctioneerServer) receiveSubmission(c *Conn) {
 			if old != nil {
 				old.Close()
 			}
-			s.ob.replay()
+			s.ob.replays.Inc()
 			span.Event("replay_deduped")
 			_ = c.Send(KindSubmissionAck, struct{}{})
 			return
@@ -471,7 +466,7 @@ func (s *AuctioneerServer) receiveSubmission(c *Conn) {
 		if submitted && haveResult && prev.Nonce == sub.Nonce {
 			// A bidder that crashed after submitting and restarted:
 			// replay its stored result.
-			s.ob.replay()
+			s.ob.replays.Inc()
 			span.Event("replay_deduped")
 			_ = c.Send(KindSubmissionAck, struct{}{})
 			_ = c.Send(KindResult, res)

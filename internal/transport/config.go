@@ -125,26 +125,23 @@ func shutdownServer(ctx context.Context, markClosed func(), ln net.Listener, wg 
 }
 
 // netObs caches one server's transport metric handles, labelled by role
-// (ttp or auctioneer). Nil — the unobserved default — makes every method
-// a no-op and leaves connections unwrapped.
+// (ttp or auctioneer). Without a registry every handle is nil and
+// discards its updates.
 type netObs struct {
 	conns       *obs.Counter
 	bytesIn     *obs.Counter
 	bytesOut    *obs.Counter
 	subLat      *obs.Histogram
 	timeouts    *obs.Counter
-	rejects     *obs.Counter
-	replays     *obs.Counter
-	excluded    *obs.Counter
-	rateLimited *obs.Counter
+	rejects     *obs.Counter // malformed, duplicate, out of protocol, or outside the collection window
+	replays     *obs.Counter // idempotent resubmissions deduplicated by nonce
+	excluded    *obs.Counter // bidders dropped from a degraded quorum round
+	rateLimited *obs.Counter // connections shed by the admission gate
 }
 
-func newNetObs(reg *obs.Registry, role string) *netObs {
-	if reg == nil {
-		return nil
-	}
+func newNetObs(reg *obs.Registry, role string) netObs {
 	l := obs.L("role", role)
-	return &netObs{
+	return netObs{
 		conns:       reg.Counter("lppa_transport_conns_accepted_total", l),
 		bytesIn:     reg.Counter("lppa_transport_bytes_read_total", l),
 		bytesOut:    reg.Counter("lppa_transport_bytes_written_total", l),
@@ -157,41 +154,9 @@ func newNetObs(reg *obs.Registry, role string) *netObs {
 	}
 }
 
-// rateLimit tallies one connection shed by the admission gate.
-func (o *netObs) rateLimit() {
-	if o != nil {
-		o.rateLimited.Inc()
-	}
-}
-
-// reject tallies one rejected frame or submission (malformed, duplicate,
-// out of protocol, or arriving outside the collection window).
-func (o *netObs) reject() {
-	if o != nil {
-		o.rejects.Inc()
-	}
-}
-
-// replay tallies one idempotent resubmission deduplicated by nonce.
-func (o *netObs) replay() {
-	if o != nil {
-		o.replays.Inc()
-	}
-}
-
-// exclude tallies bidders dropped from a degraded quorum round.
-func (o *netObs) exclude(n int) {
-	if o != nil && n > 0 {
-		o.excluded.Add(uint64(n))
-	}
-}
-
-// accept tallies one accepted connection and returns the stream to hand to
-// the Conn wrapper — counted when observed, untouched otherwise.
+// accept tallies one accepted connection and returns it wrapped in a
+// byte-counting stream for the Conn wrapper.
 func (o *netObs) accept(conn net.Conn) io.ReadWriteCloser {
-	if o == nil {
-		return conn
-	}
 	o.conns.Inc()
 	return &countingStream{rw: conn, in: o.bytesIn, out: o.bytesOut}
 }
@@ -199,9 +164,6 @@ func (o *netObs) accept(conn net.Conn) io.ReadWriteCloser {
 // noteErr tallies a handler error that was a network timeout (an idle peer
 // dropped by the per-operation deadline).
 func (o *netObs) noteErr(err error) {
-	if o == nil || err == nil {
-		return
-	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		o.timeouts.Inc()

@@ -31,7 +31,7 @@ type TTPServer struct {
 	// (DefaultIdleTimeout / DefaultFrameTimeout when zero at construction).
 	idleTimeout  time.Duration
 	frameTimeout time.Duration
-	ob           *netObs
+	ob           netObs
 	tracer       *obs.Tracer
 
 	wg     sync.WaitGroup
@@ -130,7 +130,7 @@ func (s *TTPServer) handle(c *Conn) {
 		case KindKeyRingRequest:
 			var req struct{}
 			if err := c.RecvPayload(&req); err != nil {
-				s.ob.reject()
+				s.ob.rejects.Inc()
 				return
 			}
 			span := s.serveSpan("serve_keyring", c)
@@ -143,12 +143,12 @@ func (s *TTPServer) handle(c *Conn) {
 		case KindChargeBatch:
 			var batch ChargeBatch
 			if err := c.RecvPayload(&batch); err != nil {
-				s.ob.reject()
+				s.ob.rejects.Inc()
 				return
 			}
 			span := s.serveSpan("serve_charges", c)
 			if err := batch.Validate(); err != nil {
-				s.ob.reject()
+				s.ob.rejects.Inc()
 				s.log.Error("ttp: malformed charge batch", "err", err)
 				span.SetError(err.Error())
 				span.End()
@@ -163,7 +163,7 @@ func (s *TTPServer) handle(c *Conn) {
 				return
 			}
 		default:
-			s.ob.reject()
+			s.ob.rejects.Inc()
 			_ = c.Send(KindError, ErrorMsg{Reason: fmt.Sprintf("unexpected message kind %d", env.Kind)})
 			return
 		}

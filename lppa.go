@@ -27,10 +27,9 @@
 // shape the rest: WithWorkers for the deterministic parallel pipeline,
 // WithPolicies for per-bidder disguise, WithSecondPrice /
 // WithInteractiveCharging for the alternative charging rules, WithQuorum
-// for graceful degradation, WithEpochState for auctioneer reuse, and
-// WithObserver, WithTrace, WithTraceSampler and WithFlightRecorder to
-// record phase timings, protocol counters and span trees (see DESIGN.md
-// §5c and §5e).
+// for graceful degradation, and WithObserver, WithTrace, WithTraceSampler
+// and WithFlightRecorder to record phase timings, protocol counters and
+// span trees (see DESIGN.md §5c and §5e).
 //
 // See examples/ for complete programs and cmd/lppa-sim for the paper's
 // full evaluation suite.
@@ -311,8 +310,9 @@ func WithInteractiveCharging() RunOption { return round.WithInteractiveCharging(
 func WithSecondPrice() RunOption { return round.WithSecondPrice() }
 
 // WithObserver records the round into reg: per-phase wall time, winners,
-// revenue, comparison and interning counters. A nil registry disables
-// observation at zero cost, and results are bit-identical either way.
+// revenue, comparison and interning counters. The round counts whether
+// or not a registry is attached; a nil registry discards the counts, and
+// results are bit-identical either way.
 func WithObserver(reg *Registry) RunOption { return round.WithObserver(reg) }
 
 // WithQuorum lets Run degrade gracefully: bidders whose submissions cannot
@@ -321,21 +321,6 @@ func WithObserver(reg *Registry) RunOption { return round.WithObserver(reg) }
 // ErrQuorumNotReached. A fault-free round is bit-identical with or without
 // the option.
 func WithQuorum(q int) RunOption { return round.WithQuorum(q) }
-
-// EpochState carries the population-independent piece of a round — the
-// auctioneer — across back-to-back epochs of the same auction, so a
-// long-lived service does not rebuild it per round. One EpochState serves
-// one sequence of Runs on one goroutine. See DESIGN.md §5h.
-type EpochState = round.EpochState
-
-// NewEpochState returns an empty reuse state; the first Run carrying it
-// populates the auctioneer.
-func NewEpochState() *EpochState { return round.NewEpochState() }
-
-// WithEpochState makes Run reuse st's auctioneer instead of rebuilding it.
-// Results are bit-identical to the same call without the option; composes
-// with every other option.
-func WithEpochState(st *EpochState) RunOption { return round.WithEpochState(st) }
 
 // ErrQuorumNotReached reports a round (in-process or networked) that ended
 // with fewer usable submissions than its quorum; test with errors.Is.
