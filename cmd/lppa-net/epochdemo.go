@@ -9,8 +9,6 @@ import (
 	"lppa"
 	"lppa/internal/cli"
 	"lppa/internal/epoch"
-	"lppa/internal/obs"
-	"lppa/internal/round"
 )
 
 // runEpochDemo drives the epochal auction service in-process: -epochs
@@ -19,13 +17,14 @@ import (
 // billing and quota against a simulated datastore. It prints every epoch's
 // outcome as it lands plus an accounting summary, so `-epochs 5
 // -rate-limit 100` is a one-command tour of the service API.
-func runEpochDemo(params lppa.Params, cfg demoConfig, ef cli.EpochFlags, reg *obs.Registry) error {
+func runEpochDemo(params lppa.Params, cfg demoConfig, ef cli.EpochFlags) error {
 	ring, err := lppa.DeriveKeyRing([]byte(cfg.secret), params.Channels, 5, 8)
 	if err != nil {
 		return err
 	}
 	// One simulated datastore per ledger; the thresholds keep flushes
 	// batched mid-epoch while the epoch-close barrier keeps totals exact.
+	reg := cfg.tel.Metrics
 	billingStore, quotaStore := epoch.NewMemStore(), epoch.NewMemStore()
 	billing, err := epoch.NewAccountant("billing", billingStore, params.BMax*4, reg)
 	if err != nil {
@@ -35,12 +34,13 @@ func runEpochDemo(params lppa.Params, cfg demoConfig, ef cli.EpochFlags, reg *ob
 	if err != nil {
 		return err
 	}
-	// The sampler rides the round options so one epoch in K carries full
-	// spans; the ops plane drains those spans, watches the SLO windows,
-	// and serves /healthz + /statusz off the metrics mux.
-	roundOpts := cfg.flags.RoundOptions()
+	// Every epoch's round reports into the registry. With -trace-sample,
+	// one epoch in K carries full spans and lands in the flight ring; the
+	// ops plane watches the SLO windows and serves /healthz + /statusz off
+	// the metrics mux.
+	tel := lppa.Telemetry{Metrics: reg}
 	if cfg.sampler != nil {
-		roundOpts = append(roundOpts, round.WithTraceSampler(cfg.sampler))
+		tel.Tracer, tel.Flight = cfg.sampler, cfg.tel.Flight
 	}
 	svc, err := epoch.New(epoch.Config{
 		Params:       params,
@@ -51,8 +51,8 @@ func runEpochDemo(params lppa.Params, cfg demoConfig, ef cli.EpochFlags, reg *ob
 		Billing:      billing,
 		Quota:        quota,
 		Interval:     ef.Interval,
-		RoundOptions: roundOpts,
-		Registry:     reg,
+		RoundOptions: cfg.flags.RoundOptions(),
+		Telemetry:    tel,
 		Ops:          cfg.plane,
 	})
 	if err != nil {

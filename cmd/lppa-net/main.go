@@ -128,13 +128,12 @@ func run(args []string) error {
 	if proc == "demo" {
 		proc = "auctioneer"
 	}
-	var tracer *lppa.Tracer
+	tel := lppa.Telemetry{Metrics: reg}
 	if *traceOut != "" || *flightDir != "" {
-		tracer = obs.NewTracer(proc)
+		tel.Tracer = obs.NewTracer(proc)
 	}
-	var flight *lppa.FlightRecorder
 	if *flightDir != "" {
-		flight = obs.NewFlightRecorder(*flightDir, *flightKeep, *flightSLO)
+		tel.Flight = obs.NewFlightRecorder(*flightDir, *flightKeep, *flightSLO)
 	}
 
 	// The ops plane rides the metrics mux: /healthz, /readyz, /statusz
@@ -143,7 +142,7 @@ func run(args []string) error {
 	sampler := of.Sampler(proc, *seed)
 	var plane *ops.Plane
 	if (ef.Epochs > 0 && *role == "demo") || of.Enabled() {
-		plane, err = of.Plane(reg, flight, sampler)
+		plane, err = of.Plane(reg, tel.Flight, sampler)
 		if err != nil {
 			return err
 		}
@@ -156,20 +155,19 @@ func run(args []string) error {
 			bidders: *bidders, secret: *seedStr, p0: *p0, seed: *seed,
 			secondPrice: secondPrice, flags: rf, clientTimeout: *cliTO,
 			chaos: chaosCfg, chaosBidders: *chaosBidders,
-			tracer: tracer, flight: flight, traceOut: *traceOut,
+			tel: tel, traceOut: *traceOut,
 			plane: plane, sampler: sampler,
 		}
 		if ef.Epochs > 0 {
-			return runEpochDemo(params, cfg, ef, reg)
+			return runEpochDemo(params, cfg, ef)
 		}
-		return runDemo(params, cfg, log, reg)
+		return runDemo(params, cfg, log)
 	case "ttp":
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			return err
 		}
-		cfg, err := transport.New(transport.WithLogger(log), transport.WithMetrics(reg),
-			transport.WithTrace(tracer))
+		cfg, err := transport.New(transport.WithLogger(log), transport.WithTelemetry(tel))
 		if err != nil {
 			return err
 		}
@@ -187,7 +185,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		cfg, err := auctioneerConfig(log, reg, secondPrice, rf, tracer, flight, ef.RateLimit, plane)
+		cfg, err := auctioneerConfig(log, tel, secondPrice, rf, ef.RateLimit, plane)
 		if err != nil {
 			return err
 		}
@@ -204,7 +202,7 @@ func run(args []string) error {
 		if err := srv.Close(); err != nil {
 			return err
 		}
-		if err := writeTrace(tracer, *traceOut); err != nil {
+		if err := writeTrace(tel.Tracer, *traceOut); err != nil {
 			return err
 		}
 		lingerForScrape(reg)
@@ -218,14 +216,14 @@ func run(args []string) error {
 			return err
 		}
 		client := &lppa.BidderClient{ID: *id, Params: params, Policy: lppa.DisguisePolicy{P0: *p0, Decay: 0.95},
-			Retry: rf.RetryPolicy(), Timeout: *cliTO, Tracer: tracer}
+			Retry: rf.RetryPolicy(), Timeout: *cliTO, Tracer: tel.Tracer}
 		res, err := client.Participate(*ttpAddr, *aucAddr, lppa.Point{X: *x, Y: *y}, bids,
 			rand.New(rand.NewSource(*seed+int64(*id))))
 		if err != nil {
 			return err
 		}
 		printResult(*res)
-		return writeTrace(tracer, *traceOut)
+		return writeTrace(tel.Tracer, *traceOut)
 	default:
 		return fmt.Errorf("unknown role %q", *role)
 	}
@@ -300,11 +298,12 @@ type demoConfig struct {
 	clientTimeout time.Duration
 	chaos         *lppa.FaultConfig
 	chaosBidders  int
-	tracer        *lppa.Tracer
-	flight        *lppa.FlightRecorder
-	traceOut      string
-	plane         *ops.Plane
-	sampler       *obs.TraceSampler
+	// tel is the process's telemetry: the metrics registry, and the tracer
+	// and flight recorder -trace-out and -flight-dir ask for.
+	tel      lppa.Telemetry
+	traceOut string
+	plane    *ops.Plane
+	sampler  *lppa.Tracer
 }
 
 // auctioneerConfig assembles the auctioneer's transport config through the
@@ -313,13 +312,11 @@ type demoConfig struct {
 // connections are shed with a retry-after frame before any decode work;
 // a non-nil plane additionally gets each shed connection as an
 // admission_shed event.
-func auctioneerConfig(log *slog.Logger, reg *obs.Registry, secondPrice bool, rf cli.RoundFlags,
-	tracer *lppa.Tracer, flight *lppa.FlightRecorder, rateLimit float64, plane *ops.Plane) (transport.Config, error) {
+func auctioneerConfig(log *slog.Logger, tel lppa.Telemetry, secondPrice bool, rf cli.RoundFlags,
+	rateLimit float64, plane *ops.Plane) (transport.Config, error) {
 	opts := []transport.Option{
 		transport.WithLogger(log),
-		transport.WithMetrics(reg),
-		transport.WithTrace(tracer),
-		transport.WithFlightRecorder(flight),
+		transport.WithTelemetry(tel),
 	}
 	if secondPrice {
 		opts = append(opts, transport.WithSecondPriceCharging())
@@ -331,7 +328,7 @@ func auctioneerConfig(log *slog.Logger, reg *obs.Registry, secondPrice bool, rf 
 		opts = append(opts, transport.WithStragglerTimeout(rf.Straggler))
 	}
 	if rateLimit > 0 {
-		adm, err := epoch.NewAdmission((&cli.EpochFlags{RateLimit: rateLimit}).AdmissionConfig(), reg)
+		adm, err := epoch.NewAdmission((&cli.EpochFlags{RateLimit: rateLimit}).AdmissionConfig(), tel.Metrics)
 		if err != nil {
 			return transport.Config{}, err
 		}
@@ -343,18 +340,14 @@ func auctioneerConfig(log *slog.Logger, reg *obs.Registry, secondPrice bool, rf 
 	return transport.New(opts...)
 }
 
-func runDemo(params lppa.Params, cfg demoConfig, log *slog.Logger, reg *obs.Registry) error {
+func runDemo(params lppa.Params, cfg demoConfig, log *slog.Logger) error {
 	n := cfg.bidders
 	lnTTP, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	var ttpTracer *lppa.Tracer
-	if cfg.tracer != nil {
-		ttpTracer = cfg.tracer.Named("ttp")
-	}
-	ttpCfg, err := transport.New(transport.WithLogger(log), transport.WithMetrics(reg),
-		transport.WithTrace(ttpTracer))
+	ttpCfg, err := transport.New(transport.WithLogger(log), transport.WithTelemetry(lppa.Telemetry{
+		Metrics: cfg.tel.Metrics, Tracer: cfg.tel.Tracer.Named("ttp")}))
 	if err != nil {
 		return err
 	}
@@ -368,7 +361,7 @@ func runDemo(params lppa.Params, cfg demoConfig, log *slog.Logger, reg *obs.Regi
 	if err != nil {
 		return err
 	}
-	aucCfg, err := auctioneerConfig(log, reg, cfg.secondPrice, cfg.flags, cfg.tracer, cfg.flight, 0, cfg.plane)
+	aucCfg, err := auctioneerConfig(log, cfg.tel, cfg.secondPrice, cfg.flags, 0, cfg.plane)
 	if err != nil {
 		return err
 	}
@@ -402,7 +395,7 @@ func runDemo(params lppa.Params, cfg demoConfig, log *slog.Logger, reg *obs.Regi
 		go func(i int, pt lppa.Point, bids []uint64) {
 			defer wg.Done()
 			client := &lppa.BidderClient{ID: i, Params: params, Policy: lppa.DisguisePolicy{P0: cfg.p0, Decay: 0.95},
-				Retry: cfg.flags.RetryPolicy(), Timeout: cfg.clientTimeout, Tracer: cfg.tracer}
+				Retry: cfg.flags.RetryPolicy(), Timeout: cfg.clientTimeout, Tracer: cfg.tel.Tracer}
 			if injector != nil && i < cfg.chaosBidders {
 				// Fault only the auctioneer leg: the key-ring fetch stays
 				// clean so every class exercises the submission path. The
@@ -449,10 +442,10 @@ func runDemo(params lppa.Params, cfg demoConfig, log *slog.Logger, reg *obs.Regi
 		}
 	}
 	printOutcome(outcome)
-	if err := writeTrace(cfg.tracer, cfg.traceOut); err != nil {
+	if err := writeTrace(cfg.tel.Tracer, cfg.traceOut); err != nil {
 		return err
 	}
-	lingerForScrape(reg)
+	lingerForScrape(cfg.tel.Metrics)
 	return nil
 }
 

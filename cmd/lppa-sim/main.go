@@ -113,22 +113,19 @@ func run(args []string) error {
 		}
 	}
 
-	var reg *obs.Registry
-	if *metricsOut != "" || *auditOut != "" {
-		reg = obs.NewRegistry()
-	}
 	if err := cli.ServePprof(*pprofAddr); err != nil {
 		return err
 	}
-	var tracer *obs.Tracer
+	sinks := obsSinks{auditOut: *auditOut}
+	if *metricsOut != "" || *auditOut != "" {
+		sinks.tel.Metrics = obs.NewRegistry()
+	}
 	if *traceOut != "" || *flightDir != "" {
-		tracer = obs.NewTracer("sim")
+		sinks.tel.Tracer = obs.NewTracer("sim")
 	}
-	var flight *obs.FlightRecorder
 	if *flightDir != "" {
-		flight = obs.NewFlightRecorder(*flightDir, 8, 0)
+		sinks.tel.Flight = obs.NewFlightRecorder(*flightDir, 8, 0)
 	}
-	sinks := obsSinks{reg: reg, tracer: tracer, flight: flight, auditOut: *auditOut}
 
 	runOne := func(name string) error {
 		switch name {
@@ -171,19 +168,17 @@ func run(args []string) error {
 		return err
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(reg, *metricsOut); err != nil {
+		if err := writeMetrics(sinks.tel.Metrics, *metricsOut); err != nil {
 			return err
 		}
 	}
-	return writeTrace(tracer, *traceOut)
+	return writeTrace(sinks.tel.Tracer, *traceOut)
 }
 
 // obsSinks carries the optional observability outputs into the
 // instrumented experiments.
 type obsSinks struct {
-	reg      *obs.Registry
-	tracer   *obs.Tracer
-	flight   *obs.FlightRecorder
+	tel      obs.Telemetry
 	auditOut string
 }
 
@@ -258,7 +253,7 @@ func runRound(ds *dataset.Dataset, n, channels int, seed int64, mix *dataset.Den
 	if sinks.auditOut == "" {
 		return nil
 	}
-	rep, err := audit.Round(res, audit.Options{Area: ds.Areas[2], Metrics: sinks.reg})
+	rep, err := audit.Round(res, audit.Options{Area: ds.Areas[2], Metrics: sinks.tel.Metrics})
 	if err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
@@ -275,9 +270,7 @@ func runRound(ds *dataset.Dataset, n, channels int, seed int64, mix *dataset.Den
 func applyRoundFlags(cfg *sim.Fig5Config, rf cli.RoundFlags, sinks obsSinks) {
 	cfg.Workers = rf.Workers
 	cfg.Quorum = rf.Quorum
-	cfg.Metrics = sinks.reg
-	cfg.Trace = sinks.tracer
-	cfg.Flight = sinks.flight
+	cfg.Telemetry = sinks.tel
 }
 
 func min(a, b int) int {

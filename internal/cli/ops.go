@@ -89,14 +89,14 @@ func (f *OpsFlags) Enabled() bool {
 		f.SampleEvery > 0 || f.ProfileDir != ""
 }
 
-// Sampler builds the deterministic 1-in-K trace sampler (nil when
+// Sampler builds the deterministic 1-in-K sampled tracer (nil when
 // sampling is off). proc names the tracer's process row; seed makes the
 // sampled epoch set replayable.
-func (f *OpsFlags) Sampler(proc string, seed int64) *obs.TraceSampler {
+func (f *OpsFlags) Sampler(proc string, seed int64) *obs.Tracer {
 	if f.SampleEvery <= 0 {
 		return nil
 	}
-	return obs.NewTraceSampler(proc, seed, f.SampleEvery)
+	return obs.NewSampledTracer(proc, seed, f.SampleEvery)
 }
 
 // phases resolves the inline -slo spec into per-phase ceilings.
@@ -137,9 +137,10 @@ func (f *OpsFlags) SLOConfig() (ops.SLOConfig, error) {
 }
 
 // Plane assembles the ops plane: the event sink from -ops-events, the
-// monitor from the SLO flags, and the alarm-path hooks (flight ring,
-// sampler, profile capture). reg, flight, and sampler may each be nil.
-func (f *OpsFlags) Plane(reg *obs.Registry, flight *obs.FlightRecorder, sampler *obs.TraceSampler) (*ops.Plane, error) {
+// monitor from the SLO flags, the alarm-path hooks (flight ring, profile
+// capture), and the sampled tracer /statusz reports on. reg, flight, and
+// sampler may each be nil.
+func (f *OpsFlags) Plane(reg *obs.Registry, flight *obs.FlightRecorder, sampler *obs.Tracer) (*ops.Plane, error) {
 	slo, err := f.SLOConfig()
 	if err != nil {
 		return nil, err
@@ -167,7 +168,7 @@ func (f *OpsFlags) Plane(reg *obs.Registry, flight *obs.FlightRecorder, sampler 
 		SLO:            slo,
 		AnonymityFloor: f.AnonFloor,
 		Flight:         flight,
-		Sampler:        sampler,
+		Tracer:         sampler,
 		ProfileDir:     f.ProfileDir,
 	}), nil
 }

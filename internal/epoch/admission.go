@@ -137,15 +137,10 @@ func (a *Admission) AdmitConnAt(now float64) (bool, time.Duration) {
 	return ok, retry
 }
 
-// AdmitBidder spends one global and one per-bidder token at wall time.
-// Both must have budget; a rejection reports the longer of the two
-// retry-after hints and refunds nothing (the spent global token is the
-// cost of asking, matching what a datastore-side limiter would burn).
-func (a *Admission) AdmitBidder(id int) (bool, time.Duration) {
-	return a.AdmitBidderAt(id, a.now())
-}
-
-// AdmitBidderAt is AdmitBidder on an explicit clock (seconds).
+// AdmitBidderAt spends one global and one per-bidder token at now
+// (seconds). Both must have budget; a rejection reports the longer of the
+// two retry-after hints and refunds nothing (the spent global token is
+// the cost of asking, matching what a datastore-side limiter would burn).
 func (a *Admission) AdmitBidderAt(id int, now float64) (bool, time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"lppa/internal/core"
 	"lppa/internal/obs"
 	"lppa/internal/obs/ops"
-	"lppa/internal/round"
 )
 
 // TestServiceObservedTwin is the service-level observed-twin pin: a
@@ -25,12 +24,8 @@ func TestServiceObservedTwin(t *testing.T) {
 		pops[e] = population(p, 20+5*e, int64(300+e))
 	}
 
-	runService := func(plane *ops.Plane, sampler *obs.TraceSampler) []*EpochResult {
-		cfg := Config{Params: p, Ring: ring, Seed: seed, Policy: pol, Ops: plane}
-		if sampler != nil {
-			cfg.RoundOptions = append(cfg.RoundOptions, round.WithTraceSampler(sampler))
-		}
-		s, err := New(cfg)
+	runService := func(plane *ops.Plane, tel obs.Telemetry) []*EpochResult {
+		s, err := New(Config{Params: p, Ring: ring, Seed: seed, Policy: pol, Ops: plane, Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,20 +41,20 @@ func TestServiceObservedTwin(t *testing.T) {
 		return drain(t, s)
 	}
 
-	bare := runService(nil, nil)
+	bare := runService(nil, obs.Telemetry{})
 
-	sampler := obs.NewTraceSampler("epoch-twin", seed, 2)
+	sampler := obs.NewSampledTracer("epoch-twin", seed, 2)
 	fr := obs.NewFlightRecorder(t.TempDir(), 8, 0)
 	plane := ops.New(ops.Config{
-		Events:  ops.NewEventLog(nil),
-		Sampler: sampler,
-		Flight:  fr,
+		Events: ops.NewEventLog(nil),
+		Tracer: sampler,
+		Flight: fr,
 		SLO: ops.SLOConfig{ // generous ceilings: telemetry on, alarms off
 			Phases: map[string]time.Duration{"allocate": time.Hour, "charge": time.Hour},
 		},
 		AnonymityFloor: 1,
 	})
-	observed := runService(plane, sampler)
+	observed := runService(plane, obs.Telemetry{Tracer: sampler, Flight: fr})
 
 	if len(bare) != epochs || len(observed) != epochs {
 		t.Fatalf("epochs: bare %d observed %d, want %d", len(bare), len(observed), epochs)

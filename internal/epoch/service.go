@@ -69,19 +69,25 @@ type Config struct {
 	// cadence. Zero leaves sealing to explicit Seal calls (tests, CLI).
 	Interval time.Duration
 	// RoundOptions compose into every epoch's round.Run — WithWorkers,
-	// WithTrace, WithObserver, and the rest all apply per epoch exactly as
-	// in a one-shot round.
+	// WithSecondPrice, and the rest all apply per epoch exactly as in a
+	// one-shot round. The service appends WithEpochNumber and
+	// WithTelemetry after them.
 	RoundOptions []round.Option
-	// Registry, when non-nil, receives the service counters
-	// (lppa_epochs_total, lppa_epoch_bidders_total, admission and
-	// accounting series).
-	Registry *obs.Registry
+	// Telemetry is what the service and every epoch's round report
+	// through: the service counters (lppa_epochs_total,
+	// lppa_epoch_bidders_total, admission series) and the round series
+	// (lppa_rounds_total, lppa_round_phase_seconds, lppa_auctioneer_*) in
+	// Metrics, each epoch's round spans in Tracer (a sampled tracer traces
+	// one epoch in K), and each traced epoch in Flight, tagged with its
+	// epoch. With Ops set, the service points OnPhase at the plane. The
+	// zero value reports nothing.
+	Telemetry obs.Telemetry
 	// Ops, when non-nil, is the live telemetry plane: the service
 	// installs its status probe, streams seal/shed/drain events and
 	// per-epoch observations (wall time, award digest, anonymity set)
 	// into it, and feeds the SLO burn-rate monitor through the round's
-	// phase observer. nil is free — the observed-twin pin tests hold the
-	// service to bit-identical results either way.
+	// OnPhase. nil is free — the observed-twin pin tests hold the service
+	// to bit-identical results either way.
 	Ops *ops.Plane
 }
 
@@ -147,7 +153,11 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Ring == nil {
 		return nil, fmt.Errorf("epoch: nil key ring")
 	}
-	adm, err := NewAdmission(cfg.Admission, cfg.Registry)
+	if err := cfg.Telemetry.Validate(); err != nil {
+		return nil, fmt.Errorf("epoch: %w", err)
+	}
+	reg := cfg.Telemetry.Metrics
+	adm, err := NewAdmission(cfg.Admission, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -158,10 +168,8 @@ func New(cfg Config) (*Service, error) {
 		queue:   make(chan batch, 1),
 		results: make(chan *EpochResult, 16),
 		done:    make(chan struct{}),
-	}
-	if cfg.Registry != nil {
-		s.epochs = cfg.Registry.Counter("lppa_epochs_total")
-		s.bidders = cfg.Registry.Counter("lppa_epoch_bidders_total")
+		epochs:  reg.Counter("lppa_epochs_total"),
+		bidders: reg.Counter("lppa_epoch_bidders_total"),
 	}
 	cfg.Ops.SetProbe(s.Status)
 	go s.run()
@@ -329,17 +337,18 @@ func (s *Service) run() {
 // options, winner billing, and the epoch-close accounting flush.
 func (s *Service) runEpoch(b batch) *EpochResult {
 	rng := rand.New(rand.NewSource(EpochSeed(s.cfg.Seed, b.epoch)))
-	opts := make([]round.Option, 0, len(s.cfg.RoundOptions)+2)
-	opts = append(opts, s.cfg.RoundOptions...)
-	opts = append(opts, round.WithEpochNumber(b.epoch))
+	tel := s.cfg.Telemetry
 	var start time.Time
 	if s.cfg.Ops != nil {
 		epoch := b.epoch
-		opts = append(opts, round.WithPhaseObserver(func(phase string, d time.Duration) {
+		tel.OnPhase = func(phase string, d time.Duration) {
 			s.cfg.Ops.ObservePhase(epoch, phase, d)
-		}))
+		}
 		start = time.Now()
 	}
+	opts := make([]round.Option, 0, len(s.cfg.RoundOptions)+2)
+	opts = append(opts, s.cfg.RoundOptions...)
+	opts = append(opts, round.WithEpochNumber(b.epoch), round.WithTelemetry(tel))
 	res, err := round.Run(s.cfg.Params, s.cfg.Ring, round.Input{
 		Points: b.pts,
 		Bids:   b.bids,
@@ -350,10 +359,8 @@ func (s *Service) runEpoch(b batch) *EpochResult {
 		res.Auctioneer = nil // published results hold no transcript (see EpochResult)
 	}
 	er := &EpochResult{Epoch: b.epoch, Bidders: b.bidders, Result: res, Err: err}
-	if s.epochs != nil {
-		s.epochs.Inc()
-		s.bidders.Add(uint64(len(b.bidders)))
-	}
+	s.epochs.Inc()
+	s.bidders.Add(uint64(len(b.bidders)))
 	if err == nil && s.cfg.Billing != nil {
 		for i, as := range res.Outcome.Assignments {
 			// Charges[i] parallels Assignments[i]; a voided award carries a

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,7 +90,8 @@ func sameOutcome(t *testing.T, tag string, got, want *round.Result) {
 // runs is bit-identical to a one-shot round.Run over the same admitted
 // set with the epoch's derived seed — across the workers × charging grid,
 // with back-to-back epochs of different populations. Every published
-// result carries no auctioneer, so the service pins no transcript.
+// result carries no auctioneer, so the service pins no transcript, and
+// every epoch's round reports into the service's registry.
 func TestEpochEquivalence(t *testing.T) {
 	p, ring := epochFixture(t)
 	const seed = 77
@@ -104,9 +106,10 @@ func TestEpochEquivalence(t *testing.T) {
 	}
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	for _, tc := range grid {
+		reg := obs.NewRegistry()
 		s, err := New(Config{
 			Params: p, Ring: ring, Seed: seed, Policy: pol,
-			RoundOptions: tc.opts, Registry: obs.NewRegistry(),
+			RoundOptions: tc.opts, Telemetry: obs.Telemetry{Metrics: reg},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -128,6 +131,22 @@ func TestEpochEquivalence(t *testing.T) {
 		results := drain(t, s)
 		if len(results) != len(pops) {
 			t.Fatalf("%s: %d results for %d sealed epochs", tc.tag, len(results), len(pops))
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters["lppa_rounds_total"]; got != uint64(len(results)) {
+			t.Errorf("%s: lppa_rounds_total = %d, want %d epochs", tc.tag, got, len(results))
+		}
+		phases := 0
+		for name, h := range snap.Histograms {
+			if strings.HasPrefix(name, round.PhaseMetric+"{") {
+				phases++
+				if h.Count != uint64(len(results)) {
+					t.Errorf("%s: %s count = %d, want %d epochs", tc.tag, name, h.Count, len(results))
+				}
+			}
+		}
+		if phases != 4 {
+			t.Errorf("%s: %d %s series, want one per phase (4)", tc.tag, phases, round.PhaseMetric)
 		}
 		for e, res := range results {
 			if res.Epoch != e {
@@ -501,7 +520,7 @@ func TestServiceAdmission(t *testing.T) {
 	s, err := New(Config{
 		Params: p, Ring: ring, Seed: 9, Policy: core.DisguisePolicy{P0: 1},
 		Admission: AdmissionConfig{Rate: 1, Burst: 10},
-		Registry:  obs.NewRegistry(),
+		Telemetry: obs.Telemetry{Metrics: obs.NewRegistry()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -59,16 +59,12 @@ func TestEpochServiceSoak(t *testing.T) {
 		Policy: core.DisguisePolicy{P0: 1},
 		// Tight enough that the gate sheds under the submitter burst, loose
 		// enough that every epoch still gets a population.
-		Admission: epoch.AdmissionConfig{Rate: 800, Burst: 200},
-		Billing:   billing,
-		Quota:     quota,
-		Interval:  2 * time.Millisecond,
-		RoundOptions: []round.Option{
-			round.WithWorkers(4),
-			round.WithTrace(tracer),
-			round.WithFlightRecorder(flight),
-		},
-		Registry: reg,
+		Admission:    epoch.AdmissionConfig{Rate: 800, Burst: 200},
+		Billing:      billing,
+		Quota:        quota,
+		Interval:     2 * time.Millisecond,
+		RoundOptions: []round.Option{round.WithWorkers(4)},
+		Telemetry:    obs.Telemetry{Metrics: reg, Tracer: tracer, Flight: flight},
 	})
 	if err != nil {
 		t.Fatal(err)

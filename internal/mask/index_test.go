@@ -194,3 +194,37 @@ func TestSearchGT(t *testing.T) {
 		t.Errorf("searchGT(nil) = %d, want 0", got)
 	}
 }
+
+// TestIndexCursorRowZeroAlloc pins the steady-state candidate scan: once
+// the cursor's scratch buffers have grown to the hottest row, Row
+// allocates nothing (`make alloc-guard`).
+func TestIndexCursorRowZeroAlloc(t *testing.T) {
+	m := internTestMasker(t)
+	dict := NewDict()
+	mkSet := func(lo, cnt uint64) IntSet {
+		vs := make([]uint64, cnt)
+		for i := range vs {
+			vs[i] = lo + uint64(i)
+		}
+		return dict.InternSet(m.MaskSet(vs))
+	}
+	const n = 256
+	ix := NewIndex(n)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < n; i++ {
+		lo := uint64(rng.Intn(64))
+		ix.Add(mkSet(lo, 11), mkSet(lo, 18))
+	}
+	cur := ix.Cursor()
+	for i := 0; i < n; i++ {
+		cur.Row(i) // grow the scratch buffers to steady state
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		cur.Row(i % n)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Cursor.Row allocates %.0f times per call, want 0", allocs)
+	}
+}

@@ -220,3 +220,46 @@ func TestSortedDigestsStable(t *testing.T) {
 		}
 	}
 }
+
+// TestIntersectsCountedZeroAlloc pins the counted interned intersection
+// every auctioneer graph and rank-memo build runs: at the set shapes the
+// protocol produces (family ≈ w+1 IDs vs padded cover = 2w−2 IDs) and the
+// skewed shape that gallops, it allocates nothing and tallies every call
+// (`make alloc-guard`).
+func TestIntersectsCountedZeroAlloc(t *testing.T) {
+	m := internTestMasker(t)
+	dict := NewDict()
+	mkSet := func(lo, n uint64) IntSet {
+		vs := make([]uint64, n)
+		for i := range vs {
+			vs[i] = lo + uint64(i)
+		}
+		return dict.InternSet(m.MaskSet(vs))
+	}
+	family := mkSet(0, 11)       // w+1 at w=10
+	coverHit := mkSet(5, 18)     // 2w−2, overlaps family
+	coverMiss := mkSet(1000, 18) // disjoint: Bloom/merge reject
+	large := mkSet(2000, 400)    // gallop fixture
+	probe := mkSet(2399, 3)      // tiny, hits large's last ID
+	for _, tc := range []struct {
+		name string
+		a, b IntSet
+	}{
+		{"family-vs-cover-hit", family, coverHit},
+		{"family-vs-cover-miss", family, coverMiss},
+		{"gallop-skewed", probe, large},
+	} {
+		var st IntersectStats
+		calls := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			calls++
+			tc.a.IntersectsCounted(tc.b, &st)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: IntersectsCounted allocates %.0f times per call, want 0", tc.name, allocs)
+		}
+		if st.Calls != uint64(calls) {
+			t.Errorf("%s: tallied %d calls over %d", tc.name, st.Calls, calls)
+		}
+	}
+}

@@ -6,7 +6,8 @@ import (
 )
 
 // TestMaskZeroAlloc pins the tentpole property: the steady-state Mask path
-// performs no heap allocation (resettable HMAC state, reused buffers).
+// performs no heap allocation (resettable HMAC state, reused buffers;
+// `make alloc-guard`).
 func TestMaskZeroAlloc(t *testing.T) {
 	m, err := NewMasker(testKey(9))
 	if err != nil {

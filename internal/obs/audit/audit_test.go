@@ -62,7 +62,7 @@ func TestRoundAuditFullAttendance(t *testing.T) {
 	reg := obs.NewRegistry()
 	res, err := round.Run(p, ring,
 		round.Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 0.6, Decay: 0.9}, Rng: rand.New(rand.NewSource(7))},
-		round.WithObserver(reg))
+		round.WithTelemetry(obs.Telemetry{Metrics: reg}))
 	if err != nil {
 		t.Fatal(err)
 	}

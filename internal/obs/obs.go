@@ -1,8 +1,10 @@
 // Package obs is the repo's dependency-free observability substrate: a
-// Registry of named counters, gauges, and fixed-bucket histograms, one
-// Phases emitter that reports an auction round's phases to metrics,
-// spans and a callback at once, and exporters for an expvar-style JSON
-// snapshot and the Prometheus text format (export.go).
+// Registry of named counters, gauges, and fixed-bucket histograms, a
+// Tracer of spans with a flight recorder, one Telemetry value bundling
+// them, whose Start opens the one run lifecycle (Phases) that reports an
+// auction round's phases to metrics, spans and a callback at once, and
+// exporters for an expvar-style JSON snapshot and the Prometheus text
+// format (export.go).
 //
 // The package is built around one contract: a nil *Registry — and every
 // metric handle obtained from one — is a valid no-op. Instrumented code

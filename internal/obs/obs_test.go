@@ -65,10 +65,16 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("g").Set(7)
 	r.Histogram("h", nil).Observe(1)
 	r.Histogram("h", nil).ObserveDuration(time.Second)
-	pt := NewPhases(r, "p", nil, SpanContext{}, nil)
+	pt := Telemetry{Metrics: r}.Start("p", "round", 3, 2, -1)
+	if pt != nil {
+		t.Fatal("zero telemetry opened a run")
+	}
 	pt.Phase("encode")
 	pt.Phase("charge")
 	pt.Stop()
+	if path, err := pt.Finish(nil, []int{1}); path != "" || err != nil {
+		t.Fatalf("nil run finished with %q, %v", path, err)
+	}
 	if got := r.Counter("c").Value(); got != 0 {
 		t.Fatalf("nil counter value = %d", got)
 	}
@@ -109,7 +115,7 @@ func TestConcurrentUpdates(t *testing.T) {
 
 func TestPhaseTimerRecordsEachPhaseOnce(t *testing.T) {
 	r := NewRegistry()
-	pt := NewPhases(r, "round_phase_seconds", nil, SpanContext{}, nil)
+	pt := Telemetry{Metrics: r}.Start("round_phase_seconds", "round", 3, 2, -1)
 	pt.Phase("encode")
 	pt.Phase("allocate")
 	pt.Stop()

@@ -29,12 +29,12 @@ type Config struct {
 	// epoch's anonymity set (EpochObs.AnonMin) falls below it.
 	AnonymityFloor int
 	// Flight, when set, is force-dumped by the alarm path so the trace
-	// ring around a breach lands on disk.
+	// ring around a breach lands on disk. The rounds record into it
+	// themselves (obs.Telemetry.Flight).
 	Flight *obs.FlightRecorder
-	// Sampler, when set, is drained by ObserveEpoch: a sampled epoch's
-	// spans are pulled from the sampler's tracer and recorded into the
-	// flight ring.
-	Sampler *obs.TraceSampler
+	// Tracer, when it samples (obs.NewSampledTracer), fills /statusz's
+	// sampler block.
+	Tracer *obs.Tracer
 	// ProfileDir, when set, receives heap and goroutine pprof profiles
 	// captured at each alarm transition.
 	ProfileDir string
@@ -57,7 +57,7 @@ type AnonPoint struct {
 	Mean  float64 `json:"mean"`
 }
 
-// SamplerStatus reports the trace sampler's progress.
+// SamplerStatus reports the sampled tracer's progress.
 type SamplerStatus struct {
 	Every   int    `json:"every"` // 1-in-K
 	Sampled uint64 `json:"sampled_total"`
@@ -286,8 +286,8 @@ func (p *Plane) handleVerdict(epoch int, phase string, breach *Breach, recovered
 }
 
 // ObserveEpoch folds one finished epoch into the plane: metrics, the
-// anonymity time series and floor check, the "round" SLO window, the
-// event log, and — for sampled epochs — the flight ring. Nil-safe.
+// anonymity time series and floor check, the "round" SLO window, and the
+// event log. Nil-safe.
 func (p *Plane) ObserveEpoch(eo EpochObs) {
 	if p == nil {
 		return
@@ -296,13 +296,8 @@ func (p *Plane) ObserveEpoch(eo EpochObs) {
 	if eo.AnonMin > 0 {
 		p.mAnonMin.Set(int64(eo.AnonMin))
 	}
-
-	var spans []*obs.Span
-	if eo.Trace != 0 && p.cfg.Sampler != nil {
-		spans = p.cfg.Sampler.Tracer().TakeTrace(eo.Trace)
-		if len(spans) > 0 {
-			p.mSampled.Inc()
-		}
+	if eo.Trace != 0 {
+		p.mSampled.Inc()
 	}
 
 	p.mu.Lock()
@@ -348,20 +343,6 @@ func (p *Plane) ObserveEpoch(eo EpochObs) {
 		p.cfg.Events.Emit(EventStragglerDrop, eo.Epoch, uint64(eo.Trace), map[string]any{"excluded": eo.Excluded})
 	}
 	p.cfg.Events.Emit(EventEpochClosed, eo.Epoch, uint64(eo.Trace), attrs)
-
-	if len(spans) > 0 {
-		// Sampled epochs land in the flight ring so the next dump —
-		// trigger- or alarm-forced — carries real span context.
-		_, _ = p.cfg.Flight.Record(&obs.RoundTrace{
-			Label:    "epoch",
-			Err:      eo.Err,
-			Degraded: eo.Excluded > 0,
-			Epoch:    eo.Epoch,
-			HasEpoch: true,
-			Duration: eo.Wall,
-			Spans:    spans,
-		})
-	}
 
 	if floorViolated {
 		p.mAnonViol.Inc()
@@ -481,8 +462,8 @@ func (p *Plane) Status() Status {
 		AnonymityFloor: p.cfg.AnonymityFloor,
 		Events:         p.cfg.Events.Recent(),
 	}
-	if s := p.cfg.Sampler; s != nil {
-		st.Sampler = &SamplerStatus{Every: s.Every(), Sampled: s.Sampled()}
+	if tr := p.cfg.Tracer; tr.Every() > 0 {
+		st.Sampler = &SamplerStatus{Every: tr.Every(), Sampled: tr.Sampled()}
 	}
 	p.mu.Lock()
 	st.State = p.state

@@ -151,20 +151,18 @@ func TestPlaneSLOBreachAlarm(t *testing.T) {
 	}
 }
 
-// TestPlaneObserveEpoch pins the epoch fold: sampled spans drain from the
-// sampler's tracer into the flight ring, the event log gets epoch_closed
-// (plus straggler_excluded when bidders were dropped), and /statusz
-// carries the digest, trace id, and anonymity series.
+// TestPlaneObserveEpoch pins the epoch fold: the event log gets
+// epoch_closed (plus straggler_excluded when bidders were dropped), and
+// /statusz carries the digest, trace id, anonymity series and the sampled
+// tracer's progress.
 func TestPlaneObserveEpoch(t *testing.T) {
-	sampler := obs.NewTraceSampler("svc", 1, 1) // sample everything
-	fr := obs.NewFlightRecorder(t.TempDir(), 4, 0)
-	p := New(Config{Events: NewEventLog(nil), Sampler: sampler, Flight: fr})
+	sampler := obs.NewSampledTracer("svc", 1, 1) // sample everything
+	p := New(Config{Events: NewEventLog(nil), Tracer: sampler})
 
-	tr, _, sampled := sampler.Next()
-	if !sampled {
-		t.Fatal("k=1 sampler skipped")
+	root := sampler.StartTrace("round")
+	if root == nil {
+		t.Fatal("k=1 sampled tracer skipped")
 	}
-	root := tr.StartTrace("round")
 	root.End()
 	trace := root.Ctx.Trace
 
@@ -173,9 +171,6 @@ func TestPlaneObserveEpoch(t *testing.T) {
 		Wall: 2 * time.Millisecond, AwardDigest: "abc123", AnonMin: 4, AnonMean: 6.5,
 	})
 
-	if fr.Buffered() != 1 {
-		t.Fatalf("flight ring holds %d traces, want the sampled epoch", fr.Buffered())
-	}
 	var closed, straggler bool
 	for _, ev := range p.cfg.Events.Recent() {
 		switch ev.Type {

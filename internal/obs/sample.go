@@ -2,38 +2,33 @@ package obs
 
 import "sync/atomic"
 
-// TraceSampler decides, deterministically, which rounds of a long-lived
-// service carry full span tracing. Full tracing at every epoch is
-// unaffordable at scale, so the sampler traces one round in K and leaves
+// sampler is a tracer's deterministic 1-in-K schedule. Full tracing at
+// every epoch of a long-lived service is unaffordable at scale, so a
+// sampled tracer opens a root for one StartTrace call in K and leaves
 // the rest on the allocation-free untraced path. The schedule is a pure
-// function of (seed, K, round index): the same seed and K pick the same
-// rounds on every run, so a sampled trace set is replayable bit for bit
+// function of (seed, K, call index): the same seed and K pick the same
+// runs every time, so a sampled trace set is replayable bit for bit
 // alongside the deterministic awards.
-//
-// The nil *TraceSampler never samples, like every other disabled handle
-// in this package.
-type TraceSampler struct {
-	tracer *Tracer
+type sampler struct {
 	k      uint64
 	offset uint64
 	idx    atomic.Uint64
 	taken  atomic.Uint64
 }
 
-// NewTraceSampler returns a sampler tracing one round in every k, into a
-// tracer whose spans carry the given process name. The seed rotates which
-// residue class is sampled (offset = splitmix64(seed) mod k), so two
+// NewSampledTracer returns a tracer whose StartTrace opens a root for one
+// call in every k and returns nil for the rest; each root it opens
+// carries its call index as the sample_index attribute. The seed rotates
+// which residue class is traced (offset = splitmix64(seed) mod k), so two
 // services with different seeds don't all trace the same epochs; k <= 1
-// samples every round.
-func NewTraceSampler(proc string, seed int64, k int) *TraceSampler {
+// traces every call.
+func NewSampledTracer(proc string, seed int64, k int) *Tracer {
 	if k < 1 {
 		k = 1
 	}
-	return &TraceSampler{
-		tracer: NewTracer(proc),
-		k:      uint64(k),
-		offset: splitmix64(uint64(seed)) % uint64(k),
-	}
+	t := NewTracer(proc)
+	t.core.sample = &sampler{k: uint64(k), offset: splitmix64(uint64(seed)) % uint64(k)}
+	return t
 }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit
@@ -46,48 +41,31 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Next consumes the next round index and returns the tracer when that
-// index is sampled, nil otherwise. The unsampled path is one atomic add —
-// no allocation, no clock read. Nil-safe.
-func (s *TraceSampler) Next() (tracer *Tracer, index uint64, sampled bool) {
-	if s == nil {
-		return nil, 0, false
-	}
+// next consumes the next call index and reports whether it is sampled.
+// The unsampled path is one atomic add: no allocation, no clock read.
+func (s *sampler) next() (index uint64, sampled bool) {
 	idx := s.idx.Add(1) - 1
 	if idx%s.k != s.offset {
-		return nil, idx, false
+		return idx, false
 	}
 	s.taken.Add(1)
-	return s.tracer, idx, true
+	return idx, true
 }
 
-// WouldSample reports whether a given round index is on the sampling
-// schedule, without consuming an index. Nil-safe (never samples).
-func (s *TraceSampler) WouldSample(idx uint64) bool {
-	return s != nil && idx%s.k == s.offset
-}
-
-// Tracer returns the sampler's underlying tracer so callers can drain
-// sampled spans (nil on the nil sampler).
-func (s *TraceSampler) Tracer() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.tracer
-}
-
-// Every returns the sampler's K (0 on the nil sampler).
-func (s *TraceSampler) Every() int {
-	if s == nil {
+// Every returns the sampling period K of a tracer from NewSampledTracer,
+// and 0 for any other tracer, nil included.
+func (t *Tracer) Every() int {
+	if t == nil || t.core.sample == nil {
 		return 0
 	}
-	return int(s.k)
+	return int(t.core.sample.k)
 }
 
-// Sampled returns how many rounds have been sampled so far. Nil-safe.
-func (s *TraceSampler) Sampled() uint64 {
-	if s == nil {
+// Sampled returns how many roots a sampled tracer's schedule has opened
+// so far (0 for any other tracer, nil included).
+func (t *Tracer) Sampled() uint64 {
+	if t == nil || t.core.sample == nil {
 		return 0
 	}
-	return s.taken.Load()
+	return t.core.sample.taken.Load()
 }

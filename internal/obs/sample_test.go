@@ -1,31 +1,43 @@
 package obs
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
+
+// sampleIndex returns a sampled root's sample_index attribute.
+func sampleIndex(t *testing.T, s *Span) string {
+	t.Helper()
+	for _, a := range s.Attrs {
+		if a.Key == "sample_index" {
+			return a.Value
+		}
+	}
+	t.Fatalf("sampled root %q has no sample_index", s.Name)
+	return ""
+}
 
 // TestTraceSamplerDeterministic pins the replay contract: the sampled
-// index set is a pure function of (seed, K), so two samplers built alike
-// agree round for round.
+// index set is a pure function of (seed, K), so two sampled tracers built
+// alike agree call for call.
 func TestTraceSamplerDeterministic(t *testing.T) {
 	const rounds = 200
 	pick := func(seed int64, k int) []uint64 {
-		s := NewTraceSampler("svc", seed, k)
+		tr := NewSampledTracer("svc", seed, k)
 		var out []uint64
 		for i := 0; i < rounds; i++ {
-			tr, idx, sampled := s.Next()
-			if uint64(i) != idx {
-				t.Fatalf("index %d on round %d", idx, i)
-			}
-			if sampled != s.WouldSample(idx) {
-				t.Fatalf("Next and WouldSample disagree at %d", idx)
-			}
-			if sampled {
-				if tr == nil {
-					t.Fatalf("sampled round %d got no tracer", idx)
+			if root := tr.StartTrace("round"); root != nil {
+				if got := sampleIndex(t, root); got != strconv.Itoa(i) {
+					t.Fatalf("root on call %d carries sample_index %s", i, got)
 				}
-				out = append(out, idx)
-			} else if tr != nil {
-				t.Fatalf("unsampled round %d got a tracer", idx)
+				out = append(out, uint64(i))
 			}
+		}
+		if got := tr.Sampled(); got != uint64(len(out)) {
+			t.Fatalf("Sampled() = %d, want %d", got, len(out))
+		}
+		if tr.Every() != k {
+			t.Fatalf("Every() = %d", tr.Every())
 		}
 		return out
 	}
@@ -47,16 +59,6 @@ func TestTraceSamplerDeterministic(t *testing.T) {
 			t.Fatalf("sampled indices not k apart: %v", a[:i+1])
 		}
 	}
-	s := NewTraceSampler("svc", 42, 7)
-	for i := 0; i < rounds; i++ {
-		s.Next()
-	}
-	if got := s.Sampled(); got != uint64(len(a)) {
-		t.Fatalf("Sampled() = %d, want %d", got, len(a))
-	}
-	if s.Every() != 7 {
-		t.Fatalf("Every() = %d", s.Every())
-	}
 }
 
 // TestTraceSamplerSeedRotatesOffset pins that the seed actually varies
@@ -66,9 +68,9 @@ func TestTraceSamplerSeedRotatesOffset(t *testing.T) {
 	const k = 8
 	offsets := map[uint64]bool{}
 	for seed := int64(0); seed < 16; seed++ {
-		s := NewTraceSampler("svc", seed, k)
+		tr := NewSampledTracer("svc", seed, k)
 		for idx := uint64(0); idx < k; idx++ {
-			if s.WouldSample(idx) {
+			if tr.StartTrace("round") != nil {
 				offsets[idx] = true
 			}
 		}
@@ -81,47 +83,45 @@ func TestTraceSamplerSeedRotatesOffset(t *testing.T) {
 // TestTraceSamplerEveryRound: k <= 1 samples everything.
 func TestTraceSamplerEveryRound(t *testing.T) {
 	for _, k := range []int{1, 0, -3} {
-		s := NewTraceSampler("svc", 9, k)
-		if s.Every() != 1 {
-			t.Fatalf("k=%d: Every() = %d, want 1", k, s.Every())
+		tr := NewSampledTracer("svc", 9, k)
+		if tr.Every() != 1 {
+			t.Fatalf("k=%d: Every() = %d, want 1", k, tr.Every())
 		}
 		for i := 0; i < 5; i++ {
-			if _, _, sampled := s.Next(); !sampled {
+			if tr.StartTrace("round") == nil {
 				t.Fatalf("k=%d: round %d not sampled", k, i)
 			}
 		}
-		if s.Sampled() != 5 {
-			t.Fatalf("k=%d: Sampled() = %d, want 5", k, s.Sampled())
+		if tr.Sampled() != 5 {
+			t.Fatalf("k=%d: Sampled() = %d, want 5", k, tr.Sampled())
 		}
 	}
 }
 
-// TestNilTraceSamplerIsInert: the disabled handle never samples and never
-// panics, per the package's nil no-op contract.
+// TestNilTraceSamplerIsInert: the nil tracer never samples and never
+// panics, per the package's nil no-op contract, and a tracer that does
+// not sample reports no schedule.
 func TestNilTraceSamplerIsInert(t *testing.T) {
-	var s *TraceSampler
-	tr, idx, sampled := s.Next()
-	if tr != nil || idx != 0 || sampled {
-		t.Fatalf("nil sampler sampled: %v %d %v", tr, idx, sampled)
+	var tr *Tracer
+	if tr.StartTrace("round") != nil || tr.Every() != 0 || tr.Sampled() != 0 {
+		t.Fatal("nil tracer sampled")
 	}
-	if s.WouldSample(0) || s.Tracer() != nil || s.Every() != 0 || s.Sampled() != 0 {
-		t.Fatal("nil sampler leaked state")
+	plain := NewTracer("svc")
+	if plain.StartTrace("round") == nil || plain.Every() != 0 || plain.Sampled() != 0 {
+		t.Fatal("unsampled tracer reports a sampling schedule")
 	}
 }
 
-// TestTraceSamplerUnsampledAllocationFree pins the disabled-path cost:
-// an unsampled Next is one atomic add, no allocation.
+// TestTraceSamplerUnsampledAllocationFree pins the skipped-path cost: a
+// StartTrace the schedule skips is one atomic add, no allocation.
 func TestTraceSamplerUnsampledAllocationFree(t *testing.T) {
-	s := NewTraceSampler("svc", 1, 1<<20) // offset is somewhere in a huge K
-	if s.WouldSample(0) {
-		s.Next() // burn the one sampled index if it is first
-	}
+	tr := NewSampledTracer("svc", 1, 1<<20) // offset is far past the calls below
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, sampled := s.Next(); sampled {
+		if tr.StartTrace("round") != nil {
 			t.Fatal("sampled inside the unsampled-path measurement")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("unsampled Next allocates %.0f, want 0", allocs)
+		t.Fatalf("unsampled StartTrace allocates %.0f, want 0", allocs)
 	}
 }

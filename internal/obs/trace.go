@@ -3,6 +3,7 @@ package obs
 import (
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,11 +12,12 @@ import (
 // This file is the span model behind round tracing: a Tracer hands out
 // Spans keyed by (TraceID, SpanID), spans carry parent links, attributes,
 // and timestamped events, and finished spans land in a bounded buffer
-// the exporters (traceexport.go) and the flight recorder (flight.go)
-// drain. Like the metric side of this package, everything follows the
-// nil no-op contract: a nil *Tracer returns nil *Spans, and every method
-// on a nil Span or Tracer does nothing and reads no clock, so code can
-// be instrumented unconditionally and pay nothing when tracing is off.
+// that keeps the newest spans, which the exporters (traceexport.go) read
+// and the flight recorder (flight.go) copies. Like the metric side of
+// this package, everything follows the nil no-op contract: a nil *Tracer
+// returns nil *Spans, and every method on a nil Span or Tracer does
+// nothing and reads no clock, so code can be instrumented
+// unconditionally and pay nothing when tracing is off.
 
 // TraceID identifies one logical round across processes. Zero is "no
 // trace".
@@ -59,6 +61,7 @@ type Span struct {
 	tracer *tracerCore
 	mu     sync.Mutex
 	ended  bool
+	seq    uint64 // the span's place in its tracer's finish order
 }
 
 // Context returns the span's identity (zero on the nil Span).
@@ -126,19 +129,24 @@ func (s *Span) endAt(now time.Time) {
 	s.tracer.finish(s)
 }
 
-// tracerCore is the buffer shared by a Tracer and all its Named views.
+// tracerCore is the buffer shared by a Tracer and all its Named views:
+// a ring of the newest finished spans, plus the sampling schedule of a
+// tracer from NewSampledTracer.
 type tracerCore struct {
-	mu      sync.Mutex
-	spans   []*Span
-	max     int
-	dropped uint64
-	idCtr   atomic.Uint64
-	idBase  uint64
+	mu       sync.Mutex
+	spans    []*Span
+	next     int    // ring slot the next finished span overwrites once full
+	finished uint64 // spans finished over the tracer's life
+	max      int
+	dropped  uint64
+	idCtr    atomic.Uint64
+	idBase   uint64
+	sample   *sampler // nil: every StartTrace opens a root
 }
 
 // DefaultMaxSpans bounds a tracer's finished-span buffer. A fully traced
-// N=300 round is well under 1000 spans; the cap only matters when a
-// caller forgets to drain between rounds.
+// N=300 round is well under 1000 spans. A full buffer evicts its oldest
+// span, so a tracer that nothing drains keeps the newest spans.
 const DefaultMaxSpans = 16384
 
 func (tc *tracerCore) finish(s *Span) {
@@ -146,10 +154,14 @@ func (tc *tracerCore) finish(s *Span) {
 		return
 	}
 	tc.mu.Lock()
-	if len(tc.spans) >= tc.max {
-		tc.dropped++
-	} else {
+	s.seq = tc.finished
+	tc.finished++
+	if len(tc.spans) < tc.max {
 		tc.spans = append(tc.spans, s)
+	} else {
+		tc.spans[tc.next] = s
+		tc.next = (tc.next + 1) % tc.max
+		tc.dropped++
 	}
 	tc.mu.Unlock()
 }
@@ -212,10 +224,19 @@ func (t *Tracer) Proc() string {
 	return t.proc
 }
 
-// StartTrace opens a root span in a fresh trace.
+// StartTrace opens a root span in a fresh trace. A tracer from
+// NewSampledTracer opens one for one call in K and returns nil for the
+// rest.
 func (t *Tracer) StartTrace(name string, attrs ...Label) *Span {
 	if t == nil {
 		return nil
+	}
+	if s := t.core.sample; s != nil {
+		idx, ok := s.next()
+		if !ok {
+			return nil
+		}
+		attrs = append(attrs[:len(attrs):len(attrs)], L("sample_index", strconv.FormatUint(idx, 10)))
 	}
 	return t.start(name, SpanContext{Trace: TraceID(t.core.nextID())}, attrs, time.Now())
 }
@@ -259,11 +280,7 @@ func (t *Tracer) Snapshot() []*Span {
 	if t == nil {
 		return nil
 	}
-	t.core.mu.Lock()
-	out := append([]*Span(nil), t.core.spans...)
-	t.core.mu.Unlock()
-	sortSpans(out)
-	return out
+	return t.since(0)
 }
 
 // Take drains every finished span, ordered by start time. Nil-safe.
@@ -273,36 +290,36 @@ func (t *Tracer) Take() []*Span {
 	}
 	t.core.mu.Lock()
 	out := t.core.spans
-	t.core.spans = nil
+	t.core.spans, t.core.next = nil, 0
 	t.core.mu.Unlock()
 	sortSpans(out)
 	return out
 }
 
-// TakeTrace drains the finished spans belonging to one trace, leaving
-// other traces buffered (for callers sharing a tracer across concurrent
-// rounds). Nil-safe.
-func (t *Tracer) TakeTrace(id TraceID) []*Span {
-	if t == nil {
-		return nil
-	}
+// finishedCount returns how many spans the tracer has finished so far.
+func (t *Tracer) finishedCount() uint64 {
 	t.core.mu.Lock()
-	var out, keep []*Span
+	defer t.core.mu.Unlock()
+	return t.core.finished
+}
+
+// since copies the buffered spans finished after the tracer's first seq,
+// ordered by start time.
+func (t *Tracer) since(seq uint64) []*Span {
+	t.core.mu.Lock()
+	var out []*Span
 	for _, s := range t.core.spans {
-		if s.Ctx.Trace == id {
+		if s.seq >= seq {
 			out = append(out, s)
-		} else {
-			keep = append(keep, s)
 		}
 	}
-	t.core.spans = keep
 	t.core.mu.Unlock()
 	sortSpans(out)
 	return out
 }
 
-// Dropped returns how many finished spans were discarded because the
-// buffer was full.
+// Dropped returns how many finished spans the full buffer evicted to
+// make room for newer ones.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0

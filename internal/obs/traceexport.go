@@ -9,35 +9,10 @@ import (
 	"time"
 )
 
-// This file renders a span slice three ways: one JSON object per line
-// (machine diffing, jq), the Chrome trace_event format (drop the file on
-// chrome://tracing or ui.perfetto.dev), and an indented human-readable
-// tree. All three are deterministic for a given span slice — the golden
-// test pins the Chrome output byte-for-byte.
-
-// SpanRecord is the JSONL form of one span. Times are nanoseconds: Start
-// is wall-clock Unix nanos (informational), Offset is nanos since the
-// earliest span in the batch (monotonic, use this for ordering).
-type SpanRecord struct {
-	Trace         string            `json:"trace"`
-	Span          string            `json:"span"`
-	Parent        string            `json:"parent,omitempty"`
-	Name          string            `json:"name"`
-	Proc          string            `json:"proc"`
-	StartUnixNano int64             `json:"start_unix_nano"`
-	OffsetNano    int64             `json:"offset_nano"`
-	DurationNano  int64             `json:"duration_nano"`
-	Attrs         map[string]string `json:"attrs,omitempty"`
-	Events        []EventRecord     `json:"events,omitempty"`
-	Err           string            `json:"err,omitempty"`
-}
-
-// EventRecord is the JSONL form of one span event.
-type EventRecord struct {
-	Name   string            `json:"name"`
-	AtNano int64             `json:"at_nano"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
-}
+// This file renders a span slice two ways: the Chrome trace_event format
+// (drop the file on chrome://tracing or ui.perfetto.dev) and an indented
+// human-readable tree. Both are deterministic for a given span slice —
+// the golden test pins the Chrome output byte-for-byte.
 
 func hexID(v uint64) string { return fmt.Sprintf("%016x", v) }
 
@@ -62,44 +37,6 @@ func earliestStart(spans []*Span) time.Time {
 		}
 	}
 	return t0
-}
-
-// Records converts spans to their JSONL record form.
-func Records(spans []*Span) []SpanRecord {
-	t0 := earliestStart(spans)
-	out := make([]SpanRecord, 0, len(spans))
-	for _, s := range spans {
-		r := SpanRecord{
-			Trace:         hexID(uint64(s.Ctx.Trace)),
-			Span:          hexID(uint64(s.Ctx.Span)),
-			Name:          s.Name,
-			Proc:          s.Proc,
-			StartUnixNano: s.Start.UnixNano(),
-			OffsetNano:    s.Start.Sub(t0).Nanoseconds(),
-			DurationNano:  s.Duration.Nanoseconds(),
-			Attrs:         attrMap(s.Attrs),
-			Err:           s.Err,
-		}
-		if s.Parent.Valid() {
-			r.Parent = hexID(uint64(s.Parent.Span))
-		}
-		for _, e := range s.Events {
-			r.Events = append(r.Events, EventRecord{Name: e.Name, AtNano: e.At.Nanoseconds(), Attrs: attrMap(e.Attrs)})
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// WriteSpansJSONL writes one JSON object per span.
-func WriteSpansJSONL(w io.Writer, spans []*Span) error {
-	enc := json.NewEncoder(w)
-	for _, r := range Records(spans) {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // chromeEvent is one entry of the Chrome trace_event JSON array.

@@ -11,7 +11,7 @@ import (
 )
 
 // PhaseMetric is the histogram family a round's phase wall times land in,
-// one series per phase (obs.NewPhases).
+// one series per phase (obs.Telemetry.Start).
 const PhaseMetric = "lppa_round_phase_seconds"
 
 // Charger settles one batch of charge requests with the TTP and returns
@@ -32,10 +32,10 @@ type Charger func(reqs []core.ChargeRequest) ([]ttp.ChargeResult, error)
 // rng drives the allocator's channel shuffles and tie breaks. phases
 // receives the conflict_graph, allocate and charge boundaries and is
 // stopped when Auction returns; nil reports nothing. Auction reads the
-// charging and observer options (WithSecondPrice, WithObserver); the rest
-// shape Run's bidder half and tracing, which the caller owns through
-// phases. Interactive charging needs the in-process TTP's validity
-// oracle, so it is Run's alone and Auction rejects it.
+// charging option (WithSecondPrice) and WithTelemetry's Metrics; the
+// rest shape Run's bidder half, and the caller owns the run's lifecycle
+// through phases. Interactive charging needs the in-process TTP's
+// validity oracle, so it is Run's alone and Auction rejects it.
 //
 // Outcome.Bidders and the assignment indices count the given submissions.
 func Auction(params core.Params, locs []*core.LocationSubmission, subs []*core.BidSubmission,
@@ -60,7 +60,7 @@ func auctionRound(params core.Params, locs []*core.LocationSubmission, subs []*c
 	if err != nil {
 		return nil, err
 	}
-	auc.SetObserver(cfg.reg)
+	auc.SetObserver(cfg.tel.Metrics)
 
 	// The graph build is rng-free, so forcing it here (instead of letting
 	// the allocator build it lazily) changes nothing except giving the

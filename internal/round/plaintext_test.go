@@ -252,7 +252,7 @@ func FuzzRunMatchesPlaintextTruth(f *testing.F) {
 			opts = append(opts, WithSecondPrice())
 		}
 		if observed {
-			opts = append(opts, WithObserver(obs.NewRegistry()))
+			opts = append(opts, WithTelemetry(obs.Telemetry{Metrics: obs.NewRegistry()}))
 		}
 		res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1},
 			Rng: rand.New(rand.NewSource(seed * 13))}, opts...)

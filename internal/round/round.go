@@ -16,9 +16,12 @@
 // Functional options select the encoding pipeline (WithWorkers), disguise
 // shape (WithPolicies), charging design (WithInteractiveCharging,
 // WithSecondPrice), degradation (WithQuorum), and observability
-// (WithObserver, WithTrace). The auctioneer has one execution path
-// whatever the options: one conflict-graph build over the whole
-// population, one rank memo per column, one allocator sweep.
+// (WithTelemetry, with WithEpochNumber tagging an epoch's round). A round
+// reports through one obs.Telemetry value: Run opens the run's lifecycle
+// with Telemetry.Start, Auction reports its phases into it, and Finish
+// closes the root span and feeds the flight recorder. The auctioneer has
+// one execution path whatever the options: one conflict-graph build over
+// the whole population, one rank memo per column, one allocator sweep.
 package round
 
 import (
@@ -54,9 +57,10 @@ type Result struct {
 	// refer to the original population, but Auctioneer's transcript
 	// indexes the compacted one.
 	Excluded []int
-	// Trace is the round's trace ID when the round was traced (WithTrace,
-	// or a WithTraceSampler round the sampler picked); zero otherwise.
-	// The ops plane uses it to correlate events with sampled spans.
+	// Trace is the round's trace ID when the round was traced (a
+	// WithTelemetry tracer opened its root span; a sampled tracer opens one
+	// round in K); zero otherwise. The ops plane uses it to correlate
+	// events with sampled spans.
 	Trace obs.TraceID
 }
 

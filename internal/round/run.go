@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"time"
 
 	"lppa/internal/core"
 	"lppa/internal/geo"
@@ -47,18 +45,13 @@ type runConfig struct {
 	interactive bool
 	secondPrice bool
 	quorum      int
-	reg         *obs.Registry
-	tracer      *obs.Tracer
-	flight      *obs.FlightRecorder
-	sampler     *obs.TraceSampler
-	epoch       int
-	hasEpoch    bool
-	onPhase     func(phase string, d time.Duration)
+	tel         obs.Telemetry
+	epoch       int // < 0: the round is untagged
 }
 
 // configure applies opts and rejects conflicting charging modes.
 func configure(opts []Option) (runConfig, error) {
-	var cfg runConfig
+	cfg := runConfig{epoch: -1}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return runConfig{}, err
@@ -124,19 +117,6 @@ func WithSecondPrice() Option {
 	}
 }
 
-// WithObserver records the round into reg: per-phase wall time under
-// lppa_round_phase_seconds, round totals (winners, revenue, voided,
-// violations, submission bytes, masked digests), and the auctioneer's
-// comparison/interning counters (core.Auctioneer.SetObserver). A nil
-// registry is the same as omitting the option; results are bit-identical
-// either way.
-func WithObserver(reg *obs.Registry) Option {
-	return func(c *runConfig) error {
-		c.reg = reg
-		return nil
-	}
-}
-
 // WithQuorum lets the round degrade gracefully instead of aborting: a
 // bidder whose submission cannot be produced (malformed input) is
 // excluded and the auction runs over the remaining population, as long as
@@ -154,100 +134,41 @@ func WithQuorum(q int) Option {
 	}
 }
 
-// WithTrace records the round into tracer as one root "round" span with a
-// child span per phase (encode, conflict_graph, allocate, charge) —
-// mirroring the WithObserver phase timings — plus a straggler_excluded
-// event per bidder a degraded quorum round dropped. A nil tracer is the
-// same as omitting the option; results are bit-identical either way.
-func WithTrace(tracer *obs.Tracer) Option {
+// WithTelemetry reports the round through tel (obs.Telemetry.Start):
+// per-phase wall time under lppa_round_phase_seconds, round totals
+// (winners, revenue, voided, violations, submission bytes, masked
+// digests) and the auctioneer's comparison and interning counters
+// (core.Auctioneer.SetObserver) into tel.Metrics; a root "round" span
+// with a child span per phase (encode, conflict_graph, allocate, charge)
+// and a straggler_excluded event per bidder a degraded quorum round
+// dropped into tel.Tracer, which a sampled tracer opens for one round in
+// K; each traced round into tel.Flight, which dumps its ring when the
+// round fails, degrades or exceeds the recorder's latency SLO; and each
+// phase's wall time to tel.OnPhase on the round goroutine. A Flight
+// without a Tracer is rejected. Results are bit-identical whatever tel
+// holds, and the zero Telemetry reads no clock.
+func WithTelemetry(tel obs.Telemetry) Option {
 	return func(c *runConfig) error {
-		c.tracer = tracer
-		return nil
-	}
-}
-
-// WithFlightRecorder auto-dumps the round's trace through fr when the
-// round fails, degrades below full attendance, or exceeds fr's latency
-// SLO. Requires WithTrace or WithTraceSampler: the recorder dumps the
-// spans the tracer collected. A nil recorder is the same as omitting the
-// option.
-func WithFlightRecorder(fr *obs.FlightRecorder) Option {
-	return func(c *runConfig) error {
-		c.flight = fr
-		return nil
-	}
-}
-
-// WithTraceSampler traces this round only when the sampler's
-// deterministic 1-in-K schedule picks it (the sampler consumes one round
-// index per Run). A sampled round behaves exactly like WithTrace with
-// the sampler's tracer; an unsampled round runs the untraced path —
-// bit-identical awards either way, and the unsampled path costs one
-// atomic add over no option at all. Mutually exclusive with WithTrace; a
-// nil sampler is the same as omitting the option.
-func WithTraceSampler(s *obs.TraceSampler) Option {
-	return func(c *runConfig) error {
-		c.sampler = s
+		if err := tel.Validate(); err != nil {
+			return fmt.Errorf("round: %w", err)
+		}
+		c.tel = tel
 		return nil
 	}
 }
 
 // WithEpochNumber tags the round with the epochal service's epoch
-// number: the root trace span gets an epoch attribute and flight dumps
-// triggered by the round carry the epoch in their filename. Pure
+// number n ≥ 0: the root trace span gets an epoch attribute and flight
+// dumps triggered by the round carry the epoch in their filename. Pure
 // metadata — results are bit-identical with or without it.
 func WithEpochNumber(n int) Option {
 	return func(c *runConfig) error {
-		c.epoch = n
-		c.hasEpoch = true
-		return nil
-	}
-}
-
-// WithPhaseObserver streams each phase's wall time to fn as the round
-// executes — the always-on cheap signal behind the ops plane's SLO
-// burn-rate monitor, available whether or not the round is traced. fn is
-// called on the round goroutine; keep it fast. A nil fn is the same as
-// omitting the option; results are bit-identical either way.
-func WithPhaseObserver(fn func(phase string, d time.Duration)) Option {
-	return func(c *runConfig) error {
-		c.onPhase = fn
-		return nil
-	}
-}
-
-// finishTrace closes the round root span — recording the failure and any
-// quorum exclusions — and hands the trace to the flight recorder. A nil
-// root (untraced round) does nothing.
-func finishTrace(cfg *runConfig, root *obs.Span, res *Result, err error) {
-	if root == nil {
-		return
-	}
-	if err != nil {
-		root.SetError(err.Error())
-	}
-	degraded := res != nil && len(res.Excluded) > 0
-	if degraded {
-		for _, id := range res.Excluded {
-			root.Event("straggler_excluded", obs.L("bidder", strconv.Itoa(id)))
+		if n < 0 {
+			return fmt.Errorf("round: negative epoch number %d", n)
 		}
+		c.epoch = n
+		return nil
 	}
-	root.End()
-	if cfg.flight == nil {
-		return
-	}
-	rt := &obs.RoundTrace{
-		Label:    "round",
-		Degraded: degraded,
-		Epoch:    cfg.epoch,
-		HasEpoch: cfg.hasEpoch,
-		Duration: root.Duration,
-		Spans:    cfg.tracer.TakeTrace(root.Ctx.Trace),
-	}
-	if err != nil {
-		rt.Err = err.Error()
-	}
-	_, _ = cfg.flight.Record(rt)
 }
 
 // roundObs caches the round-level metric handles for one Run; they are
@@ -318,46 +239,22 @@ func buildSamplers(policies []core.DisguisePolicy, bmax uint64) ([]*core.Disguis
 // Options select the execution and charging shape: WithWorkers for the
 // deterministic parallel pipeline, WithPolicies for per-bidder disguise,
 // WithInteractiveCharging or WithSecondPrice (mutually exclusive) for the
-// charging design, WithObserver for metrics. With no options Run threads
-// one rng through all bidders serially (see WithWorkers).
+// charging design, WithTelemetry for metrics, spans and flight
+// recording. With no options Run threads one rng through all bidders
+// serially (see WithWorkers).
 func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Result, error) {
 	cfg, err := configure(opts)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.sampler != nil && cfg.tracer != nil {
-		return nil, fmt.Errorf("round: WithTrace and WithTraceSampler are mutually exclusive")
-	}
-	if cfg.flight != nil && cfg.tracer == nil && cfg.sampler == nil {
-		return nil, fmt.Errorf("round: WithFlightRecorder requires WithTrace or WithTraceSampler")
-	}
-	var sampleIdx uint64
-	if cfg.sampler != nil {
-		// The sampler consumes one round index whether or not it samples;
-		// an unsampled round proceeds on the untraced (nil-tracer) path.
-		if tr, idx, ok := cfg.sampler.Next(); ok {
-			cfg.tracer, sampleIdx = tr, idx
-		}
-	}
-	var root *obs.Span
-	if cfg.tracer != nil {
-		root = cfg.tracer.StartTrace("round",
-			obs.L("bidders", strconv.Itoa(len(in.Points))),
-			obs.L("channels", strconv.Itoa(params.Channels)))
-		if cfg.hasEpoch {
-			root.Annotate("epoch", strconv.Itoa(cfg.epoch))
-		}
-		if cfg.sampler != nil {
-			root.Annotate("sample_index", strconv.FormatUint(sampleIdx, 10))
-		}
-	}
-	ph := obs.NewPhases(cfg.reg, PhaseMetric, cfg.tracer, root.Context(), cfg.onPhase)
+	ph := cfg.tel.Start(PhaseMetric, "round", len(in.Points), params.Channels, cfg.epoch)
 	res, err := run(params, ring, in, &cfg, ph)
-	ph.Stop()
-	if res != nil && root != nil {
-		res.Trace = root.Ctx.Trace
+	var excluded []int
+	if res != nil {
+		res.Trace = ph.Root().Context().Trace
+		excluded = res.Excluded
 	}
-	finishTrace(&cfg, root, res, err)
+	_, _ = ph.Finish(err, excluded)
 	return res, err
 }
 
@@ -459,7 +356,7 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *o
 	for _, c := range res.Auctioneer.DigestCounts() {
 		digests += c
 	}
-	ro := newRoundObs(cfg.reg)
+	ro := newRoundObs(cfg.tel.Metrics)
 	ro.note(res, workers, bytesTotal, digests)
 	return res, nil
 }

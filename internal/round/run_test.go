@@ -41,7 +41,7 @@ func TestRunObserverDoesNotChangeResults(t *testing.T) {
 		p, ring, pts, bids := parallelFixture(t, 20, 2, seed)
 		for _, sh := range shapes {
 			run := func(reg *obs.Registry) *Result {
-				opts := append(append([]Option(nil), sh.opts...), WithObserver(reg))
+				opts := append(append([]Option(nil), sh.opts...), WithTelemetry(obs.Telemetry{Metrics: reg}))
 				res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: pol,
 					Rng: rand.New(rand.NewSource(seed * 9))}, opts...)
 				if err != nil {

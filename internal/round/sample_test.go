@@ -13,9 +13,9 @@ import (
 // TestWithTraceSamplerBitIdentical pins the observed-twin contract for
 // sampled tracing over a sequence of rounds: every round — sampled or not
 // — produces exactly the unsampled baseline's result, the sampled subset
-// is the sampler's deterministic schedule (reported via Result.Trace),
-// and two runs at the same (seed, K) produce identical sampled trace
-// sets.
+// is the sampled tracer's deterministic schedule (reported via
+// Result.Trace), and two runs at the same (seed, K) produce identical
+// sampled trace sets.
 func TestWithTraceSamplerBitIdentical(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	const n, epochs = 14, 12
@@ -38,28 +38,34 @@ func TestWithTraceSamplerBitIdentical(t *testing.T) {
 		spans   int
 	}
 	runSweep := func() sweep {
-		s := obs.NewTraceSampler("svc", 5, 3)
+		s := obs.NewSampledTracer("svc", 5, 3)
 		var sw sweep
 		for e := 0; e < epochs; e++ {
-			res, err := Run(p, ring, in(e), WithTraceSampler(s), WithEpochNumber(e))
+			res, err := Run(p, ring, in(e), WithTelemetry(obs.Telemetry{Tracer: s}), WithEpochNumber(e))
 			if err != nil {
 				t.Fatalf("sampled epoch %d: %v", e, err)
 			}
 			sameResult(t, "epoch "+strconv.Itoa(e), baseline[e], res)
 			if res.Trace != 0 {
 				sw.sampled = append(sw.sampled, e)
-				if !s.WouldSample(uint64(e)) {
-					t.Fatalf("epoch %d traced off-schedule", e)
-				}
 			}
 		}
-		sw.spans = len(s.Tracer().Take())
+		if s.Sampled() != uint64(len(sw.sampled)) {
+			t.Fatalf("schedule opened %d roots, %d rounds carry a trace", s.Sampled(), len(sw.sampled))
+		}
+		sw.spans = len(s.Take())
 		return sw
 	}
 
 	a, b := runSweep(), runSweep()
 	if len(a.sampled) != epochs/3 {
 		t.Fatalf("sampled %d of %d epochs with k=3: %v", len(a.sampled), epochs, a.sampled)
+	}
+	// One residue class mod k is traced.
+	for i := 1; i < len(a.sampled); i++ {
+		if a.sampled[i]-a.sampled[i-1] != 3 {
+			t.Fatalf("epochs traced off-schedule: %v", a.sampled)
+		}
 	}
 	if len(a.sampled) != len(b.sampled) {
 		t.Fatalf("sweeps sampled %v vs %v", a.sampled, b.sampled)
@@ -75,14 +81,14 @@ func TestWithTraceSamplerBitIdentical(t *testing.T) {
 }
 
 // TestWithTraceSamplerEpochAnnotation pins the sampled root span's
-// metadata: the epoch number and the sampler's round index ride the span
+// metadata: the epoch number and the schedule's call index ride the span
 // so a dumped trace is attributable without the event log.
 func TestWithTraceSamplerEpochAnnotation(t *testing.T) {
 	p, ring, pts, bids := parallelFixture(t, 10, 2, 7)
-	s := obs.NewTraceSampler("svc", 3, 1) // k=1: every round sampled
+	s := obs.NewSampledTracer("svc", 3, 1) // k=1: every round sampled
 	res, err := Run(p, ring,
 		Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(7))},
-		WithTraceSampler(s), WithEpochNumber(42))
+		WithTelemetry(obs.Telemetry{Tracer: s}), WithEpochNumber(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +96,7 @@ func TestWithTraceSamplerEpochAnnotation(t *testing.T) {
 		t.Fatal("k=1 sampled round has no trace id")
 	}
 	var root *obs.Span
-	for _, sp := range s.Tracer().Snapshot() {
+	for _, sp := range s.Snapshot() {
 		if sp.Name == "round" {
 			root = sp
 		}
@@ -110,37 +116,34 @@ func TestWithTraceSamplerEpochAnnotation(t *testing.T) {
 	}
 }
 
-// TestWithTraceSamplerOptionRules pins the option algebra: WithTrace and
-// WithTraceSampler are mutually exclusive, a sampler satisfies
-// WithFlightRecorder's tracing requirement, and the nil sampler is the
-// same as omitting the option.
+// TestWithTraceSamplerOptionRules pins the option algebra: a sampled
+// tracer satisfies the flight recorder's tracing requirement, a flight
+// recorder without a tracer is rejected, and the nil tracer is the same
+// as omitting it.
 func TestWithTraceSamplerOptionRules(t *testing.T) {
 	p, ring, pts, bids := parallelFixture(t, 8, 2, 3)
 	in := func() Input {
 		return Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(3))}
 	}
-	s := obs.NewTraceSampler("svc", 1, 2)
-	if _, err := Run(p, ring, in(), WithTrace(obs.NewTracer("x")), WithTraceSampler(s)); err == nil {
-		t.Fatal("WithTrace + WithTraceSampler accepted")
-	}
+	s := obs.NewSampledTracer("svc", 1, 2)
 	fr := obs.NewFlightRecorder(t.TempDir(), 2, 0)
-	if _, err := Run(p, ring, in(), WithTraceSampler(s), WithFlightRecorder(fr)); err != nil {
-		t.Fatalf("sampler + flight recorder rejected: %v", err)
+	if _, err := Run(p, ring, in(), WithTelemetry(obs.Telemetry{Tracer: s, Flight: fr})); err != nil {
+		t.Fatalf("sampled tracer + flight recorder rejected: %v", err)
 	}
-	if _, err := Run(p, ring, in(), WithFlightRecorder(fr)); err == nil {
-		t.Fatal("flight recorder without tracer or sampler accepted")
+	if _, err := Run(p, ring, in(), WithTelemetry(obs.Telemetry{Flight: fr})); err == nil {
+		t.Fatal("flight recorder without a tracer accepted")
 	}
 	want, err := Run(p, ring, in())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(p, ring, in(), WithTraceSampler(nil))
+	got, err := Run(p, ring, in(), WithTelemetry(obs.Telemetry{Tracer: nil}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "nil sampler", want, got)
+	sameResult(t, "nil tracer", want, got)
 	if got.Trace != 0 {
-		t.Fatal("nil sampler produced a trace id")
+		t.Fatal("nil tracer produced a trace id")
 	}
 }
 
@@ -163,9 +166,9 @@ func TestWithPhaseObserver(t *testing.T) {
 		d    time.Duration
 	}
 	var seen []obsPhase
-	got, err := Run(p, ring, in(), WithPhaseObserver(func(phase string, d time.Duration) {
+	got, err := Run(p, ring, in(), WithTelemetry(obs.Telemetry{OnPhase: func(phase string, d time.Duration) {
 		seen = append(seen, obsPhase{phase, d})
-	}))
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}

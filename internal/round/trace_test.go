@@ -39,7 +39,7 @@ func TestWithTraceBitIdentical(t *testing.T) {
 				t.Fatalf("%s: untraced: %v", tc.tag, err)
 			}
 			tracer := obs.NewTracer("auctioneer")
-			got, err := Run(p, ring, in(), append([]Option{WithTrace(tracer)}, tc.opts...)...)
+			got, err := Run(p, ring, in(), append([]Option{WithTelemetry(obs.Telemetry{Tracer: tracer})}, tc.opts...)...)
 			if err != nil {
 				t.Fatalf("%s: traced: %v", tc.tag, err)
 			}
@@ -48,7 +48,7 @@ func TestWithTraceBitIdentical(t *testing.T) {
 				t.Errorf("%s: traced round recorded no spans", tc.tag)
 			}
 			// And a nil tracer is the documented same as omitting the option.
-			got, err = Run(p, ring, in(), append([]Option{WithTrace(nil)}, tc.opts...)...)
+			got, err = Run(p, ring, in(), append([]Option{WithTelemetry(obs.Telemetry{Tracer: nil})}, tc.opts...)...)
 			if err != nil {
 				t.Fatalf("%s: nil tracer: %v", tc.tag, err)
 			}
@@ -65,7 +65,7 @@ func TestWithTraceSpanTopology(t *testing.T) {
 	tracer := obs.NewTracer("auctioneer")
 	if _, err := Run(p, ring,
 		Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(5))},
-		WithWorkers(2), WithTrace(tracer)); err != nil {
+		WithWorkers(2), WithTelemetry(obs.Telemetry{Tracer: tracer})); err != nil {
 		t.Fatal(err)
 	}
 	spans := tracer.Snapshot()
@@ -101,31 +101,34 @@ func TestWithTraceSpanTopology(t *testing.T) {
 	}
 }
 
-// TestWithFlightRecorderRequiresTrace pins the option dependency.
+// TestWithFlightRecorderRequiresTrace pins the telemetry dependency: a
+// flight recorder keeps a tracer's spans, so it needs one.
 func TestWithFlightRecorderRequiresTrace(t *testing.T) {
 	p, ring, pts, bids := parallelFixture(t, 4, 2, 1)
 	in := Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(1))}
 	fr := obs.NewFlightRecorder(t.TempDir(), 2, 0)
-	if _, err := Run(p, ring, in, WithFlightRecorder(fr)); err == nil {
-		t.Fatal("WithFlightRecorder without WithTrace accepted")
+	if _, err := Run(p, ring, in, WithTelemetry(obs.Telemetry{Flight: fr})); err == nil {
+		t.Fatal("a flight recorder without a tracer accepted")
 	}
 }
 
 // TestFlightRecorderDumpsDegradedRound drives the flight-recorder trigger
 // through Run: a quorum round that excludes an unencodable bidder is
 // degraded, so the recorder dumps a trace whose round span carries the
-// straggler_excluded event; a fault-free round dumps nothing.
+// straggler_excluded event; a fault-free round dumps nothing. Recording
+// copies the spans: the tracer still holds both rounds afterwards.
 func TestFlightRecorderDumpsDegradedRound(t *testing.T) {
 	const n, bad = 12, 5
 	p, ring, pts, bids := parallelFixture(t, n, 2, 9)
 	dir := t.TempDir()
 	tracer := obs.NewTracer("auctioneer")
 	fr := obs.NewFlightRecorder(dir, 4, 0)
+	tel := WithTelemetry(obs.Telemetry{Tracer: tracer, Flight: fr})
 
 	// Clean round first: recorder ring buffers it, no dump.
 	if _, err := Run(p, ring,
 		Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(11))},
-		WithWorkers(3), WithQuorum(n-1), WithTrace(tracer), WithFlightRecorder(fr)); err != nil {
+		WithWorkers(3), WithQuorum(n-1), tel); err != nil {
 		t.Fatal(err)
 	}
 	if dumps, _ := filepath.Glob(filepath.Join(dir, "flight-*.trace.json")); len(dumps) != 0 {
@@ -137,7 +140,7 @@ func TestFlightRecorderDumpsDegradedRound(t *testing.T) {
 	pts[bad] = geo.Point{X: p.MaxX + 1, Y: 0}
 	res, err := Run(p, ring,
 		Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1}, Rng: rand.New(rand.NewSource(11))},
-		WithWorkers(3), WithQuorum(n-1), WithTrace(tracer), WithFlightRecorder(fr))
+		WithWorkers(3), WithQuorum(n-1), tel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +162,14 @@ func TestFlightRecorderDumpsDegradedRound(t *testing.T) {
 	// spans appear, giving before/after context.
 	if got := strings.Count(string(blob), `"name":"round"`); got != 2 {
 		t.Errorf("dump contains %d round spans, want 2 (clean + degraded)", got)
+	}
+	names := map[string]int{}
+	for _, sp := range tracer.Snapshot() {
+		names[sp.Name]++
+	}
+	for _, name := range []string{"round", "encode", "conflict_graph", "allocate", "charge"} {
+		if names[name] != 2 {
+			t.Errorf("tracer holds %d %q spans after both rounds, want 2: %v", names[name], name, names)
+		}
 	}
 }

@@ -53,35 +53,24 @@ type Fig5Config struct {
 	// how the admitted set allocates; on a healthy run results are
 	// unchanged.
 	Quorum int
-	// Metrics, when non-nil, records every private round the experiment
-	// runs (phase timings, comparison counters, round totals). Results are
-	// bit-identical with or without it.
-	Metrics *obs.Registry
-	// Trace, when non-nil, records every private round as a span tree
-	// (round root + phase children) into the tracer. Like Metrics, results
-	// are bit-identical with or without it.
-	Trace *obs.Tracer
-	// Flight, when non-nil, ring-buffers each round's trace and auto-dumps
-	// on failure or degradation. Requires Trace.
-	Flight *obs.FlightRecorder
+	// Telemetry reports every private round the experiment runs
+	// (round.WithTelemetry): phase timings, comparison counters and round
+	// totals in Metrics, a span tree per round in Tracer, and each traced
+	// round in Flight, which auto-dumps on failure or degradation. Results
+	// are bit-identical whatever it holds.
+	Telemetry obs.Telemetry
 }
 
 // runPrivate dispatches one private round through the serial or parallel
 // pipeline of round.Run according to cfg.Workers.
 func (cfg Fig5Config) runPrivate(params core.Params, ring *mask.KeyRing, pts []geo.Point, bids [][]uint64,
 	policy core.DisguisePolicy, rng *rand.Rand) (*round.Result, error) {
-	opts := []round.Option{round.WithObserver(cfg.Metrics)}
+	opts := []round.Option{round.WithTelemetry(cfg.Telemetry)}
 	if cfg.Workers > 1 {
 		opts = append(opts, round.WithWorkers(cfg.Workers))
 	}
 	if cfg.Quorum > 0 {
 		opts = append(opts, round.WithQuorum(cfg.Quorum))
-	}
-	if cfg.Trace != nil {
-		opts = append(opts, round.WithTrace(cfg.Trace))
-	}
-	if cfg.Flight != nil {
-		opts = append(opts, round.WithFlightRecorder(cfg.Flight))
 	}
 	return round.Run(params, ring, round.Input{Points: pts, Bids: bids, Policy: policy, Rng: rng}, opts...)
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // MetricsRound runs one private round under cfg — honoring cfg.Workers and
-// recording into cfg.Metrics when set — and returns the result. It backs
+// reporting through cfg.Telemetry — and returns the result. It backs
 // `lppa-sim -experiment round` and `make metrics-snapshot`: a single
 // instrumented round whose registry snapshot shows the per-phase and
 // per-layer cost profile at population size cfg.Bidders.

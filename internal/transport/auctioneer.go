@@ -59,21 +59,20 @@ type AuctioneerServer struct {
 	ln      net.Listener
 	log     *slog.Logger
 	rng     *rand.Rand
-	// secondPrice switches charging to the clearing-price rule.
-	secondPrice  bool
+	// roundOpts are round.Auction's options: the charging rule and the
+	// metrics registry.
+	roundOpts    []round.Option
 	idleTimeout  time.Duration
 	frameTimeout time.Duration
 	straggler    time.Duration
 	admit        func() (bool, time.Duration)
 	onShed       func(time.Duration)
-	reg          *obs.Registry
 	ob           netObs
-	tracer       *obs.Tracer
-	flight       *obs.FlightRecorder
-	// root is the round's root span (nil when untraced); recv_submission
-	// spans and phase spans hang off it unless the sender supplied its
-	// own wire trace context.
-	root *obs.Span
+	// run is the round's lifecycle, opened by the constructor and
+	// finished by startRound or fail. Its root span (nil when untraced)
+	// parents the phase spans, and the recv_submission spans unless the
+	// sender supplied its own wire trace context.
+	run *obs.Phases
 
 	// wg tracks the acceptor, the coordinator, and every live handler;
 	// Shutdown waits on it. Round completion is signaled by done instead,
@@ -130,6 +129,10 @@ func NewAuctioneerServerWithConfig(params core.Params, bidders int, ttpAddr stri
 	if quorum < 1 || quorum > bidders {
 		return nil, fmt.Errorf("transport: quorum %d outside [1, %d]", cfg.Quorum, bidders)
 	}
+	roundOpts := []round.Option{round.WithTelemetry(obs.Telemetry{Metrics: cfg.Telemetry.Metrics})}
+	if cfg.SecondPrice {
+		roundOpts = append(roundOpts, round.WithSecondPrice())
+	}
 	s := &AuctioneerServer{
 		params:       params,
 		bidders:      bidders,
@@ -138,26 +141,19 @@ func NewAuctioneerServerWithConfig(params core.Params, bidders int, ttpAddr stri
 		ln:           ln,
 		log:          cfg.logger(),
 		rng:          rand.New(rand.NewSource(seed)),
-		secondPrice:  cfg.SecondPrice,
+		roundOpts:    roundOpts,
 		idleTimeout:  cfg.idleTimeout(),
 		frameTimeout: cfg.frameTimeout(),
 		straggler:    cfg.StragglerTimeout,
 		admit:        cfg.Admit,
 		onShed:       cfg.OnShed,
-		reg:          cfg.Metrics,
-		ob:           newNetObs(cfg.Metrics, "auctioneer"),
-		tracer:       cfg.Tracer,
-		flight:       cfg.FlightRecorder,
+		ob:           newNetObs(cfg.Telemetry.Metrics, "auctioneer"),
+		run:          cfg.Telemetry.Start(round.PhaseMetric, "round", bidders, params.Channels, -1),
 		arrived:      make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 		subs:         make(map[int]Submission, bidders),
 		conns:        make(map[int]*Conn, bidders),
 		done:         make(chan struct{}),
-	}
-	if s.tracer != nil {
-		s.root = s.tracer.StartTrace("round",
-			obs.L("bidders", strconv.Itoa(bidders)),
-			obs.L("channels", strconv.Itoa(params.Channels)))
 	}
 	s.wg.Add(2)
 	go s.acceptLoop()
@@ -302,7 +298,7 @@ func (s *AuctioneerServer) startRound() {
 		return
 	}
 	s.ob.excluded.Add(uint64(len(outcome.Excluded)))
-	s.finishTrace("", len(outcome.Excluded) > 0)
+	s.finish(nil, outcome.Excluded)
 
 	s.mu.Lock()
 	s.state = stateDone
@@ -342,36 +338,18 @@ func (s *AuctioneerServer) fail(err error) {
 		_ = c.Send(KindError, ErrorMsg{Reason: err.Error()})
 		c.Close()
 	}
-	s.finishTrace(err.Error(), false)
+	s.finish(err, nil)
 	s.err = err
 	close(s.done)
 }
 
-// finishTrace ends the round's root span and, when a flight recorder is
-// configured, records the round — which auto-dumps the trace to disk on
-// failure, degradation, or an SLO miss.
-func (s *AuctioneerServer) finishTrace(errStr string, degraded bool) {
-	if s.tracer == nil {
-		return
-	}
-	if errStr != "" {
-		s.root.SetError(errStr)
-	}
-	s.root.End()
-	if s.flight == nil {
-		return
-	}
-	rt := &obs.RoundTrace{
-		Label:    "round",
-		Err:      errStr,
-		Degraded: degraded,
-		Duration: s.root.Duration,
-		Spans:    s.tracer.Snapshot(),
-	}
-	path, err := s.flight.Record(rt)
+// finish ends the round's lifecycle and logs the flight-recorder dump it
+// triggered, if any.
+func (s *AuctioneerServer) finish(err error, excluded []int) {
+	path, derr := s.run.Finish(err, excluded)
 	switch {
-	case err != nil:
-		s.log.Error("auctioneer: flight recorder dump", "err", err)
+	case derr != nil:
+		s.log.Error("auctioneer: flight recorder dump", "err", derr)
 	case path != "":
 		s.log.Info("auctioneer: flight recorder dumped round trace", "path", path)
 	}
@@ -388,16 +366,17 @@ func (s *AuctioneerServer) rejectConn(c *Conn, span *obs.Span, reason string, re
 
 // recvSpan opens the per-submission span, parented onto the sender's
 // wire trace context when the frame carried one, else onto the round's
-// root span. Returns nil (a no-op span) when tracing is off.
+// root span. Returns nil (a no-op span) when the round is untraced.
 func (s *AuctioneerServer) recvSpan(c *Conn, bidder int) *obs.Span {
-	if s.tracer == nil {
+	root := s.run.Root()
+	if root == nil {
 		return nil
 	}
-	parent := s.root.Context()
+	parent := root.Context()
 	if tc := c.LastTrace(); tc.Valid() {
 		parent = tc.SpanContext()
 	}
-	return s.tracer.StartSpan("recv_submission", parent, obs.L("bidder", strconv.Itoa(bidder)))
+	return s.run.Tracer().StartSpan("recv_submission", parent, obs.L("bidder", strconv.Itoa(bidder)))
 }
 
 func (s *AuctioneerServer) receiveSubmission(c *Conn) {
@@ -406,8 +385,8 @@ func (s *AuctioneerServer) receiveSubmission(c *Conn) {
 	if err := c.Expect(KindSubmission, &sub); err != nil {
 		s.ob.noteErr(err)
 		s.ob.rejects.Inc()
-		if s.tracer != nil {
-			s.root.Event("frame_rejected", obs.L("err", err.Error()))
+		if root := s.run.Root(); root != nil {
+			root.Event("frame_rejected", obs.L("err", err.Error()))
 		}
 		s.log.Error("auctioneer recv submission", "err", err)
 		c.Close()
@@ -508,12 +487,7 @@ func (s *AuctioneerServer) runRound(subs map[int]Submission) (*RoundOutcome, map
 		verdicts = chargeResultsFromWire(wire)
 		return verdicts, nil
 	}
-	opts := []round.Option{round.WithObserver(s.reg)}
-	if s.secondPrice {
-		opts = append(opts, round.WithSecondPrice())
-	}
-	phases := obs.NewPhases(s.reg, round.PhaseMetric, s.tracer, s.root.Context(), nil)
-	res, err := round.Auction(s.params, locs, bids, charge, s.rng, phases, opts...)
+	res, err := round.Auction(s.params, locs, bids, charge, s.rng, s.run, s.roundOpts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -522,9 +496,6 @@ func (s *AuctioneerServer) runRound(subs map[int]Submission) (*RoundOutcome, map
 	for id := 0; id < s.bidders; id++ {
 		if _, ok := subs[id]; !ok {
 			outcome.Excluded = append(outcome.Excluded, id)
-			if s.tracer != nil {
-				s.root.Event("straggler_excluded", obs.L("bidder", strconv.Itoa(id)))
-			}
 		}
 	}
 	// Each award's verdict sits at its position in the batch; an award

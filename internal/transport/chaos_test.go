@@ -242,7 +242,7 @@ func TestChaosBidderCrashRestart(t *testing.T) {
 	reg := obs.NewRegistry()
 	out := runChaosRound(t, 11, n,
 		map[int]faults.Config{0: {CloseAfterFrames: 1}}, true,
-		Config{Metrics: reg, IdleTimeout: 3 * time.Second})
+		Config{Telemetry: obs.Telemetry{Metrics: reg}, IdleTimeout: 3 * time.Second})
 	if out.outcomeErr != nil {
 		t.Fatalf("round failed: %v", out.outcomeErr)
 	}
@@ -272,7 +272,7 @@ func TestChaosKilledBidderDoesNotHangRound(t *testing.T) {
 	reg := obs.NewRegistry()
 	out := runChaosRound(t, 21, n,
 		map[int]faults.Config{0: {TruncateFrame: 1}}, false,
-		Config{Quorum: 2, StragglerTimeout: 2 * time.Second, IdleTimeout: 3 * time.Second, Metrics: reg})
+		Config{Quorum: 2, StragglerTimeout: 2 * time.Second, IdleTimeout: 3 * time.Second, Telemetry: obs.Telemetry{Metrics: reg}})
 	if out.outcomeErr != nil {
 		t.Fatalf("round failed instead of degrading: %v", out.outcomeErr)
 	}

@@ -20,7 +20,7 @@ const DefaultFrameTimeout = 30 * time.Second
 
 // Config carries the operational knobs shared by TTPServer and
 // AuctioneerServer. The zero value is a working default: DefaultIdleTimeout,
-// DefaultFrameTimeout, slog.Default(), no metrics, first-price charging,
+// DefaultFrameTimeout, slog.Default(), no telemetry, first-price charging,
 // full attendance required.
 //
 // Prefer assembling a Config through New(...Option), which validates as
@@ -35,12 +35,22 @@ type Config struct {
 	FrameTimeout time.Duration
 	// Logger receives server-side errors; nil means slog.Default().
 	Logger *slog.Logger
-	// Metrics, when non-nil, records connections accepted, wire bytes
-	// in/out, per-submission service latency, timeout drops, rejected
-	// frames, deduplicated replays, excluded bidders, and — on the
-	// auctioneer — round phase timings plus the core comparison counters.
-	// Nil disables all instrumentation at zero cost.
-	Metrics *obs.Registry
+	// Telemetry is what the server reports through. Its Metrics record
+	// connections accepted, wire bytes in/out, per-submission service
+	// latency, timeout drops, rejected frames, deduplicated replays,
+	// excluded bidders, and — on the auctioneer — round phase timings plus
+	// the core comparison counters. Its Tracer records the server's spans:
+	// on the auctioneer one root round span (opened when the server starts,
+	// with conflict_graph/allocate/charge phase children) plus a
+	// recv_submission span per accepted submission that parents onto the
+	// sender's wire trace context; on the TTP one span per exchange. Its
+	// Flight (auctioneer only, needs the Tracer) keeps every span the
+	// tracer finished during the round and auto-dumps when the round
+	// fails, degrades below full attendance, or exceeds the recorder's
+	// latency SLO. The auctioneer runs one round per server, so share a
+	// tracer between rounds only through Named views on the same buffer.
+	// The zero value reports nothing at zero cost.
+	Telemetry obs.Telemetry
 	// SecondPrice switches the auctioneer to clearing-price charging.
 	// Ignored by the TTP server.
 	SecondPrice bool
@@ -55,19 +65,6 @@ type Config struct {
 	// round.ErrQuorumNotReached instead of hanging. Zero waits forever,
 	// the pre-hardening behavior. Ignored by the TTP server.
 	StragglerTimeout time.Duration
-	// Tracer, when non-nil, records the server's spans: one root round
-	// span on the auctioneer (with conflict_graph/allocate/charge phase
-	// children) plus a recv_submission span per accepted submission that
-	// parents onto the sender's wire trace context. The auctioneer
-	// assumes the tracer is dedicated to one round; reuse a tracer across
-	// rounds only via Named views on the same buffer. Nil disables
-	// tracing at zero cost.
-	Tracer *obs.Tracer
-	// FlightRecorder, when non-nil (auctioneer only, requires Tracer),
-	// buffers the round's trace and auto-dumps it to disk when the round
-	// fails, degrades below full attendance, or exceeds the recorder's
-	// latency SLO.
-	FlightRecorder *obs.FlightRecorder
 	// Admit, when non-nil, gates every accepted connection BEFORE any
 	// frame is read or decoded: returning false makes the server answer
 	// with one KindRetryAfter frame carrying the returned hint and close

@@ -73,7 +73,7 @@ func TestIdleTimeoutConfigured(t *testing.T) {
 	p := testParams()
 	reg := obs.NewRegistry()
 	srv, err := NewAuctioneerServerWithConfig(p, 1, "127.0.0.1:1", listen(t), 1,
-		Config{Logger: quietLogger(), IdleTimeout: 50 * time.Millisecond, Metrics: reg})
+		Config{Logger: quietLogger(), IdleTimeout: 50 * time.Millisecond, Telemetry: obs.Telemetry{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestNetworkedRoundMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	log := quietLogger()
 
-	ttpSrv, err := NewTTPServerWithConfig(p, []byte("metrics-round"), 3, 4, listen(t), Config{Logger: log, Metrics: reg})
+	ttpSrv, err := NewTTPServerWithConfig(p, []byte("metrics-round"), 3, 4, listen(t), Config{Logger: log, Telemetry: obs.Telemetry{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ttpSrv.Close()
-	aucSrv, err := NewAuctioneerServerWithConfig(p, n, ttpSrv.Addr().String(), listen(t), 7, Config{Logger: log, Metrics: reg})
+	aucSrv, err := NewAuctioneerServerWithConfig(p, n, ttpSrv.Addr().String(), listen(t), 7, Config{Logger: log, Telemetry: obs.Telemetry{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestAuctioneerSurvivesMalformedConn(t *testing.T) {
 	}
 	defer ttpSrv.Close()
 	aucSrv, err := NewAuctioneerServerWithConfig(p, 1, ttpSrv.Addr().String(), listen(t), 1,
-		Config{Logger: log, Metrics: reg})
+		Config{Logger: log, Telemetry: obs.Telemetry{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,14 @@ func WithLogger(log *slog.Logger) Option {
 	}
 }
 
-// WithMetrics records the server's transport and round metrics into reg.
-func WithMetrics(reg *obs.Registry) Option {
+// WithTelemetry reports the server through tel (see Config.Telemetry).
+// A Flight without a Tracer is rejected, as round.WithTelemetry does.
+func WithTelemetry(tel obs.Telemetry) Option {
 	return func(c *Config) error {
-		c.Metrics = reg
+		if err := tel.Validate(); err != nil {
+			return fmt.Errorf("transport: %w", err)
+		}
+		c.Telemetry = tel
 		return nil
 	}
 }
@@ -96,26 +100,6 @@ func WithStragglerTimeout(d time.Duration) Option {
 			return fmt.Errorf("transport: straggler timeout %v, need positive", d)
 		}
 		c.StragglerTimeout = d
-		return nil
-	}
-}
-
-// WithTrace records the server's spans into tracer.
-func WithTrace(tracer *obs.Tracer) Option {
-	return func(c *Config) error {
-		c.Tracer = tracer
-		return nil
-	}
-}
-
-// WithFlightRecorder auto-dumps the round trace on failure, degradation,
-// or SLO breach. Requires WithTrace, checked here like round.Run does.
-func WithFlightRecorder(fr *obs.FlightRecorder) Option {
-	return func(c *Config) error {
-		if fr != nil && c.Tracer == nil {
-			return fmt.Errorf("transport: WithFlightRecorder requires WithTrace first")
-		}
-		c.FlightRecorder = fr
 		return nil
 	}
 }

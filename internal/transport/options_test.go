@@ -21,7 +21,7 @@ func TestNewZeroOptionsIsZeroConfig(t *testing.T) {
 	if cfg.idleTimeout() != DefaultIdleTimeout || cfg.frameTimeout() != DefaultFrameTimeout {
 		t.Errorf("zero-option config timeouts = %v/%v, want defaults", cfg.idleTimeout(), cfg.frameTimeout())
 	}
-	if cfg.SecondPrice || cfg.Quorum != 0 || cfg.Admit != nil || cfg.Metrics != nil {
+	if cfg.SecondPrice || cfg.Quorum != 0 || cfg.Admit != nil || cfg.Telemetry.Metrics != nil {
 		t.Errorf("zero-option config not zero: %+v", cfg)
 	}
 }
@@ -36,12 +36,10 @@ func TestNewAssemblesConfig(t *testing.T) {
 		WithIdleTimeout(3*time.Second),
 		WithFrameTimeout(time.Second),
 		WithLogger(log),
-		WithMetrics(reg),
+		WithTelemetry(obs.Telemetry{Metrics: reg, Tracer: tr, Flight: fr}),
 		WithSecondPriceCharging(),
 		WithQuorum(2),
 		WithStragglerTimeout(5*time.Second),
-		WithTrace(tr),
-		WithFlightRecorder(fr),
 		WithAdmission(gate),
 	)
 	if err != nil {
@@ -50,7 +48,7 @@ func TestNewAssemblesConfig(t *testing.T) {
 	if cfg.IdleTimeout != 3*time.Second || cfg.FrameTimeout != time.Second {
 		t.Errorf("timeouts = %v/%v", cfg.IdleTimeout, cfg.FrameTimeout)
 	}
-	if cfg.Logger != log || cfg.Metrics != reg || cfg.Tracer != tr || cfg.FlightRecorder != fr {
+	if tel := cfg.Telemetry; cfg.Logger != log || tel.Metrics != reg || tel.Tracer != tr || tel.Flight != fr {
 		t.Error("handles not threaded through")
 	}
 	if !cfg.SecondPrice || cfg.Quorum != 2 || cfg.StragglerTimeout != 5*time.Second {
@@ -88,12 +86,11 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 func TestNewFlightRecorderRequiresTrace(t *testing.T) {
 	tr := obs.NewTracer("fr-test")
 	fr := obs.NewFlightRecorder(t.TempDir(), 2, 0)
-	if _, err := New(WithFlightRecorder(fr)); err == nil {
+	if _, err := New(WithTelemetry(obs.Telemetry{Flight: fr})); err == nil {
 		t.Fatal("flight recorder accepted without a tracer")
 	}
-	// Order matters, like round.Run: trace first, then recorder.
-	if _, err := New(WithTrace(tr), WithFlightRecorder(fr)); err != nil {
-		t.Fatalf("trace-then-recorder rejected: %v", err)
+	if _, err := New(WithTelemetry(obs.Telemetry{Tracer: tr, Flight: fr})); err != nil {
+		t.Fatalf("tracer + recorder rejected: %v", err)
 	}
 }
 
@@ -168,7 +165,7 @@ func TestAdmissionEndToEnd(t *testing.T) {
 		}
 		return true, 0
 	}
-	cfg, err := New(WithLogger(log), WithMetrics(reg), WithAdmission(gate))
+	cfg, err := New(WithLogger(log), WithTelemetry(obs.Telemetry{Metrics: reg}), WithAdmission(gate))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,13 +104,13 @@ func TestTracedRoundEndToEnd(t *testing.T) {
 	tracer := obs.NewTracer("auctioneer")
 
 	ttpSrv, err := NewTTPServerWithConfig(p, []byte("traced"), 3, 4, listen(t),
-		Config{Logger: log, Tracer: tracer.Named("ttp")})
+		Config{Logger: log, Telemetry: obs.Telemetry{Tracer: tracer.Named("ttp")}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ttpSrv.Close()
 	aucSrv, err := NewAuctioneerServerWithConfig(p, n, ttpSrv.Addr().String(), listen(t), 42,
-		Config{Logger: log, Tracer: tracer})
+		Config{Logger: log, Telemetry: obs.Telemetry{Tracer: tracer}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestFlightRecorderDumpsDegradedNetworkRound(t *testing.T) {
 	out := runChaosRound(t, 21, n,
 		map[int]faults.Config{0: {TruncateFrame: 1}}, false,
 		Config{Quorum: 2, StragglerTimeout: 2 * time.Second, IdleTimeout: 3 * time.Second,
-			Tracer: tracer, FlightRecorder: fr})
+			Telemetry: obs.Telemetry{Tracer: tracer, Flight: fr}})
 	if out.outcomeErr != nil {
 		t.Fatalf("round failed instead of degrading: %v", out.outcomeErr)
 	}

@@ -60,8 +60,8 @@ func NewTTPServerWithConfig(params core.Params, seed []byte, rd, cr uint64, ln n
 		log:          cfg.logger(),
 		idleTimeout:  cfg.idleTimeout(),
 		frameTimeout: cfg.frameTimeout(),
-		ob:           newNetObs(cfg.Metrics, "ttp"),
-		tracer:       cfg.Tracer,
+		ob:           newNetObs(cfg.Telemetry.Metrics, "ttp"),
+		tracer:       cfg.Telemetry.Tracer,
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()

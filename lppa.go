@@ -27,9 +27,9 @@
 // shape the rest: WithWorkers for the deterministic parallel pipeline,
 // WithPolicies for per-bidder disguise, WithSecondPrice /
 // WithInteractiveCharging for the alternative charging rules, WithQuorum
-// for graceful degradation, and WithObserver, WithTrace, WithTraceSampler
-// and WithFlightRecorder to record phase timings, protocol counters and
-// span trees (see DESIGN.md §5c and §5e).
+// for graceful degradation, and WithTelemetry to report phase timings,
+// protocol counters, span trees and flight recordings through one
+// Telemetry value (see DESIGN.md §5c and §5e).
 //
 // See examples/ for complete programs and cmd/lppa-sim for the paper's
 // full evaluation suite.
@@ -147,15 +147,19 @@ type (
 	// WritePrometheus methods or serve its Handler over HTTP. See
 	// DESIGN.md §5c.
 	Registry = obs.Registry
-	// Tracer buffers distributed round spans; hand one to WithTrace, a
-	// TransportConfig, or a BidderClient and export with WriteChromeTrace.
-	// See DESIGN.md §5e.
+	// Tracer buffers distributed round spans; hand one to WithTelemetry, a
+	// TransportConfig's Telemetry, or a BidderClient and export with
+	// WriteChromeTrace. See DESIGN.md §5e.
 	Tracer = obs.Tracer
 	// Span is one timed operation in a round trace.
 	Span = obs.Span
 	// FlightRecorder ring-buffers round traces and auto-dumps them on
 	// failure, quorum degradation, or an SLO breach.
 	FlightRecorder = obs.FlightRecorder
+	// Telemetry bundles what a round reports through: a Registry, a
+	// Tracer, a FlightRecorder (which needs the Tracer) and a per-phase
+	// callback. The zero value reports nothing. See DESIGN.md §5c.
+	Telemetry = obs.Telemetry
 	// AuditReport is the per-round privacy-leakage audit (AUDIT_ROUND.json).
 	AuditReport = audit.Report
 	// AuditOptions configures AuditRound (attacker model, coverage area,
@@ -195,7 +199,7 @@ type (
 	// including bidders excluded from a degraded quorum round.
 	RoundOutcome = transport.RoundOutcome
 	// TransportConfig carries the servers' operational knobs (timeouts,
-	// quorum, metrics, charging rule).
+	// quorum, telemetry, charging rule).
 	TransportConfig = transport.Config
 	// FaultConfig selects the deterministic fault classes a chaos-injected
 	// connection exhibits (internal/faults; DESIGN.md §5d).
@@ -287,7 +291,7 @@ func Conflicts(a, b *LocationSubmission) bool { return core.Conflicts(a, b) }
 // Run executes a full LPPA round in-process. The default is the paper's
 // design — one disguise policy for all bidders, batch TTP charging, the
 // serial pipeline — and functional options select every variant: worker
-// count, per-bidder policies, charging rule, and metrics.
+// count, per-bidder policies, charging rule, and telemetry.
 func Run(params Params, ring *KeyRing, in RoundInput, opts ...RunOption) (*RoundResult, error) {
 	return round.Run(params, ring, in, opts...)
 }
@@ -309,11 +313,14 @@ func WithInteractiveCharging() RunOption { return round.WithInteractiveCharging(
 // award-time runner-up's bid, unblinded by the TTP.
 func WithSecondPrice() RunOption { return round.WithSecondPrice() }
 
-// WithObserver records the round into reg: per-phase wall time, winners,
-// revenue, comparison and interning counters. The round counts whether
-// or not a registry is attached; a nil registry discards the counts, and
-// results are bit-identical either way.
-func WithObserver(reg *Registry) RunOption { return round.WithObserver(reg) }
+// WithTelemetry reports the round through tel: per-phase wall time,
+// winners, revenue, comparison and interning counters into tel.Metrics, a
+// round root span with encode/conflict_graph/allocate/charge children
+// into tel.Tracer, the traced round into tel.Flight, and each phase's wall
+// time to tel.OnPhase. A Flight without a Tracer is rejected. The round
+// counts whatever tel holds, and results are bit-identical either way.
+// See DESIGN.md §5c and §5e.
+func WithTelemetry(tel Telemetry) RunOption { return round.WithTelemetry(tel) }
 
 // WithQuorum lets Run degrade gracefully: bidders whose submissions cannot
 // be produced are excluded (reported in RoundResult.Excluded) as long as at
@@ -326,13 +333,21 @@ func WithQuorum(q int) RunOption { return round.WithQuorum(q) }
 // with fewer usable submissions than its quorum; test with errors.Is.
 var ErrQuorumNotReached = round.ErrQuorumNotReached
 
-// NewRegistry creates an empty metrics registry for WithObserver or the
-// transport servers.
+// NewRegistry creates an empty metrics registry for a Telemetry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
 // NewTracer creates a tracer whose spans report proc as their process
 // name; its Named method derives same-buffer views for co-located parties.
 func NewTracer(proc string) *Tracer { return obs.NewTracer(proc) }
+
+// NewSampledTracer creates a tracer that traces one round in every k, for
+// long-lived services where tracing every epoch is unaffordable; rounds
+// it skips stay on the allocation-free untraced path. The schedule is a
+// pure function of (seed, k), so the sampled trace set replays bit for
+// bit. See DESIGN.md §5j.
+func NewSampledTracer(proc string, seed int64, k int) *Tracer {
+	return obs.NewSampledTracer(proc, seed, k)
+}
 
 // NewFlightRecorder creates a flight recorder that keeps the last keep
 // round traces in memory and dumps the ring into dir when a round fails,
@@ -347,33 +362,6 @@ func WriteChromeTrace(w io.Writer, spans []*Span) error { return obs.WriteChrome
 
 // WriteTraceSummary renders a human-readable per-trace span tree.
 func WriteTraceSummary(w io.Writer, spans []*Span) error { return obs.WriteTraceSummary(w, spans) }
-
-// WithTrace records the round as a span tree in tracer: a round root with
-// encode/conflict_graph/allocate/charge phase children. A nil tracer is a
-// no-op; results are bit-identical either way. See DESIGN.md §5e.
-func WithTrace(tracer *Tracer) RunOption { return round.WithTrace(tracer) }
-
-// WithFlightRecorder ring-buffers each traced round and auto-dumps the
-// ring on failure or quorum degradation. Requires WithTrace.
-func WithFlightRecorder(fr *FlightRecorder) RunOption { return round.WithFlightRecorder(fr) }
-
-// TraceSampler deterministically traces one round in every K (see
-// NewTraceSampler); hand one to WithTraceSampler for long-lived services
-// where tracing every epoch is unaffordable.
-type TraceSampler = obs.TraceSampler
-
-// NewTraceSampler creates a sampler tracing one round in every k into a
-// tracer named proc. The schedule is a pure function of (seed, k), so the
-// sampled trace set replays bit for bit.
-func NewTraceSampler(proc string, seed int64, k int) *TraceSampler {
-	return obs.NewTraceSampler(proc, seed, k)
-}
-
-// WithTraceSampler traces the round only when the sampler's deterministic
-// 1-in-K schedule picks it; unsampled rounds stay on the allocation-free
-// untraced path. Mutually exclusive with WithTrace; a nil sampler is a
-// no-op. See DESIGN.md §5j.
-func WithTraceSampler(s *TraceSampler) RunOption { return round.WithTraceSampler(s) }
 
 // AuditRound tallies what one round's transcript exposed to the
 // auctioneer — masked digest counts, conflict degrees, per-channel

@@ -8,7 +8,8 @@
 #   /readyz   -> 503 "closed" once the demo's service has drained
 #   /healthz  -> 503 carrying slo_breach:allocate
 #   /statusz  -> JSON with the breach latched and epochs observed
-#   /metrics  -> lppa_ops_* series present, with # HELP text
+#   /metrics  -> lppa_ops_* series present, with # HELP text, and every
+#                epoch's round series (lppa_rounds_total)
 #   events.jsonl -> slo_breach and epoch_closed lines, trace-correlated
 #   flight dir   -> an epoch-tagged forced dump (flight-e*-*.trace.json)
 set -eu
@@ -89,6 +90,7 @@ http /metrics
 grep -q '^lppa_ops_slo_breaches_total [1-9]' "$WORK/body" || fail "no breach count in /metrics"
 grep -q '^# HELP lppa_ops_slo_breaches_total ' "$WORK/body" || fail "no # HELP for breach counter"
 grep -q '^lppa_ops_sampled_traces_total 3$' "$WORK/body" || fail "1-in-2 sampler did not trace 3 of 6 epochs"
+grep -q '^lppa_rounds_total 6$' "$WORK/body" || fail "epoch rounds did not report into /metrics (want lppa_rounds_total 6)"
 
 # 5. Event log: breach and epoch-close events, epoch-correlated.
 [ -s "$EVENTS" ] || fail "event log $EVENTS is empty"

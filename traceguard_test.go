@@ -11,7 +11,7 @@ import (
 )
 
 // TestTraceDisabledAllocationFree is the observed-twin allocation guard
-// (`make trace-guard`): running a round with WithTrace(nil) — the
+// (`make trace-guard`): running a round with the zero Telemetry — the
 // production default — must allocate exactly what the untraced baseline
 // allocates. The variants are measured alternately until they agree:
 // one-time runtime warmup can land a stray allocation in whichever
@@ -43,7 +43,7 @@ func TestTraceDisabledAllocationFree(t *testing.T) {
 		}
 	}
 	offFn := run()
-	disFn := run(lppa.WithTrace(nil))
+	disFn := run(lppa.WithTelemetry(lppa.Telemetry{}))
 	offFn() // warm both paths before measuring
 	disFn()
 	var off, disabled float64
@@ -54,14 +54,15 @@ func TestTraceDisabledAllocationFree(t *testing.T) {
 			return
 		}
 	}
-	t.Errorf("WithTrace(nil) round allocates %.0f allocs, untraced %.0f — disabled tracing must be free", disabled, off)
+	t.Errorf("zero-Telemetry round allocates %.0f allocs, untraced %.0f — disabled telemetry must be free", disabled, off)
 }
 
 // TestTraceDisabledAllocationFreeSampler extends the guard to the ops
-// plane's sampled tracing: rounds the sampler skips (the 1-in-K steady
-// state) must cost exactly one atomic increment over the untraced
-// baseline — zero extra allocations. The seed is chosen so the sampler's
-// deterministic offset lands far beyond every round this test executes.
+// plane's sampled tracing: rounds a sampled tracer skips (the 1-in-K
+// steady state) must cost exactly one atomic increment over the untraced
+// baseline — zero extra allocations and no span labels. The seed is
+// chosen so the schedule's deterministic offset lands far beyond every
+// round this test executes.
 func TestTraceDisabledAllocationFreeSampler(t *testing.T) {
 	p := core.Params{Channels: 8, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
 	ring, err := mask.DeriveKeyRing([]byte("trace-guard"), p.Channels, 5, 8)
@@ -80,20 +81,17 @@ func TestTraceDisabledAllocationFreeSampler(t *testing.T) {
 		}
 	}
 
-	// Find a seed whose 1-in-2^20 offset skips every round we will run.
+	// Find a seed whose 1-in-2^20 offset skips every round we will run:
+	// probe a throwaway tracer's schedule, then build a fresh one.
 	const k, horizon = 1 << 20, 4096
-	var sampler *lppa.TraceSampler
+	var sampler *lppa.Tracer
 	for seed := int64(0); seed < 64; seed++ {
-		s := lppa.NewTraceSampler("guard", seed, k)
-		clear := true
-		for i := uint64(0); i < horizon; i++ {
-			if s.WouldSample(i) {
-				clear = false
-				break
-			}
+		probe := lppa.NewSampledTracer("guard", seed, k)
+		for i := 0; i < horizon && probe.Sampled() == 0; i++ {
+			probe.StartTrace("probe")
 		}
-		if clear {
-			sampler = s
+		if probe.Sampled() == 0 {
+			sampler = lppa.NewSampledTracer("guard", seed, k)
 			break
 		}
 	}
@@ -111,7 +109,7 @@ func TestTraceDisabledAllocationFreeSampler(t *testing.T) {
 		}
 	}
 	offFn := run()
-	samFn := run(lppa.WithTraceSampler(sampler))
+	samFn := run(lppa.WithTelemetry(lppa.Telemetry{Tracer: sampler}))
 	offFn() // warm both paths before measuring
 	samFn()
 	var off, sampled float64
@@ -119,6 +117,9 @@ func TestTraceDisabledAllocationFreeSampler(t *testing.T) {
 		off = testing.AllocsPerRun(10, offFn)
 		sampled = testing.AllocsPerRun(10, samFn)
 		if off == sampled {
+			if sampler.Sampled() != 0 {
+				t.Fatal("the sampled tracer traced a round inside the measurement")
+			}
 			return
 		}
 	}
