@@ -1260,8 +1260,9 @@ func rankMemoRoundN300(b *testing.B) (core.Params, []*core.LocationSubmission, [
 // BenchmarkRankMemoN300 is the rank-memo build at N=300 over all k
 // columns: the test oracle (a stable sort of every bidder under CompareGE
 // on plain mask.Set bids, O(n log n) masked comparisons per column)
-// against the engine (a fresh auctioneer's Rankings: interned columns,
-// bid-class value ranks, one sort by rank).
+// against the engine (a fresh auctioneer's Rankings: family digests
+// counted in one dictionary, one lookup pass over the range covers, dense
+// ranks and a counting sort).
 func BenchmarkRankMemoN300(b *testing.B) {
 	p, locs, subs := rankMemoRoundN300(b)
 	b.Run("oracle", func(b *testing.B) {

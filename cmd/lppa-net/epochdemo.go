@@ -35,12 +35,14 @@ func runEpochDemo(params lppa.Params, cfg demoConfig, ef cli.EpochFlags) error {
 		return err
 	}
 	// Every epoch's round reports into the registry. With -trace-sample,
-	// one epoch in K carries full spans and lands in the flight ring; the
+	// one epoch in K carries full spans; without it every epoch is traced
+	// by the tracer -trace-out or -flight-dir asked for. Traced epochs land
+	// in the flight ring and, after the drain, in the -trace-out file. The
 	// ops plane watches the SLO windows and serves /healthz + /statusz off
 	// the metrics mux.
-	tel := lppa.Telemetry{Metrics: reg}
+	tel := cfg.tel
 	if cfg.sampler != nil {
-		tel.Tracer, tel.Flight = cfg.sampler, cfg.tel.Flight
+		tel.Tracer = cfg.sampler
 	}
 	svc, err := epoch.New(epoch.Config{
 		Params:       params,
@@ -114,6 +116,9 @@ func runEpochDemo(params lppa.Params, cfg demoConfig, ef cli.EpochFlags) error {
 		return err
 	}
 	<-drained
+	if err := writeTrace(tel.Tracer, cfg.traceOut); err != nil {
+		return err
+	}
 
 	elapsed := time.Since(start)
 	fmt.Printf("\n%d epochs in %v: %d submissions admitted, %d rate-limited\n",

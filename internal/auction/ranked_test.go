@@ -10,9 +10,10 @@ import (
 )
 
 // rankedFixture builds a random instance: bid matrix, conflict graph, the
-// pairwise comparator, and the rank memos the ordered engine consumes
-// (built exactly as core.columnRank builds them: stable sort + dense
-// ranks).
+// pairwise comparator, and the rank memos the ordered engine consumes:
+// the order core.columnRank produces (descending bid, ties in index
+// order), built here by a stable sort under the comparator, with tied
+// bidders sharing a rank.
 func rankedFixture(t *testing.T, n, k int, seed int64) (bids [][]uint64, g *conflict.Graph, ge GE, column Column) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

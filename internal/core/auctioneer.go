@@ -15,7 +15,7 @@ import (
 // the transcript methods are what the attack experiments consume).
 //
 // An Auctioneer is not safe for concurrent use: the conflict graph and the
-// per-column comparison memo are built lazily on first use. Submissions
+// per-column rank memo are built lazily on first use. Submissions
 // are immutable once handed to NewAuctioneer, so neither cache is ever
 // invalidated.
 type Auctioneer struct {
@@ -27,17 +27,14 @@ type Auctioneer struct {
 	// (graphbuild.go).
 	ixStats mask.IndexStats
 
-	// Per-column comparison memo, built lazily by columnRank (rank.go):
+	// Per-column rank memo, built lazily by columnRank (rank.go):
 	// rankOrder[r] is all bidders sorted by descending masked bid (ties in
 	// index order), rank[r][i] the dense value rank of bidder i (0 =
-	// highest; equal masked bids share a rank). One pass of masked set
-	// intersections over the column's distinct bid classes replaces the
-	// O(n) re-intersections of every later scan.
+	// highest; equal masked bids share a rank). One counting pass over the
+	// column's digests replaces the O(n) masked set intersections of every
+	// later scan.
 	rank      [][]int
 	rankOrder [][]int
-	// colCalls[r] is the masked-intersection count spent building column
-	// r's rank memo (zero until the column is built).
-	colCalls []uint64
 
 	// ob receives each build's tallies (observe.go); its zero value, the
 	// default, discards them.
@@ -195,19 +192,6 @@ func (a *Auctioneer) DigestCounts() []int {
 		out[i] = total
 	}
 	return out
-}
-
-// ComparisonsPerChannel returns how many masked set intersections the
-// rank-memo build spent per channel — the auctioneer's per-column work,
-// and an upper bound on the ordering information each column leaked. It
-// has one entry per channel once any column is built (zero for columns
-// never built), whether or not a registry is attached, and is nil before
-// that.
-func (a *Auctioneer) ComparisonsPerChannel() []uint64 {
-	if a.colCalls == nil {
-		return nil
-	}
-	return append([]uint64(nil), a.colCalls...)
 }
 
 // ChargeRequest is what the auctioneer forwards to the TTP for one awarded

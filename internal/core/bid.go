@@ -47,6 +47,7 @@ type BidEncoder struct {
 	opts      encodeOptions
 	width     int    // prefix width w of the encoded-value domain
 	domainMax uint64 // top of the encoded-value domain
+	scratch   prefixScratch
 }
 
 // NewBidEncoder returns an advanced-scheme encoder. disguise may be nil to
@@ -156,8 +157,8 @@ func (e *BidEncoder) encodeOne(r int, b uint64, rng *rand.Rand) (ChannelBid, err
 
 	if !e.opts.advanced {
 		// Basic scheme: encode the raw value directly.
-		fam := masker.MaskSet(prefix.Numericalized(prefix.Family(b, w)))
-		rng2 := masker.MaskSet(prefix.Numericalized(prefix.Cover(b, domainMax, w)))
+		fam := masker.MaskSet(e.scratch.family(b, w))
+		rng2 := masker.MaskSet(e.scratch.cover(b, domainMax, w))
 		return ChannelBid{Family: fam, Range: rng2, Sealed: e.sealer.SealValue(b)}, nil
 	}
 
@@ -185,10 +186,34 @@ func (e *BidEncoder) encodeOne(r int, b uint64, rng *rand.Rand) (ChannelBid, err
 		scaledShown = e.blind(displayed, rng)
 	}
 
-	fam := masker.MaskSet(prefix.Numericalized(prefix.Family(scaledShown, w)))
-	rset := masker.MaskSet(prefix.Numericalized(prefix.Cover(scaledShown, domainMax, w)))
+	// The range set is allocated at its padded size, so padding never
+	// regrows it.
+	fam := masker.MaskSet(e.scratch.family(scaledShown, w))
+	rset := masker.MaskSetCap(e.scratch.cover(scaledShown, domainMax, w), prefix.MaxCoverSize(w))
 	rset.PadTo(prefix.MaxCoverSize(w), rng)
 	return ChannelBid{Family: fam, Range: rset, Sealed: e.sealer.SealValue(scaledTrue)}, nil
+}
+
+// prefixScratch numericalizes prefix families and covers into slices it
+// reuses, so an encoder allocates only the digest sets it keeps. A result
+// is valid until the next call.
+type prefixScratch struct {
+	ps   []prefix.Prefix
+	nums []uint64
+}
+
+// family returns O(G(x)) for the width-w number x.
+func (s *prefixScratch) family(x uint64, w int) []uint64 {
+	s.ps = prefix.AppendFamily(s.ps[:0], x, w)
+	s.nums = prefix.AppendNumericalized(s.nums[:0], s.ps)
+	return s.nums
+}
+
+// cover returns O(Q([lo, hi])) over width-w numbers.
+func (s *prefixScratch) cover(lo, hi uint64, w int) []uint64 {
+	s.ps = prefix.AppendCover(s.ps[:0], lo, hi, w)
+	s.nums = prefix.AppendNumericalized(s.nums[:0], s.ps)
+	return s.nums
 }
 
 // CompareGE is the auctioneer's only primitive on masked bids: it reports

@@ -3,14 +3,15 @@ package core
 import "lppa/internal/mask"
 
 // Auctioneer-side interning (DESIGN.md §5b): on ingest the auctioneer maps
-// every 16-byte digest it receives to a dense uint32 ID and evaluates all
-// masked set operations on sorted-ID slices with a Bloom quick reject,
-// instead of scanning 16-byte digests. The slice-based mask.Set stays the
-// bidder-side encoding and wire type — interning is a private view of the
-// same digests, so no protocol byte changes and every predicate outcome is
-// identical by construction (pinned by the representation-equivalence
-// tests). Dictionaries live for one auction: submissions are immutable
-// after NewAuctioneer, so interned sets are never invalidated.
+// every 16-byte location digest it receives to a dense uint32 ID and
+// evaluates the conflict predicate on sorted-ID slices with a Bloom quick
+// reject, instead of scanning 16-byte digests. The slice-based mask.Set
+// stays the bidder-side encoding and wire type — interning is a private
+// view of the same digests, so no protocol byte changes and every
+// predicate outcome is identical by construction (pinned by the
+// representation-equivalence tests). Dictionaries live for one auction:
+// submissions are immutable after NewAuctioneer, so interned sets are
+// never invalidated.
 
 // Grouping keys. A prefix family determines its value: it holds the
 // value's full-width prefix, which no other family of the same width
@@ -20,11 +21,25 @@ import "lppa/internal/mask"
 // interned before it, so the family's largest ID (IntSet.Max) is distinct
 // per distinct family and equal for equal ones. Hence one dictionary per
 // location axis (the two axes can differ in width, and a narrower axis's
-// family of v is a subset of the wider axis's family of v) and one per
-// bid column, each interning families first. That makes Max an exact
-// same-value key without comparing sets, under the no-collision
-// assumption masking itself rests on (range padding is random noise that
-// never equals a family digest).
+// family of v is a subset of the wider axis's family of v), each
+// interning families first. That makes Max an exact same-location key
+// without comparing sets, under the no-collision assumption masking
+// itself rests on. Bid columns are not interned this way: the rank memo
+// counts family digests instead (rank.go).
+
+// distinctBound caps a dictionary size hint of digests at the number of
+// distinct digests one masking key can produce for families of famLen
+// members. A width-w family has w+1 members, and the width-w domain has
+// 2^(w+1) − 1 numericalized prefixes, so however many bidders submit, a
+// dictionary of one key's families and unpadded covers holds at most
+// 2^famLen digests. It is only a hint: a malformed submission beyond it
+// makes the Dict grow.
+func distinctBound(digests, famLen int) int {
+	if famLen < 31 && 1<<famLen < digests {
+		return 1 << famLen
+	}
+	return digests
+}
 
 // internedLocation is the compact form of one LocationSubmission. All
 // bidders' X sets share one Dict and all Y sets another — the conflict
@@ -49,8 +64,8 @@ func internLocations(subs []*LocationSubmission) (out []internedLocation, total,
 	capX, capY := 0, 0
 	if len(subs) > 0 {
 		s := subs[0]
-		capX = len(subs) * (s.XFamily.Len() + s.XRange.Len())
-		capY = len(subs) * (s.YFamily.Len() + s.YRange.Len())
+		capX = distinctBound(len(subs)*(s.XFamily.Len()+s.XRange.Len()), s.XFamily.Len())
+		capY = distinctBound(len(subs)*(s.YFamily.Len()+s.YRange.Len()), s.YFamily.Len())
 	}
 	dx, dy := mask.NewDictCap(capX), mask.NewDictCap(capY)
 	// Bidders sharing one submission pointer (the batch encoder hands
@@ -86,40 +101,4 @@ func internLocations(subs []*LocationSubmission) (out []internedLocation, total,
 // intersection is tallied into st.
 func (a *internedLocation) conflicts(b *internedLocation, st *mask.IntersectStats) bool {
 	return a.xFamily.IntersectsCounted(b.xRange, st) && a.yFamily.IntersectsCounted(b.yRange, st)
-}
-
-// internedChannelBid is the compact form of one ChannelBid. One Dict
-// serves one bid column: digests under different per-channel keys never
-// need to be compared, so per-column dictionaries keep IDs dense.
-type internedChannelBid struct {
-	family, rng mask.IntSet
-}
-
-// internColumn interns column r of a bid matrix under a fresh dictionary,
-// families first, so a family's Max is its value class (see Grouping keys
-// above). Like internLocations it reports digest throughput and distinct
-// count for the observability layer.
-func internColumn(bids []*BidSubmission, r int) (out []internedChannelBid, total, distinct int) {
-	var dict *mask.Dict
-	if len(bids) > 0 {
-		cb := &bids[0].Channels[r]
-		dict = mask.NewDictCap(len(bids) * (cb.Family.Len() + cb.Range.Len()))
-	} else {
-		dict = mask.NewDict()
-	}
-	out = make([]internedChannelBid, len(bids))
-	for i, b := range bids {
-		cb := &b.Channels[r]
-		total += cb.Family.Len() + cb.Range.Len()
-		out[i].family = dict.InternSet(cb.Family)
-	}
-	for i, b := range bids {
-		out[i].rng = dict.InternSet(b.Channels[r].Range)
-	}
-	return out, total, dict.Len()
-}
-
-// ge is CompareGE on the interned representation, tallied into st.
-func (a *internedChannelBid) ge(b *internedChannelBid, st *mask.IntersectStats) bool {
-	return a.family.IntersectsCounted(b.rng, st)
 }

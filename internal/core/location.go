@@ -7,7 +7,6 @@ import (
 	"lppa/internal/conflict"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
-	"lppa/internal/prefix"
 )
 
 // LocationSubmission is what a bidder reveals about its position: masked
@@ -38,9 +37,10 @@ func NewLocationSubmission(params Params, ring *mask.KeyRing, pt geo.Point) (*Lo
 // encoder rather than once per bidder; the table is key-equivalent and
 // dies with the encoder.
 type LocationEncoder struct {
-	params Params
-	masker *mask.Masker
-	used   bool
+	params  Params
+	masker  *mask.Masker
+	used    bool
+	scratch prefixScratch
 }
 
 // NewLocationEncoder returns a location encoder under the ring's g0.
@@ -83,10 +83,10 @@ func (e *LocationEncoder) Encode(pt geo.Point) (*LocationSubmission, error) {
 	ylo, yhi := geo.ClampRange(pt.Y, delta, p.MaxY)
 
 	return &LocationSubmission{
-		XFamily: e.masker.MaskSet(prefix.Numericalized(prefix.Family(pt.X, wx))),
-		YFamily: e.masker.MaskSet(prefix.Numericalized(prefix.Family(pt.Y, wy))),
-		XRange:  e.masker.MaskSet(prefix.Numericalized(prefix.Cover(xlo, xhi, wx))),
-		YRange:  e.masker.MaskSet(prefix.Numericalized(prefix.Cover(ylo, yhi, wy))),
+		XFamily: e.masker.MaskSet(e.scratch.family(pt.X, wx)),
+		YFamily: e.masker.MaskSet(e.scratch.family(pt.Y, wy)),
+		XRange:  e.masker.MaskSet(e.scratch.cover(xlo, xhi, wx)),
+		YRange:  e.masker.MaskSet(e.scratch.cover(ylo, yhi, wy)),
 	}, nil
 }
 

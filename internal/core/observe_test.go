@@ -9,9 +9,9 @@ import (
 )
 
 // TestObservedAuctioneerIdenticalResults pins the observability contract:
-// attaching a registry may never change a graph, a ranking, an allocation
-// or the per-column comparison counts — it only receives them — and both
-// runs equal the oracle.
+// attaching a registry may never change a graph, a ranking or an
+// allocation — it only receives the builds' tallies — and both runs equal
+// the oracle.
 func TestObservedAuctioneerIdenticalResults(t *testing.T) {
 	p := testParams()
 	for _, seed := range []int64{5, 17} {
@@ -27,9 +27,6 @@ func TestObservedAuctioneerIdenticalResults(t *testing.T) {
 		}
 		if !reflect.DeepEqual(plain.Rankings(), watched.Rankings()) {
 			t.Errorf("seed=%d: observed rankings differ", seed)
-		}
-		if got, want := watched.ComparisonsPerChannel(), plain.ComparisonsPerChannel(); len(want) != p.Channels || !reflect.DeepEqual(got, want) {
-			t.Errorf("seed=%d: comparisons per channel %v observed, %v unobserved (want one per channel)", seed, got, want)
 		}
 		a1, err := plain.AllocateAwards(rand.New(rand.NewSource(seed * 3)))
 		if err != nil {

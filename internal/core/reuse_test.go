@@ -138,3 +138,36 @@ func TestLocationEncoderReuseByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestBidEncoderAllocatesOnlyWhatItKeeps pins the bidder half's allocation
+// budget: once an encoder is warm, Rebind plus Encode for one 8-channel
+// bidder allocates exactly what its submission keeps — the submission,
+// its channel slice, and per channel a family, a range and a sealed value
+// (2 + 3·8 = 26 objects). Prefix scratch, pads and the sealer's plaintext
+// must not allocate.
+func TestBidEncoderAllocatesOnlyWhatItKeeps(t *testing.T) {
+	p := Params{Channels: 8, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
+	ring := testRing(t, p, 5, 8)
+	sampler, err := NewDisguiseSampler(DisguisePolicy{P0: 0.6, Decay: 0.95}, p.BMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bids := []uint64{0, 17, 100, 0, 1, 55, 0, 83}
+	rng := rand.New(rand.NewSource(1))
+	enc, err := NewBidEncoder(p, ring, sampler, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		rng.Seed(seed)
+		enc.Rebind(sampler, rng)
+		if _, err := enc.Encode(bids, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(2 + 3*p.Channels); allocs != want {
+		t.Errorf("Rebind+Encode allocates %.1f objects per bidder, want %.0f", allocs, want)
+	}
+}

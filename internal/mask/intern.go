@@ -90,6 +90,34 @@ func (d *Dict) Lookup(dg Digest) (uint32, bool) {
 
 func len64(ds []Digest) uint64 { return uint64(len(ds)) }
 
+// CountSet interns every member of s and adds one to its tally
+// counts[ID], growing counts to cover every ID, and returns the tallies.
+// A Set holds each digest once, so after one CountSet per party counts[ID]
+// is how many parties' sets hold that digest.
+func (d *Dict) CountSet(s Set, counts []uint32) []uint32 {
+	for _, dg := range s.members {
+		id := int(d.Intern(dg))
+		for id >= len(counts) {
+			counts = append(counts, 0)
+		}
+		counts[id]++
+	}
+	return counts
+}
+
+// SumCounts returns the sum of counts[ID] over the members of s, by
+// lookups only: a digest the dictionary has never seen adds nothing and
+// is not inserted.
+func (d *Dict) SumCounts(s Set, counts []uint32) uint64 {
+	var sum uint64
+	for _, dg := range s.members {
+		if id, ok := d.Lookup(dg); ok {
+			sum += uint64(counts[id])
+		}
+	}
+	return sum
+}
+
 // grow doubles the table and reinserts every occupied slot (IDs are
 // preserved; only slots move).
 func (d *Dict) grow() {

@@ -279,7 +279,13 @@ func (s *Set) PadTo(target int, rng *rand.Rand) {
 // MaskSet masks all numericalized prefixes in vs and collects them into a
 // Set.
 func (m *Masker) MaskSet(vs []uint64) Set {
-	s := Set{members: make([]Digest, 0, len(vs))}
+	return m.MaskSetCap(vs, len(vs))
+}
+
+// MaskSetCap is MaskSet with room for capacity members, so a set that is
+// padded next (PadTo) keeps its one allocation.
+func (m *Masker) MaskSetCap(vs []uint64, capacity int) Set {
+	s := Set{members: make([]Digest, 0, max(capacity, len(vs)))}
 	for _, v := range vs {
 		s.Add(m.Mask(v))
 	}

@@ -19,6 +19,10 @@ type Sealer struct {
 	// production constructor uses crypto/rand via KeyRing.
 	nonceRand *rand.Rand
 	counter   uint64
+	// pt is SealValue's plaintext scratch: the AEAD interface call would
+	// move a local array to the heap on every seal. The nonce counter
+	// already makes a Sealer single-goroutine.
+	pt [8]byte
 }
 
 // SealedLen is the ciphertext overhead: nonce plus GCM tag.
@@ -70,16 +74,18 @@ func (s *Sealer) Reset(rng *rand.Rand) {
 // produce unequal ciphertexts — but note the paper still blinds bids with
 // cr before sealing, because the *decrypted* values the TTP reports back
 // would otherwise let the auctioneer link equal plaintexts.
+//
+// The nonce is allocated at the full ciphertext length, so the result is
+// the call's one allocation.
 func (s *Sealer) SealValue(v uint64) []byte {
-	nonce := make([]byte, sealNonceSize)
+	nonce := make([]byte, sealNonceSize, SealedValueLen)
 	// 64-bit counter + 32 random bits: unique within a Sealer and across
 	// the handful of Sealers in one experiment.
 	binary.BigEndian.PutUint64(nonce[:8], s.counter)
 	s.counter++
 	binary.BigEndian.PutUint32(nonce[8:], s.nonceRand.Uint32())
-	var pt [8]byte
-	binary.BigEndian.PutUint64(pt[:], v)
-	return s.aead.Seal(nonce, nonce, pt[:], nil)
+	binary.BigEndian.PutUint64(s.pt[:], v)
+	return s.aead.Seal(nonce, nonce, s.pt[:], nil)
 }
 
 // OpenValue decrypts and authenticates a ciphertext produced by SealValue.

@@ -1,6 +1,6 @@
 // Package audit tallies the auctioneer-observable surface of one private
 // round into a leakage report: how many masked digests each bidder
-// exposed, how much ordering work each channel column cost, and — when a
+// exposed, how many bidders each one conflicts with, and — when a
 // ground-truth coverage area is supplied — how small the paper's
 // section VI.C transcript attacker can squeeze each bidder's anonymity
 // set. The report is what `make audit-snapshot` serialises as
@@ -62,12 +62,6 @@ type Report struct {
 	Excluded []int `json:"excluded,omitempty"`
 	// DigestsTotal sums Digests over all audited bidders.
 	DigestsTotal int `json:"digests_total"`
-	// ComparisonsPerChannel is the masked-intersection count the rank
-	// build spent per channel column — an upper bound on the ordering
-	// information each column leaked. Always present, observed round or
-	// not: the audit ranks every channel first, so every column has its
-	// count.
-	ComparisonsPerChannel []uint64 `json:"comparisons_per_channel,omitempty"`
 	// DegreeHist[d] counts bidders with conflict degree d.
 	DegreeHist []int `json:"degree_hist"`
 	// KeepFraction is the top-fraction the modelled attacker keeps per
@@ -89,8 +83,8 @@ type Report struct {
 // Options configures the audit.
 type Options struct {
 	// Area is the ground-truth coverage dataset the modelled attacker
-	// holds. When nil the report is surface-only: digest counts, conflict
-	// degrees, and comparison counts, but no anonymity sets.
+	// holds. When nil the report is surface-only: digest counts and
+	// conflict degrees, but no anonymity sets.
 	Area *dataset.Area
 	// KeepFraction is the fraction of each channel ranking the attacker
 	// keeps as "available" (default 0.5, the paper's strongest practical
@@ -130,13 +124,12 @@ func Round(res *round.Result, opts Options) (*Report, error) {
 	}
 
 	rep := &Report{
-		Bidders:               n,
-		Channels:              len(rankings),
-		Excluded:              append([]int(nil), res.Excluded...),
-		ComparisonsPerChannel: auc.ComparisonsPerChannel(),
-		DegreeHist:            make([]int, n),
-		KeepFraction:          keep,
-		PerBidder:             make([]BidderAudit, n),
+		Bidders:      n,
+		Channels:     len(rankings),
+		Excluded:     append([]int(nil), res.Excluded...),
+		DegreeHist:   make([]int, n),
+		KeepFraction: keep,
+		PerBidder:    make([]BidderAudit, n),
 	}
 	maxDeg := 0
 	cellSum := 0

@@ -39,6 +39,16 @@ func fixture(t *testing.T, n int, seed int64) (core.Params, *mask.KeyRing, []geo
 	return p, ring, points, bids
 }
 
+// observedTotal sums ObservedChannels: the top-fraction attacker keeps
+// ⌈KeepFraction·n⌉ bidders of every channel ranking.
+func observedTotal(rep *audit.Report) int {
+	total := 0
+	for _, b := range rep.PerBidder {
+		total += b.ObservedChannels
+	}
+	return total
+}
+
 func testArea(t *testing.T) *dataset.Area {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{
@@ -54,8 +64,8 @@ func testArea(t *testing.T) *dataset.Area {
 
 // TestRoundAuditFullAttendance pins the audit surface of a clean observed
 // round: every bidder carries a positive digest count, the degree
-// histogram covers the population, per-channel comparison counts are
-// present, and the robust-BCM anonymity sets are non-empty.
+// histogram covers the population, every channel ranking reaches the
+// modelled attacker, and the robust-BCM anonymity sets are non-empty.
 func TestRoundAuditFullAttendance(t *testing.T) {
 	const n = 12
 	p, ring, pts, bids := fixture(t, n, 7)
@@ -102,15 +112,8 @@ func TestRoundAuditFullAttendance(t *testing.T) {
 	if degSum != n {
 		t.Errorf("degree histogram covers %d bidders, want %d", degSum, n)
 	}
-	if len(rep.ComparisonsPerChannel) != int(p.Channels) {
-		t.Fatalf("comparisons for %d channels, want %d", len(rep.ComparisonsPerChannel), p.Channels)
-	}
-	var comparisons uint64
-	for _, c := range rep.ComparisonsPerChannel {
-		comparisons += c
-	}
-	if comparisons == 0 {
-		t.Error("observed round recorded zero masked comparisons")
+	if got, want := observedTotal(rep), int(p.Channels)*n/2; got != want {
+		t.Errorf("attacker observed %d (bidder, channel) pairs, want %d (half of every ranking)", got, want)
 	}
 	if rep.MinAnonymityCells < 1 || rep.MeanAnonymityCells < float64(rep.MinAnonymityCells) {
 		t.Errorf("anonymity summary min=%d mean=%f inconsistent",
@@ -123,7 +126,7 @@ func TestRoundAuditFullAttendance(t *testing.T) {
 
 // TestRoundAuditSurfaceOnly pins the Area-less mode: digest counts and
 // degrees are reported, anonymity fields stay zero, and an unobserved
-// round still carries one comparison count per channel.
+// round still hands every channel ranking to the modelled attacker.
 func TestRoundAuditSurfaceOnly(t *testing.T) {
 	p, ring, pts, bids := fixture(t, 8, 3)
 	res, err := round.Run(p, ring,
@@ -135,8 +138,8 @@ func TestRoundAuditSurfaceOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.ComparisonsPerChannel) != int(p.Channels) {
-		t.Errorf("unobserved round reported comparisons %v, want one per channel", rep.ComparisonsPerChannel)
+	if got, want := observedTotal(rep), int(p.Channels)*8/2; got != want {
+		t.Errorf("attacker observed %d (bidder, channel) pairs, want %d (half of every ranking)", got, want)
 	}
 	if rep.MinAnonymityCells != 0 || rep.MeanAnonymityCells != 0 {
 		t.Errorf("surface-only report carries anonymity summary %d/%f",

@@ -111,12 +111,19 @@ func (p Prefix) String() string {
 // element denotes an interval containing x.
 func Family(x uint64, w int) []Prefix {
 	checkWidth(w)
+	return AppendFamily(make([]Prefix, 0, w+1), x, w)
+}
+
+// AppendFamily appends G(x) to dst, in Family's order, and returns the
+// extended slice. Encoders pass a reused scratch slice so a family costs
+// no allocation.
+func AppendFamily(dst []Prefix, x uint64, w int) []Prefix {
+	checkWidth(w)
 	checkValue(x, w)
-	fam := make([]Prefix, 0, w+1)
 	for s := w; s >= 0; s-- {
-		fam = append(fam, Prefix{value: x >> (w - s), s: uint8(s), w: uint8(w)})
+		dst = append(dst, Prefix{value: x >> (w - s), s: uint8(s), w: uint8(w)})
 	}
-	return fam
+	return dst
 }
 
 // FamilySize returns |G(x)| for width w, i.e. w+1.
@@ -140,6 +147,13 @@ func MaxCoverSize(w int) int {
 // fit in w bits.
 func Cover(lo, hi uint64, w int) []Prefix {
 	checkWidth(w)
+	return AppendCover(make([]Prefix, 0, MaxCoverSize(w)), lo, hi, w)
+}
+
+// AppendCover appends Q([lo, hi]) to dst, in Cover's order, and returns
+// the extended slice. It panics as Cover does.
+func AppendCover(dst []Prefix, lo, hi uint64, w int) []Prefix {
+	checkWidth(w)
 	checkValue(lo, w)
 	checkValue(hi, w)
 	if lo > hi {
@@ -148,17 +162,16 @@ func Cover(lo, hi uint64, w int) []Prefix {
 	// Greedy aligned-block decomposition (the CIDR split): repeatedly take
 	// the largest prefix-aligned block that starts at lo and does not
 	// overshoot hi.
-	cover := make([]Prefix, 0, MaxCoverSize(w))
 	for {
 		wild := trailingZeros(lo, w) // widest block permitted by alignment
 		// Shrink until the block fits inside [lo, hi].
 		for wild > 0 && lo+(1<<wild)-1 > hi {
 			wild--
 		}
-		cover = append(cover, Prefix{value: lo >> wild, s: uint8(uint(w) - wild), w: uint8(w)})
+		dst = append(dst, Prefix{value: lo >> wild, s: uint8(uint(w) - wild), w: uint8(w)})
 		next := lo + 1<<wild // may wrap only when the cover reached 2^w-1
 		if next > hi || next == 0 {
-			return cover
+			return dst
 		}
 		lo = next
 	}
@@ -197,11 +210,16 @@ func Member(x, lo, hi uint64, w int) bool {
 
 // Numericalized applies Numericalize to every prefix in ps.
 func Numericalized(ps []Prefix) []uint64 {
-	out := make([]uint64, len(ps))
-	for i, p := range ps {
-		out[i] = p.Numericalize()
+	return AppendNumericalized(make([]uint64, 0, len(ps)), ps)
+}
+
+// AppendNumericalized appends Numericalize of every prefix in ps to dst
+// and returns the extended slice.
+func AppendNumericalized(dst []uint64, ps []Prefix) []uint64 {
+	for _, p := range ps {
+		dst = append(dst, p.Numericalize())
 	}
-	return out
+	return dst
 }
 
 // WidthFor returns the smallest width w such that max fits in w bits, i.e.

@@ -70,14 +70,22 @@ func encode(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][
 		// once per stripe instead of once per bidder; reuse never changes a
 		// byte. A failed build leaves it nil, so every later bidder reports
 		// the error a fresh build would.
+		//
+		// Likewise one rng per stripe, re-seeded for each bidder:
+		// (*rand.Rand).Seed resets the source and the read position, so
+		// bidder i draws exactly rand.New(rand.NewSource(seeds[i]))'s
+		// stream without a new ~5 KB source.
 		var enc *core.BidEncoder
+		bidRng := rng
+		if seeded {
+			bidRng = rand.New(rand.NewSource(0))
+		}
 		for i := w; i < n; i += stride {
 			if errs[i] != nil {
 				continue
 			}
-			bidRng := rng
 			if seeded {
-				bidRng = rand.New(rand.NewSource(seeds[i]))
+				bidRng.Seed(seeds[i])
 			}
 			if enc == nil {
 				built, err := core.NewBidEncoder(params, ring, samplers[i], bidRng)

@@ -13,6 +13,7 @@ package ttp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"lppa/internal/core"
 	"lppa/internal/mask"
@@ -148,13 +149,15 @@ func (t *TTP) verifyFamily(maskers []*mask.Masker, channel int, scaled uint64, f
 		maskers[channel] = masker
 	}
 	w := prefix.WidthFor(t.params.ScaledMax(t.ring))
-	want := masker.MaskAll(prefix.Numericalized(prefix.Family(scaled, w)))
+	var buf [prefix.MaxWidth + 1]prefix.Prefix
+	want := prefix.AppendFamily(buf[:0], scaled, w)
 	if len(family) != len(want) {
 		return fmt.Errorf("ttp: family has %d digests, want %d", len(family), len(want))
 	}
-	got := mask.NewSet(family)
-	for _, d := range want {
-		if !got.Contains(d) {
+	// Equal lengths and every wanted digest present: a repeated digest in
+	// family would leave some wanted one out.
+	for _, p := range want {
+		if !slices.Contains(family, masker.Mask(p.Numericalize())) {
 			return fmt.Errorf("ttp: price/prefix mismatch: auction family does not match sealed price")
 		}
 	}
