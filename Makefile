@@ -25,9 +25,11 @@ bench:
 
 # Per-phase/per-layer cost profile of one instrumented N=300 private
 # round, as the observability registry's JSON snapshot. CI uploads it as
-# a build artifact.
+# a build artifact. -workers is pinned (it defaults to GOMAXPROCS, and a
+# 1-worker run takes the serial rng shape) so every host reproduces the
+# committed counters.
 metrics-snapshot:
-	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -cache $(CACHE) \
+	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -workers 2 -cache $(CACHE) \
 		-metrics-out METRICS_ROUND.json
 
 # Chrome trace_event snapshot of one instrumented N=300 private round
@@ -37,11 +39,11 @@ trace-snapshot:
 	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -cache $(CACHE) \
 		-trace-out TRACE_ROUND.json
 
-# Privacy-leakage audit of the same round: per-bidder masked-digest
-# counts, conflict degrees, per-channel comparison counts, and robust-BCM
-# anonymity-set sizes.
+# Privacy-leakage audit of the same round, with -workers pinned as for
+# metrics-snapshot: per-bidder masked-digest counts, conflict degrees,
+# and robust-BCM anonymity-set sizes.
 audit-snapshot:
-	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -cache $(CACHE) \
+	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -workers 2 -cache $(CACHE) \
 		-audit-out AUDIT_ROUND.json
 
 # Fail if running a round with the zero Telemetry — the production

@@ -111,21 +111,28 @@ func engineGraph(t testing.TB, p Params, locs []*LocationSubmission) *conflict.G
 }
 
 // TestEngineMatchesOracle is the equivalence grid of the one execution
-// path: for every density shape, with and without disguised zeros,
-// unobserved and observed, the auctioneer's conflict graph, rankings,
-// awards with runner-ups (second price), first-price assignments, and
-// validity-checked awards and voids are exactly the oracle's.
+// path: for every density shape, with and without disguised zeros, the
+// auctioneer's rank memos match the comparator oracle (checkRankOracle) at
+// n=60 and at n=300 over seeds 1–5; and at n=60, unobserved and observed,
+// its conflict graph, awards with runner-ups (second price), first-price
+// assignments, and validity-checked awards and voids are exactly the
+// oracle's.
 func TestEngineMatchesOracle(t *testing.T) {
 	p := testParams()
 	const n = 60
 	for _, shape := range densityShapes {
 		for _, disguise := range []bool{false, true} {
+			for seed := int64(1); seed <= 5; seed++ {
+				_, _, locs, subs := oracleSubmissions(t, p, shape, 300, seed, disguise)
+				auc, err := NewAuctioneer(p, locs, subs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkRankOracle(t, fmt.Sprintf("%s/disguise=%v/n=300/seed=%d", shape, disguise, seed), auc, subs, seed)
+			}
+
 			_, bids, locs, subs := oracleSubmissions(t, p, shape, n, 42, disguise)
 			wantGraph := BuildConflictGraph(locs)
-			wantRanks := make([][]int, p.Channels)
-			for r := range wantRanks {
-				wantRanks[r] = oracleRanking(subs, r)
-			}
 			valid := func(i, r int) bool { return bids[i][r] > 0 }
 			wantAwards, _, err := oracleAwards(p, locs, subs, nil, rand.New(rand.NewSource(55)))
 			if err != nil {
@@ -153,9 +160,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 				if !auc.ConflictGraph().Equal(wantGraph) {
 					t.Errorf("%s: graph differs from oracle", tag)
 				}
-				if got := auc.Rankings(); !reflect.DeepEqual(got, wantRanks) {
-					t.Errorf("%s: rankings differ from oracle", tag)
-				}
+				checkRankOracle(t, tag, auc, subs, 42)
 				awards, err := auc.AllocateAwards(rand.New(rand.NewSource(55)))
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
@@ -191,6 +196,38 @@ func TestEngineMatchesOracle(t *testing.T) {
 				}
 				if !reflect.DeepEqual(voided, wantVoided) {
 					t.Errorf("%s: voided %v, oracle %v", tag, voided, wantVoided)
+				}
+			}
+		}
+	}
+}
+
+// checkRankOracle pins auc's rank memos to the comparator oracle on every
+// channel: Rankings() equals the stable sort under CompareGE, and GE
+// equals the raw masked intersection on every adjacent pair of the oracle
+// order, both ways (which pins every tie), and on every pair that
+// involves one of 8 bidders sampled with seed.
+func checkRankOracle(t *testing.T, tag string, auc *Auctioneer, subs []*BidSubmission, seed int64) {
+	t.Helper()
+	n := len(subs)
+	got := auc.Rankings()
+	ge := oracleGE(subs)
+	sample := rand.New(rand.NewSource(seed)).Perm(n)[:8]
+	for r := range got {
+		want := oracleRanking(subs, r)
+		if !reflect.DeepEqual(got[r], want) {
+			t.Fatalf("%s: channel %d ranking differs from oracle", tag, r)
+		}
+		for k := 1; k < n; k++ {
+			i, j := want[k-1], want[k]
+			if auc.GE(r, i, j) != ge(r, i, j) || auc.GE(r, j, i) != ge(r, j, i) {
+				t.Fatalf("%s: channel %d GE on adjacent %d,%d differs from oracle", tag, r, i, j)
+			}
+		}
+		for _, i := range sample {
+			for j := 0; j < n; j++ {
+				if auc.GE(r, i, j) != ge(r, i, j) || auc.GE(r, j, i) != ge(r, j, i) {
+					t.Fatalf("%s: channel %d GE on %d,%d differs from oracle", tag, r, i, j)
 				}
 			}
 		}

@@ -124,6 +124,7 @@ type Plane struct {
 	anon         []AnonPoint
 	anonBreached bool
 	alarmSeq     int
+	unmetDumps   []alarmDump // alarms whose dump found the flight ring empty
 	shedLast     time.Time
 	shedHeld     uint64
 	now          func() time.Time
@@ -136,6 +137,16 @@ type Plane struct {
 	mAnonMin   *obs.Gauge
 	mAnonViol  *obs.Counter
 	mDumps     *obs.Counter
+}
+
+// alarmDump is one alarm's flight-dump request. Its dump finds the ring
+// empty when the alarm is raised before the first traced round records:
+// an intra-round phase breach during that round, or any alarm while a
+// sampled tracer has skipped every round so far.
+type alarmDump struct {
+	cause string
+	epoch int
+	trace uint64
 }
 
 // New builds a plane from cfg and registers its metrics. The new metric
@@ -292,6 +303,16 @@ func (p *Plane) ObserveEpoch(eo EpochObs) {
 	if p == nil {
 		return
 	}
+	// The epoch's round has recorded its flight entry by now (when it was
+	// traced), so alarms that found the ring empty get their dumps first.
+	p.mu.Lock()
+	unmet := p.unmetDumps
+	p.unmetDumps = nil
+	p.mu.Unlock()
+	for _, d := range unmet {
+		p.flightDump(d)
+	}
+
 	p.mEpochWall.ObserveDuration(eo.Wall)
 	if eo.AnonMin > 0 {
 		p.mAnonMin.Set(int64(eo.AnonMin))
@@ -369,14 +390,31 @@ func (p *Plane) alarm(typ string, epoch int, trace uint64, attrs map[string]any)
 	seq := p.alarmSeq
 	p.mu.Unlock()
 	if p.cfg.Flight != nil {
-		if path, err := p.cfg.Flight.Dump(typ, epoch); err == nil && path != "" {
-			p.mDumps.Inc()
-			p.cfg.Events.Emit(EventFlightDump, epoch, trace, map[string]any{"path": path, "cause": typ})
-		}
+		p.flightDump(alarmDump{cause: typ, epoch: epoch, trace: trace})
 	}
 	if p.cfg.ProfileDir != "" {
 		p.captureProfiles(epoch, seq)
 	}
+}
+
+// flightDump force-dumps the flight ring for one alarm, counting the dump
+// and announcing it with a flight_dump event. An empty ring writes
+// nothing, and the alarm waits in unmetDumps for ObserveEpoch to retry it
+// after the next epoch's round; the ring never empties once filled, so
+// only alarms raised before the first traced round wait.
+func (p *Plane) flightDump(d alarmDump) {
+	path, err := p.cfg.Flight.Dump(d.cause, d.epoch)
+	if err != nil {
+		return
+	}
+	if path == "" {
+		p.mu.Lock()
+		p.unmetDumps = append(p.unmetDumps, d)
+		p.mu.Unlock()
+		return
+	}
+	p.mDumps.Inc()
+	p.cfg.Events.Emit(EventFlightDump, d.epoch, d.trace, map[string]any{"path": path, "cause": d.cause})
 }
 
 // captureProfiles writes heap and goroutine profiles next to the flight

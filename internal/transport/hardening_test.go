@@ -12,6 +12,7 @@ import (
 	"lppa/internal/core"
 	"lppa/internal/geo"
 	"lppa/internal/obs"
+	"lppa/internal/prefix"
 )
 
 // TestRecvRejectsHugeLengthPrefix is the regression test for trusting
@@ -83,10 +84,21 @@ func TestEncodeFrameRejectsOversizePayload(t *testing.T) {
 }
 
 // TestSubmissionValidateCaps covers the strict malformed-submission
-// rejection the auctioneer applies before touching a submission.
+// rejection the auctioneer applies before touching a submission: the
+// caps, and channel bids of another shape than the advanced encoder's
+// w+1 family digests and 2w−2 range digests for one bid width w.
 func TestSubmissionValidateCaps(t *testing.T) {
 	p := testParams()
-	ok := Submission{Channels: make([]WireChannelBid, p.Channels)}
+	const w = 9
+	shaped := func() Submission {
+		s := Submission{Channels: make([]WireChannelBid, p.Channels)}
+		for r := range s.Channels {
+			s.Channels[r].Family = make(DigestSet, w+1)
+			s.Channels[r].Range = make(DigestSet, 2*w-2)
+		}
+		return s
+	}
+	ok := shaped()
 	if err := ok.Validate(p); err != nil {
 		t.Fatalf("minimal submission rejected: %v", err)
 	}
@@ -99,12 +111,21 @@ func TestSubmissionValidateCaps(t *testing.T) {
 		{"y range digests", func(s *Submission) { s.YRange = make(DigestSet, MaxDigestsPerSet+1) }},
 		{"channel family digests", func(s *Submission) { s.Channels[2].Family = make(DigestSet, MaxDigestsPerSet+1) }},
 		{"sealed bytes", func(s *Submission) { s.Channels[0].Sealed = make([]byte, MaxSealedBytes+1) }},
+		{"empty channel bid", func(s *Submission) { s.Channels[1] = WireChannelBid{} }},
+		{"family of another width", func(s *Submission) { s.Channels[3].Family = make(DigestSet, w+2) }},
+		{"unpadded range", func(s *Submission) { s.Channels[0].Range = s.Channels[0].Range[:w] }},
+		{"width beyond the prefix domain", func(s *Submission) {
+			for r := range s.Channels {
+				s.Channels[r].Family = make(DigestSet, prefix.MaxWidth+2)
+				s.Channels[r].Range = make(DigestSet, prefix.MaxCoverSize(prefix.MaxWidth+1))
+			}
+		}},
 	}
 	for _, tc := range bad {
-		s := Submission{Channels: make([]WireChannelBid, p.Channels)}
+		s := shaped()
 		tc.mut(&s)
 		if err := s.Validate(p); err == nil {
-			t.Errorf("%s over cap accepted", tc.name)
+			t.Errorf("%s accepted", tc.name)
 		}
 	}
 }

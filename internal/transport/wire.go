@@ -21,6 +21,7 @@ import (
 	"lppa/internal/core"
 	"lppa/internal/mask"
 	"lppa/internal/obs"
+	"lppa/internal/prefix"
 	"lppa/internal/ttp"
 )
 
@@ -173,8 +174,16 @@ type Submission struct {
 }
 
 // Validate rejects malformed submissions before any further processing:
-// wrong channel count for the round's parameters, digest sets beyond the
-// hardening cap, or oversized sealed ciphertexts.
+// wrong channel count for the round's parameters, location digest sets
+// beyond the hardening cap, channel bids of the wrong shape, or oversized
+// sealed ciphertexts.
+//
+// Every channel bid must have the shape the advanced encoder emits for
+// one bid width w: a family of w+1 digests and a range padded to 2w−2.
+// The auctioneer does not know w — the TTP keeps cr and rd from it — so
+// channel 0's family fixes it. The shape bounds how much a crafted family
+// can add to other bidders' rank-memo counts; it cannot stop a family of
+// the right length holding chosen prefixes (DESIGN.md §5g).
 func (s Submission) Validate(params core.Params) error {
 	if len(s.Channels) != params.Channels {
 		return fmt.Errorf("transport: submission has %d channel bids, round has %d channels",
@@ -193,9 +202,10 @@ func (s Submission) Validate(params core.Params) error {
 		}
 	}
 	for r, cb := range s.Channels {
-		if len(cb.Family) > MaxDigestsPerSet || len(cb.Range) > MaxDigestsPerSet {
-			return fmt.Errorf("transport: channel %d bid has %d+%d digests, cap %d",
-				r, len(cb.Family), len(cb.Range), MaxDigestsPerSet)
+		if w := len(s.Channels[0].Family) - 1; w < 1 || w > prefix.MaxWidth ||
+			len(cb.Family) != w+1 || len(cb.Range) != prefix.MaxCoverSize(w) {
+			return fmt.Errorf("transport: channel %d bid has %d+%d digests, not the w+1 and padded 2w−2 of channel 0's bid width w = %d",
+				r, len(cb.Family), len(cb.Range), w)
 		}
 		if len(cb.Sealed) > MaxSealedBytes {
 			return fmt.Errorf("transport: channel %d sealed bid is %d bytes, cap %d",
