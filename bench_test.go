@@ -971,36 +971,6 @@ func BenchmarkParallelMaskAll(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelConflictGraph sweeps worker counts over the masked
-// conflict-graph build at n = 200 submissions (the acceptance-criterion
-// scale; on multi-core hosts workers-4 should be ≥ 2× workers-1).
-// BenchmarkParallelConflictGraph sweeps worker counts over the test
-// oracle's all-pairs build (core.BuildConflictGraphParallel).
-func BenchmarkParallelConflictGraph(b *testing.B) {
-	p := core.Params{Channels: 1, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
-	ring, err := mask.DeriveKeyRing([]byte("pgraph"), 1, 5, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	const n = 200
-	pts := make([]geo.Point, n)
-	for i := range pts {
-		pts[i] = geo.Point{X: uint64(rng.Intn(100)), Y: uint64(rng.Intn(100))}
-	}
-	subs, err := core.NewLocationSubmissions(p, ring, pts, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.BuildConflictGraphParallel(subs, workers)
-			}
-		})
-	}
-}
-
 // BenchmarkParallelPrivateRound sweeps worker counts over the full
 // deterministic parallel round (encoding + graph + allocation + charging).
 func BenchmarkParallelPrivateRound(b *testing.B) {
@@ -1169,6 +1139,12 @@ func BenchmarkInternedIntersect(b *testing.B) {
 // path — over location submissions alone; the placeholder bids are never
 // read by the graph build.
 func engineGraph(b *testing.B, p core.Params, locs []*core.LocationSubmission) *conflict.Graph {
+	return engineGraphWorkers(b, p, locs, 1)
+}
+
+// engineGraphWorkers is engineGraph with the build fanned out over workers
+// (core.Auctioneer.SetWorkers).
+func engineGraphWorkers(b *testing.B, p core.Params, locs []*core.LocationSubmission, workers int) *conflict.Graph {
 	bids := make([]*core.BidSubmission, len(locs))
 	for i := range bids {
 		bids[i] = &core.BidSubmission{Channels: make([]core.ChannelBid, p.Channels)}
@@ -1177,6 +1153,7 @@ func engineGraph(b *testing.B, p core.Params, locs []*core.LocationSubmission) *
 	if err != nil {
 		b.Fatal(err)
 	}
+	auc.SetWorkers(workers)
 	return auc.ConflictGraph()
 }
 
@@ -1202,10 +1179,10 @@ func conflictSubsN300(b *testing.B) (core.Params, []*core.LocationSubmission) {
 	return p, subs
 }
 
-// BenchmarkConflictGraphN300 is the conflict-graph build at N=300, single
-// worker: the test oracle (all pairs over plain mask.Set) against the
-// auctioneer's engine (interning, location grouping and the candidate
-// index, ingest cost included).
+// BenchmarkConflictGraphN300 is the conflict-graph build at N=300: the
+// test oracle (all pairs over plain mask.Set) against the auctioneer's
+// engine (interning, location grouping and the candidate index, ingest
+// cost included), serial and fanned out over 2, 4 and 8 workers.
 func BenchmarkConflictGraphN300(b *testing.B) {
 	p, subs := conflictSubsN300(b)
 	b.Run("oracle", func(b *testing.B) {
@@ -1218,6 +1195,13 @@ func BenchmarkConflictGraphN300(b *testing.B) {
 			engineGraph(b, p, subs)
 		}
 	})
+	for _, workers := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("engine-workers-%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				engineGraphWorkers(b, p, subs, workers)
+			}
+		})
+	}
 }
 
 // rankMemoRoundN300 builds the N=300, k=4 bid matrix the rank-memo

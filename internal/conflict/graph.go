@@ -1,9 +1,10 @@
 // Package conflict represents the bidder interference graph the auctioneer
 // needs for spectrum reuse: two users conflict when their interference
 // squares overlap (|Δx| < 2λ ∧ |Δy| < 2λ). The graph can be built from
-// plaintext locations (baseline auction) or from any pairwise predicate —
-// in particular LPPA's masked location submissions (package core), which
-// reveal only the predicate's outcome.
+// plaintext locations (baseline auction), from any pairwise predicate, or
+// from groups of co-located nodes and their group adjacency (FromGroups),
+// which is how LPPA's auctioneer (package core) writes the relation its
+// masked location submissions reveal.
 package conflict
 
 import (
@@ -60,11 +61,14 @@ func (g *Graph) check(i int) {
 	}
 }
 
+// row returns node i's adjacency words.
+func (g *Graph) row(i int) []uint64 { return g.adj[i*g.words : (i+1)*g.words] }
+
 // Degree returns the number of neighbors of i.
 func (g *Graph) Degree(i int) int {
 	g.check(i)
 	d := 0
-	for _, w := range g.adj[i*g.words : (i+1)*g.words] {
+	for _, w := range g.row(i) {
 		d += bits.OnesCount64(w)
 	}
 	return d
@@ -74,7 +78,7 @@ func (g *Graph) Degree(i int) int {
 func (g *Graph) Neighbors(i int) []int {
 	g.check(i)
 	out := make([]int, 0, 8)
-	row := g.adj[i*g.words : (i+1)*g.words]
+	row := g.row(i)
 	for wi, w := range row {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
@@ -88,8 +92,7 @@ func (g *Graph) Neighbors(i int) []int {
 // ForEachNeighbor calls fn for each neighbor of i in ascending order.
 func (g *Graph) ForEachNeighbor(i int, fn func(j int)) {
 	g.check(i)
-	row := g.adj[i*g.words : (i+1)*g.words]
-	for wi, w := range row {
+	for wi, w := range g.row(i) {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			fn(wi*64 + b)
@@ -150,59 +153,83 @@ func BuildFromPredicate(n int, pred func(i, j int) bool) *Graph {
 	return g
 }
 
-// BuildFromPredicateParallel is BuildFromPredicate with the O(n²) predicate
-// sweep sharded across at most workers goroutines. The result is bit-for-bit
-// identical to the serial build for every worker count: each adjacency bit
-// has a fixed position determined only by (i, j), so scheduling cannot
-// reorder anything observable.
+// FromGroups builds the graph of a population partitioned into groups:
+// node i belongs to group[i], every two members of one group conflict, and
+// every member of group g conflicts with every member of each group listed
+// in adj[start[g]:start[g+1]]. The listing must be symmetric — h is in g's
+// list exactly when g is in h's — and may repeat a group or list g itself.
+// The result is the graph AddEdge builds for every such member pair.
 //
-// Phase 1 evaluates the upper triangle: worker w owns rows i ≡ w (mod
-// workers) — row striding balances load, since row i costs n−i−1 predicate
-// calls — and sets bit j in row i for each conflicting j > i. Rows are
-// disjoint, so phase 1 is race-free. After a barrier, phase 2 mirrors the
-// lower triangle against an immutable snapshot of the phase-1 bits: the
-// owner of row j reads bit j of snapshot row i for every i < j and sets
-// bit i in row j. (Reading the live array instead would race at word
-// granularity: bit j of row i can share a word with the lower-triangle
-// bits row i's own phase-2 owner writes.) pred must be safe for concurrent
-// calls with distinct (i, j); it is only called for i < j, once per pair,
-// exactly as in the serial build.
-func BuildFromPredicateParallel(n int, pred func(i, j int) bool, workers int) *Graph {
-	if workers > n {
-		workers = n
+// LPPA's auctioneer groups co-located bidders, whose rows are equal but
+// for each member's own bit, so each group's row is written once, into
+// its first member's row, and copied to the others before the members'
+// own bits are cleared. Groups are striped over at most workers
+// goroutines. Every row belongs to exactly one group, so no adjacency word
+// is written by two goroutines, and the graph is the same for every
+// worker count.
+func FromGroups(group []uint32, start []int, adj []uint32, workers int) *Graph {
+	groups := len(start) - 1
+	if groups < 0 {
+		panic("conflict: FromGroups needs start[0..groups]")
+	}
+	g := NewGraph(len(group))
+
+	// members[first[k]:first[k+1]] lists group k's nodes in ascending order.
+	first := make([]int, groups+1)
+	for i, k := range group {
+		if int(k) >= groups {
+			panic(fmt.Sprintf("conflict: node %d in group %d, want < %d", i, k, groups))
+		}
+		first[k+1]++
+	}
+	for k := 1; k <= groups; k++ {
+		first[k] += first[k-1]
+	}
+	members := make([]int, len(group))
+	for i, k := range group {
+		members[first[k]] = i
+		first[k]++
+	}
+	copy(first[1:], first[:groups])
+	first[0] = 0
+
+	build := func(k int) {
+		ms := members[first[k]:first[k+1]]
+		if len(ms) == 0 {
+			return
+		}
+		row := g.row(ms[0])
+		for _, j := range ms {
+			row[j/64] |= 1 << (j % 64)
+		}
+		for _, h := range adj[start[k]:start[k+1]] {
+			for _, j := range members[first[h]:first[h+1]] {
+				row[j/64] |= 1 << (j % 64)
+			}
+		}
+		for _, i := range ms[1:] {
+			r := g.row(i)
+			copy(r, row)
+			r[i/64] &^= 1 << (i % 64)
+		}
+		row[ms[0]/64] &^= 1 << (ms[0] % 64)
+	}
+	if workers > groups {
+		workers = groups
 	}
 	if workers <= 1 {
-		return BuildFromPredicate(n, pred)
+		for k := 0; k < groups; k++ {
+			build(k)
+		}
+		return g
 	}
-	g := NewGraph(n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < n; i += workers {
-				row := g.adj[i*g.words : (i+1)*g.words]
-				for j := i + 1; j < n; j++ {
-					if pred(i, j) {
-						row[j/64] |= 1 << (j % 64)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	upper := append([]uint64(nil), g.adj...)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for j := w; j < n; j += workers {
-				row := g.adj[j*g.words : (j+1)*g.words]
-				for i := 0; i < j; i++ {
-					if upper[i*g.words+j/64]&(1<<(j%64)) != 0 {
-						row[i/64] |= 1 << (i % 64)
-					}
-				}
+			for k := w; k < groups; k += workers {
+				build(k)
 			}
 		}(w)
 	}

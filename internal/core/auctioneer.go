@@ -15,19 +15,21 @@ import (
 // the transcript methods are what the attack experiments consume).
 //
 // An Auctioneer is not safe for concurrent use: the conflict graph and the
-// per-column rank memo are built lazily on first use. Submissions
-// are immutable once handed to NewAuctioneer, so neither cache is ever
-// invalidated.
+// per-column rank memo are built lazily on first use. The builds fan out
+// over SetWorkers' goroutines internally, which does not change that.
+// Submissions are immutable once handed to NewAuctioneer, so neither cache
+// is ever invalidated.
 type Auctioneer struct {
-	params Params
-	locs   []*LocationSubmission
-	bids   []*BidSubmission
-	graph  *conflict.Graph
+	params  Params
+	locs    []*LocationSubmission
+	bids    []*BidSubmission
+	workers int // SetWorkers; 0 builds serially
+	graph   *conflict.Graph
 	// ixStats describes the candidate index of the last graph build
 	// (graphbuild.go).
 	ixStats mask.IndexStats
 
-	// Per-column rank memo, built lazily by columnRank (rank.go):
+	// Per-column rank memo, every column built on first use (rank.go):
 	// rankOrder[r] is all bidders sorted by descending masked bid (ties in
 	// index order), rank[r][i] the dense value rank of bidder i (0 =
 	// highest; equal masked bids share a rank). One counting pass over the
@@ -64,11 +66,13 @@ func NewAuctioneer(params Params, locs []*LocationSubmission, bids []*BidSubmiss
 // N reports the number of bidders.
 func (a *Auctioneer) N() int { return len(a.bids) }
 
-// SetWorkers does nothing: the conflict graph and the rank memos build
-// serially.
-//
-// Deprecated: kept for source compatibility; it has no effect.
-func (a *Auctioneer) SetWorkers(int) {}
+// SetWorkers bounds the goroutines the conflict graph and rank memo builds
+// fan out over. n ≤ 1, the default, builds on the calling goroutine. The
+// graph, the memos and every counter are the same for every n.
+func (a *Auctioneer) SetWorkers(n int) { a.workers = n }
+
+// width is the worker count of a build over items independent items.
+func (a *Auctioneer) width(items int) int { return mask.Workers(max(a.workers, 1), items) }
 
 // ConflictGraph lazily builds and returns the masked-submission conflict
 // graph through the shared builder (graphbuild.go).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"lppa/internal/conflict"
@@ -9,82 +10,153 @@ import (
 
 // The one conflict-graph construction path behind Auctioneer.ConflictGraph
 // (DESIGN.md §5g): group co-located bidders, generate candidate group pairs
-// from an inverted index over interned digests, and confirm them with the
-// exact masked predicate. The all-pairs build over plain mask.Set
-// (BuildConflictGraph) is the verification oracle the tests pin it to.
+// from an inverted index over interned digests, confirm them with the
+// exact masked predicate, and write the graph one group row at a time. The
+// all-pairs build over plain mask.Set (BuildConflictGraph) is the
+// verification oracle the tests pin it to.
 
 // buildGraph evaluates the exact conflict predicate over the population's
-// distinct locations and fans each verdict out to the member bidders.
+// distinct locations and writes each verdict to the member bidders.
 //
 // Co-located bidders have identical masked families (location masking is
 // deterministic under the shared key), so they form one distinct-location
-// group: the predicate is evaluated once per candidate group pair and its
-// verdict applied to every member cross-pair, and same-location pairs are
-// unconditional edges — the exact predicate is Chebyshev distance < 2λ,
-// and distance 0 always qualifies. Candidate group pairs come from an
-// inverted index over one representative per group (mask.Index): groups
-// are numbered in first-appearance order, and the skew guard's auto
-// threshold max(64, G/8) is calibrated to the distinct population G, so a
-// stack of co-located bidders never skews the index.
+// group: the predicate is evaluated once per candidate group pair, and
+// same-location pairs are unconditional edges — the exact predicate is
+// Chebyshev distance < 2λ, and distance 0 always qualifies. Candidate
+// group pairs come from an inverted index over one representative per
+// group (mask.Index): groups are numbered in first-appearance order, and
+// the skew guard's auto threshold max(64, G/8) is calibrated to the
+// distinct population G, so a stack of co-located bidders never skews the
+// index.
 //
-// Edges go straight into the bitset graph: a dense population has far
-// fewer distinct locations than edges (a 3000-bidder urban mix has ~300
-// locations and ~1.35 M edges), so the build never holds an edge list
-// beside the graph. An adjacency bit's position depends only on (i, j), so
-// the graph is the same whatever order edges arrive in.
+// Interning, grouping and the index are serial. The confirm step stripes
+// group rows over the workers, each with its own cursor and tally, into a
+// CSR group adjacency, and conflict.FromGroups writes each group's bidder
+// row once and copies it to the other members. The build never holds a
+// bidder-pair edge list: a dense population has far fewer distinct
+// locations than edges (a 3000-bidder urban mix has ~300 locations and
+// ~1.35 M edges). Every verdict, tally and adjacency bit depends only on
+// the group pair, so the graph and the counters are the same for every
+// worker count.
 func (a *Auctioneer) buildGraph() *conflict.Graph {
 	n := len(a.locs)
 	// The interned view lives only as long as the build: nothing after it
 	// reads locations.
 	iloc, total, distinct := internLocations(a.locs)
 
-	var st mask.IntersectStats
-	groupOf := make(map[uint64]int, n)
-	groups := make([][]int, 0, n)
+	// group[i] is bidder i's group; reps[k] is group k's first member.
+	groupOf := make(map[uint64]uint32, n)
+	group := make([]uint32, n)
+	var reps []int
 	for i := range iloc {
 		k := iloc[i].key()
-		if g, ok := groupOf[k]; ok {
-			groups[g] = append(groups[g], i)
-		} else {
-			groupOf[k] = len(groups)
-			groups = append(groups, []int{i})
+		gi, ok := groupOf[k]
+		if !ok {
+			gi = uint32(len(reps))
+			groupOf[k] = gi
+			reps = append(reps, i)
 		}
+		group[i] = gi
 	}
+	groups := len(reps)
 
 	start := time.Now()
-	ix := mask.NewIndex(len(groups))
-	for _, A := range groups {
-		ix.Add(iloc[A[0]].xFamily, iloc[A[0]].xRange)
+	ix := mask.NewIndex(groups)
+	for _, i := range reps {
+		ix.Add(iloc[i].xFamily, iloc[i].xRange)
 	}
-	cur := ix.Cursor()
+	// Stats seals the index, so the workers' cursors share it read-only.
+	a.ixStats = ix.Stats()
 	indexBuild := time.Since(start)
 
-	g := conflict.NewGraph(n)
-	for ga, A := range groups {
-		for x, i := range A {
-			for _, j := range A[x+1:] {
-				g.AddEdge(i, j)
-			}
-		}
-		for _, gb := range cur.Row(ga) {
-			if B := groups[gb]; iloc[A[0]].conflicts(&iloc[B[0]], &st) {
-				for _, i := range A {
-					for _, j := range B {
-						g.AddEdge(i, j)
-					}
+	// Worker w confirms rows k ≡ w (mod workers) with its own cursor and
+	// lists each row's partners above it, in row order. It tallies into
+	// locals and stores them once: tallies in adjacent slots would share
+	// cache lines.
+	type stripe struct {
+		partners         []uint32
+		counts           []int // partners per row, in row order
+		st               mask.IntersectStats
+		scanned, emitted uint64
+	}
+	workers := a.width(groups)
+	stripes := make([]stripe, workers)
+	fanOut(workers, func(w int) {
+		var s stripe
+		cur := ix.Cursor()
+		for k := w; k < groups; k += workers {
+			before := len(s.partners)
+			for _, h := range cur.Row(k) {
+				if iloc[reps[k]].conflicts(&iloc[reps[h]], &s.st) {
+					s.partners = append(s.partners, h)
 				}
+			}
+			s.counts = append(s.counts, len(s.partners)-before)
+		}
+		s.scanned, s.emitted = cur.Stats()
+		stripes[w] = s
+	})
+
+	// The symmetric CSR group adjacency: adj[off[k]:off[k+1]] lists k's
+	// partners.
+	pairs := func(fn func(k int, h uint32)) {
+		for w, s := range stripes {
+			p := s.partners
+			for j, c := range s.counts {
+				for _, h := range p[:c] {
+					fn(w+j*workers, h)
+				}
+				p = p[c:]
 			}
 		}
 	}
-	a.ixStats = ix.Stats()
+	off := make([]int, groups+1)
+	pairs(func(k int, h uint32) {
+		off[k+1]++
+		off[h+1]++
+	})
+	for k := 1; k <= groups; k++ {
+		off[k] += off[k-1]
+	}
+	adj := make([]uint32, off[groups])
+	fill := append([]int(nil), off[:groups]...)
+	pairs(func(k int, h uint32) {
+		adj[fill[k]] = h
+		fill[k]++
+		adj[fill[h]] = uint32(k)
+		fill[h]++
+	})
+	g := conflict.FromGroups(group, off, adj, workers)
 
 	// One fold per build; with no registry attached every handle is nil.
-	scanned, emitted := cur.Stats()
+	var st mask.IntersectStats
+	for _, s := range stripes {
+		st.Calls += s.st.Calls
+		st.BloomRejects += s.st.BloomRejects
+		a.ob.indexPostings.Add(s.scanned)
+		a.ob.indexCandidates.Add(s.emitted)
+	}
 	a.ob.indexBuild.Observe(indexBuild.Seconds())
 	a.ob.noteIntern(total, distinct)
 	a.ob.flushStats(&st)
-	a.ob.indexPostings.Add(scanned)
-	a.ob.indexCandidates.Add(emitted)
 	a.ob.indexConfirms.Add(uint64(g.Edges()))
 	return g
+}
+
+// fanOut runs fn(w) for every w in [0, workers), each on its own
+// goroutine, and waits for all of them; one worker runs on the caller.
+func fanOut(workers int, fn func(w int)) {
+	if workers <= 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			fn(w)
+		}(w)
+	}
+	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lppa/internal/dataset"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
 	"lppa/internal/obs"
@@ -55,6 +56,18 @@ func shapePoints(p Params, shape string, n int, seed int64) []geo.Point {
 		for i := range pts {
 			pts[i] = geo.Point{X: uint64(5 * rng.Intn(3)), Y: uint64(5 * rng.Intn(3))}
 		}
+	case "point":
+		// One location: a single group holding every bidder.
+		for i := range pts {
+			pts[i] = geo.Point{X: p.MaxX / 2, Y: p.MaxY / 2}
+		}
+	case "urban", "rural", "mixed":
+		// The bench's density mixes on the params' grid.
+		mix, err := dataset.ParseDensity(shape)
+		if err != nil {
+			panic(err)
+		}
+		return mix.Points(geo.Grid{Rows: int(p.MaxY) + 1, Cols: int(p.MaxX) + 1}, n, rng)
 	default:
 		panic("unknown shape " + shape)
 	}
@@ -78,8 +91,8 @@ func locSubs(t testing.TB, p Params, pts []geo.Point) []*LocationSubmission {
 
 // TestIndexedGraphMatchesOracle is the equivalence grid of the indexed
 // build: for every density shape and population, the auctioneer's graph is
-// bit-identical to the all-pairs oracle over plain mask.Set, and so is the
-// oracle's parallel build at every worker count.
+// bit-identical to the all-pairs oracle over plain mask.Set at every
+// worker count.
 func TestIndexedGraphMatchesOracle(t *testing.T) {
 	p := testParams()
 	for _, shape := range densityShapes {
@@ -88,21 +101,18 @@ func TestIndexedGraphMatchesOracle(t *testing.T) {
 			subs := locSubs(t, p, pts)
 			oracle := BuildConflictGraph(subs)
 			for _, workers := range []int{1, 2, 5, 16} {
-				if got := BuildConflictGraphParallel(subs, workers); !got.Equal(oracle) {
-					t.Fatalf("%s/n=%d/workers=%d: parallel oracle differs from serial", shape, n, workers)
+				if got := engineGraphWorkers(t, p, subs, workers); !got.Equal(oracle) {
+					t.Fatalf("%s/n=%d/workers=%d: indexed graph differs from oracle", shape, n, workers)
 				}
-			}
-			if got := engineGraph(t, p, subs); !got.Equal(oracle) {
-				t.Fatalf("%s/n=%d: indexed graph differs from oracle", shape, n)
 			}
 		}
 	}
 }
 
 // FuzzIndexedEquivalence replays arbitrary (seed, population, shape,
-// workers) tuples: the auctioneer's indexed graph and the oracle's
-// parallel build at that worker count must stay bit-identical to the
-// serial all-pairs oracle on every one. All inputs derive from the fuzz
+// workers) tuples: the auctioneer's indexed graph, built serially and at
+// that worker count, must stay bit-identical to the all-pairs oracle on
+// every one. All inputs derive from the fuzz
 // arguments, so any failure replays deterministically from its corpus file
 // (the FuzzDecodeFrame convention).
 func FuzzIndexedEquivalence(f *testing.F) {
@@ -124,8 +134,8 @@ func FuzzIndexedEquivalence(f *testing.F) {
 		if got := engineGraph(t, p, subs); !got.Equal(oracle) {
 			t.Fatalf("seed=%d shape=%s n=%d: indexed graph differs from oracle", seed, shape, n)
 		}
-		if got := BuildConflictGraphParallel(subs, workers); !got.Equal(oracle) {
-			t.Fatalf("seed=%d shape=%s n=%d workers=%d: parallel oracle differs from serial", seed, shape, n, workers)
+		if got := engineGraphWorkers(t, p, subs, workers); !got.Equal(oracle) {
+			t.Fatalf("seed=%d shape=%s n=%d workers=%d: indexed graph differs from oracle", seed, shape, n, workers)
 		}
 	})
 }

@@ -180,14 +180,3 @@ func BuildConflictGraph(subs []*LocationSubmission) *conflict.Graph {
 		return Conflicts(subs[i], subs[j])
 	})
 }
-
-// BuildConflictGraphParallel is BuildConflictGraph with the O(n²) pairwise
-// predicate sharded across at most workers goroutines. Submissions are
-// immutable and read concurrently without synchronization, so the
-// resulting graph is bit-for-bit identical to the serial build for every
-// worker count.
-func BuildConflictGraphParallel(subs []*LocationSubmission, workers int) *conflict.Graph {
-	return conflict.BuildFromPredicateParallel(len(subs), func(i, j int) bool {
-		return Conflicts(subs[i], subs[j])
-	}, mask.Workers(workers, len(subs)))
-}

@@ -6,10 +6,11 @@ import (
 )
 
 // Observability wiring for the auctioneer (DESIGN.md §5c). Every build
-// counts: the conflict-graph builder (graphbuild.go), columnRank's value
-// ranking and the allocator's memo reads tally into locals, and each
-// build folds its tallies once through the handles below. With no
-// registry attached the handles are nil and the fold is a no-op.
+// counts: the conflict-graph builder (graphbuild.go), each column's rank
+// memo build (rank.go) and the allocator's memo reads tally into locals,
+// and each build folds its tallies once through the handles below, whose
+// counters are atomic, so a build's workers may fold concurrently. With
+// no registry attached the handles are nil and the fold is a no-op.
 
 // aucObs holds the auctioneer's counter handles, resolved once in
 // SetObserver so a build never takes the registry lock. The zero value,

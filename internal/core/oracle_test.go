@@ -110,13 +110,21 @@ func engineGraph(t testing.TB, p Params, locs []*LocationSubmission) *conflict.G
 	return engineAuctioneer(t, p, locs).ConflictGraph()
 }
 
+// engineGraphWorkers is engineGraph with the build fanned out over workers.
+func engineGraphWorkers(t testing.TB, p Params, locs []*LocationSubmission, workers int) *conflict.Graph {
+	t.Helper()
+	auc := engineAuctioneer(t, p, locs)
+	auc.SetWorkers(workers)
+	return auc.ConflictGraph()
+}
+
 // TestEngineMatchesOracle is the equivalence grid of the one execution
 // path: for every density shape, with and without disguised zeros, the
 // auctioneer's rank memos match the comparator oracle (checkRankOracle) at
-// n=60 and at n=300 over seeds 1–5; and at n=60, unobserved and observed,
-// its conflict graph, awards with runner-ups (second price), first-price
-// assignments, and validity-checked awards and voids are exactly the
-// oracle's.
+// n=60 and at n=300 over seeds 1–5, built by seed workers; and at n=60,
+// unobserved and observed, built by 1, 2 and 8 workers, its conflict
+// graph, awards with runner-ups (second price), first-price assignments,
+// and validity-checked awards and voids are exactly the oracle's.
 func TestEngineMatchesOracle(t *testing.T) {
 	p := testParams()
 	const n = 60
@@ -128,7 +136,8 @@ func TestEngineMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkRankOracle(t, fmt.Sprintf("%s/disguise=%v/n=300/seed=%d", shape, disguise, seed), auc, subs, seed)
+				auc.SetWorkers(int(seed))
+				checkRankOracle(t, fmt.Sprintf("%s/disguise=%v/n=300/seed=%d/workers=%d", shape, disguise, seed, seed), auc, subs, seed)
 			}
 
 			_, bids, locs, subs := oracleSubmissions(t, p, shape, n, 42, disguise)
@@ -144,58 +153,61 @@ func TestEngineMatchesOracle(t *testing.T) {
 			}
 
 			for _, observed := range []bool{false, true} {
-				tag := fmt.Sprintf("%s/disguise=%v/observed=%v", shape, disguise, observed)
-				engine := func() *Auctioneer {
-					auc, err := NewAuctioneer(p, locs, subs)
+				for _, workers := range []int{1, 2, 8} {
+					tag := fmt.Sprintf("%s/disguise=%v/observed=%v/workers=%d", shape, disguise, observed, workers)
+					engine := func() *Auctioneer {
+						auc, err := NewAuctioneer(p, locs, subs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if observed {
+							auc.SetObserver(obs.NewRegistry())
+						}
+						auc.SetWorkers(workers)
+						return auc
+					}
+
+					auc := engine()
+					if !auc.ConflictGraph().Equal(wantGraph) {
+						t.Errorf("%s: graph differs from oracle", tag)
+					}
+					checkRankOracle(t, tag, auc, subs, 42)
+					awards, err := auc.AllocateAwards(rand.New(rand.NewSource(55)))
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: %v", tag, err)
 					}
-					if observed {
-						auc.SetObserver(obs.NewRegistry())
+					if !reflect.DeepEqual(awards, wantAwards) {
+						t.Errorf("%s: awards differ from oracle\n got %v\nwant %v", tag, awards, wantAwards)
 					}
-					return auc
-				}
 
-				auc := engine()
-				if !auc.ConflictGraph().Equal(wantGraph) {
-					t.Errorf("%s: graph differs from oracle", tag)
-				}
-				checkRankOracle(t, tag, auc, subs, 42)
-				awards, err := auc.AllocateAwards(rand.New(rand.NewSource(55)))
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if !reflect.DeepEqual(awards, wantAwards) {
-					t.Errorf("%s: awards differ from oracle\n got %v\nwant %v", tag, awards, wantAwards)
-				}
-
-				assignments, err := engine().Allocate(rand.New(rand.NewSource(55)))
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if len(assignments) != len(wantAwards) {
-					t.Fatalf("%s: %d first-price assignments, want %d", tag, len(assignments), len(wantAwards))
-				}
-				for x, as := range assignments {
-					if as != wantAwards[x].Assignment {
-						t.Errorf("%s: assignment %d = %v, oracle %v", tag, x, as, wantAwards[x].Assignment)
+					assignments, err := engine().Allocate(rand.New(rand.NewSource(55)))
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
 					}
-				}
-
-				awarded, voided, err := engine().AllocateWithValidity(valid, rand.New(rand.NewSource(56)))
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if len(awarded) != len(wantValid) {
-					t.Fatalf("%s: %d validity-checked awards, want %d", tag, len(awarded), len(wantValid))
-				}
-				for x, as := range awarded {
-					if as != wantValid[x].Assignment {
-						t.Errorf("%s: validity-checked award %d = %v, oracle %v", tag, x, as, wantValid[x].Assignment)
+					if len(assignments) != len(wantAwards) {
+						t.Fatalf("%s: %d first-price assignments, want %d", tag, len(assignments), len(wantAwards))
 					}
-				}
-				if !reflect.DeepEqual(voided, wantVoided) {
-					t.Errorf("%s: voided %v, oracle %v", tag, voided, wantVoided)
+					for x, as := range assignments {
+						if as != wantAwards[x].Assignment {
+							t.Errorf("%s: assignment %d = %v, oracle %v", tag, x, as, wantAwards[x].Assignment)
+						}
+					}
+
+					awarded, voided, err := engine().AllocateWithValidity(valid, rand.New(rand.NewSource(56)))
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if len(awarded) != len(wantValid) {
+						t.Fatalf("%s: %d validity-checked awards, want %d", tag, len(awarded), len(wantValid))
+					}
+					for x, as := range awarded {
+						if as != wantValid[x].Assignment {
+							t.Errorf("%s: validity-checked award %d = %v, oracle %v", tag, x, as, wantValid[x].Assignment)
+						}
+					}
+					if !reflect.DeepEqual(voided, wantVoided) {
+						t.Errorf("%s: voided %v, oracle %v", tag, voided, wantVoided)
+					}
 				}
 			}
 		}

@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"lppa/internal/auction"
+	"lppa/internal/conflict"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
+	"lppa/internal/obs"
 )
 
 func randomPoints(p Params, n int, seed int64) []geo.Point {
@@ -77,37 +81,66 @@ func TestNewLocationSubmissionsRejectsOutOfDomain(t *testing.T) {
 	}
 }
 
-// TestBuildConflictGraphParallelMatchesSerial checks the masked parallel
-// graph build against the serial one across populations, λ, and workers.
-func TestBuildConflictGraphParallelMatchesSerial(t *testing.T) {
-	for _, lambda := range []uint64{1, 2, 4} {
-		p := Params{Channels: 1, Lambda: lambda, MaxX: 99, MaxY: 99, BMax: 100}
-		ring := testRing(t, p, 5, 8)
-		for _, n := range []int{2, 30, 90} {
-			pts := randomPoints(p, n, int64(lambda)*31+int64(n))
-			subs, err := NewLocationSubmissions(p, ring, pts, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := BuildConflictGraph(subs)
-			for _, workers := range []int{0, 1, 2, 3, 8} {
-				if got := BuildConflictGraphParallel(subs, workers); !got.Equal(want) {
-					t.Errorf("lambda=%d n=%d workers=%d: parallel graph differs", lambda, n, workers)
+// TestAuctioneerWorkersInvariant pins the fanned-out builds to the serial
+// one bit for bit. For SetWorkers 1, 2, 3 and 8 — more workers than the
+// 4 columns, and on the single-location stack more than the one group —
+// over urban, rural and mixed populations and one single-location stack
+// at n = 65 and 600, the conflict graph, the index shape, every column's
+// rank and rankOrder, the validity-checked awards and voids, and every
+// auctioneer counter equal the serial build's.
+func TestAuctioneerWorkersInvariant(t *testing.T) {
+	p := testParams()
+	type build struct {
+		graph           *conflict.Graph
+		ix              mask.IndexStats
+		rank, order     [][]int
+		awarded, voided []auction.Assignment
+		counters        map[string]uint64
+	}
+	for _, shape := range []string{"urban", "rural", "mixed", "point"} {
+		for _, n := range []int{65, 600} {
+			_, bids, locs, subs := oracleSubmissions(t, p, shape, n, int64(n), true)
+			valid := func(i, r int) bool { return bids[i][r] > 0 }
+			var serial build
+			for _, workers := range []int{1, 2, 3, 8} {
+				reg := obs.NewRegistry()
+				auc, err := NewAuctioneer(p, locs, subs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				auc.SetObserver(reg)
+				auc.SetWorkers(workers)
+				b := build{graph: auc.ConflictGraph(), ix: auc.ixStats}
+				auc.BuildRankMemos()
+				b.rank, b.order = auc.rank, auc.rankOrder
+				if b.awarded, b.voided, err = auc.AllocateWithValidity(valid, rand.New(rand.NewSource(9))); err != nil {
+					t.Fatal(err)
+				}
+				b.counters = reg.Snapshot().Counters
+				if workers == 1 {
+					serial = b
+					continue
+				}
+				tag := fmt.Sprintf("%s/n=%d/workers=%d", shape, n, workers)
+				if !b.graph.Equal(serial.graph) {
+					t.Errorf("%s: conflict graph differs from the serial build", tag)
+				}
+				if b.ix != serial.ix {
+					t.Errorf("%s: index %+v, serial %+v", tag, b.ix, serial.ix)
+				}
+				for r := range serial.rank {
+					if !reflect.DeepEqual(b.rank[r], serial.rank[r]) || !reflect.DeepEqual(b.order[r], serial.order[r]) {
+						t.Errorf("%s: column %d memo differs from the serial build", tag, r)
+					}
+				}
+				if !reflect.DeepEqual(b.awarded, serial.awarded) || !reflect.DeepEqual(b.voided, serial.voided) {
+					t.Errorf("%s: awards differ from the serial build", tag)
+				}
+				if !reflect.DeepEqual(b.counters, serial.counters) {
+					t.Errorf("%s: counters %v, serial %v", tag, b.counters, serial.counters)
 				}
 			}
 		}
-	}
-}
-
-// TestAuctioneerWorkersInvariant checks SetWorkers never changes the
-// lazily built conflict graph.
-func TestAuctioneerWorkersInvariant(t *testing.T) {
-	p := testParams()
-	serial, _, _ := randomRound(t, p, 40, 21)
-	parallel, _, _ := randomRound(t, p, 40, 21)
-	parallel.SetWorkers(4)
-	if !parallel.ConflictGraph().Equal(serial.ConflictGraph()) {
-		t.Error("SetWorkers(4) changed the conflict graph")
 	}
 }
 

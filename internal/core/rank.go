@@ -6,27 +6,46 @@ import (
 	"lppa/internal/mask"
 )
 
-// columnRank builds (once) and returns the dense rank memo of column r:
-// rank[r][i] is bidder i's value rank (0 = highest bid; masked ties share
-// a rank) and rankOrder[r] is every bidder by (rank, index), ties in
-// ascending index — exactly a stable sort under the masked comparison.
-// Submissions are immutable after NewAuctioneer, hence the memo never
-// needs invalidation.
+// columnRank returns the dense rank memo of column r: rank[r][i] is
+// bidder i's value rank (0 = highest bid; masked ties share a rank) and
+// rankOrder[r] is every bidder by (rank, index), ties in ascending index —
+// exactly a stable sort under the masked comparison. The first use of any
+// column builds them all (buildRanks). Submissions are immutable after
+// NewAuctioneer, hence the memo never needs invalidation.
 func (a *Auctioneer) columnRank(r int) []int {
 	if r < 0 || r >= a.params.Channels {
 		panic(fmt.Sprintf("core: channel %d out of range [0,%d)", r, a.params.Channels))
 	}
-	if a.rank == nil {
-		a.rank = make([][]int, a.params.Channels)
-		a.rankOrder = make([][]int, a.params.Channels)
-	}
-	if a.rank[r] == nil {
-		var total, distinct int
-		a.rank[r], a.rankOrder[r], total, distinct = dominanceRank(a.bids, r)
-		a.ob.noteIntern(total, distinct)
-		a.ob.rankBuilds.Inc()
-	}
+	a.BuildRankMemos()
 	return a.rank[r]
+}
+
+// BuildRankMemos builds every column's rank memo now rather than on first
+// use by GE, RankChannel, Rankings or the allocator. The memos draw no
+// randomness, so when they are built changes no answer.
+func (a *Auctioneer) BuildRankMemos() {
+	if a.rank == nil {
+		a.buildRanks()
+	}
+}
+
+// buildRanks builds every column's memo, columns striped over the
+// workers. Each column has its own dictionary, which dies with its build,
+// and writes only its own rank[r] and rankOrder[r], so the memos are the
+// same for every worker count. Each build folds its intern tally once.
+func (a *Auctioneer) buildRanks() {
+	k := a.params.Channels
+	a.rank = make([][]int, k)
+	a.rankOrder = make([][]int, k)
+	workers := a.width(k)
+	fanOut(workers, func(w int) {
+		for r := w; r < k; r += workers {
+			var total, distinct int
+			a.rank[r], a.rankOrder[r], total, distinct = dominanceRank(a.bids, r)
+			a.ob.noteIntern(total, distinct)
+			a.ob.rankBuilds.Inc()
+		}
+	})
 }
 
 // dominanceRank ranks column r by masked dominance counting, without a

@@ -145,8 +145,8 @@ func TestEpochEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if phases != 4 {
-			t.Errorf("%s: %d %s series, want one per phase (4)", tc.tag, phases, round.PhaseMetric)
+		if phases != 5 {
+			t.Errorf("%s: %d %s series, want one per phase (5)", tc.tag, phases, round.PhaseMetric)
 		}
 		for e, res := range results {
 			if res.Epoch != e {

@@ -102,9 +102,10 @@ func (m *Masker) Clone() *Masker {
 // table exists.
 //
 // The table is key-equivalent material: with it anyone can mask any value
-// in its range or invert a digest. It must stay inside a bidder-side
-// encoder and die with it — never reach the auctioneer, epoch state or the
-// wire (DESIGN.md §5b).
+// in its range or invert a digest. It must stay inside a key holder's
+// masker and die with it — a bidder-side encoder, or the TTP's charge
+// batch — and never reach the auctioneer, epoch state or the wire
+// (DESIGN.md §5b).
 func (m *Masker) Memoize(w int) {
 	if m.memo != nil {
 		return

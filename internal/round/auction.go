@@ -30,12 +30,14 @@ type Charger func(reqs []core.ChargeRequest) ([]ttp.ChargeResult, error)
 // Auction over the submissions it collected.
 //
 // rng drives the allocator's channel shuffles and tie breaks. phases
-// receives the conflict_graph, allocate and charge boundaries and is
-// stopped when Auction returns; nil reports nothing. Auction reads the
-// charging option (WithSecondPrice) and WithTelemetry's Metrics; the
-// rest shape Run's bidder half, and the caller owns the run's lifecycle
-// through phases. Interactive charging needs the in-process TTP's
-// validity oracle, so it is Run's alone and Auction rejects it.
+// receives the conflict_graph, rank_memo, allocate and charge boundaries
+// and is stopped when Auction returns; nil reports nothing. Auction reads
+// the charging option (WithSecondPrice), WithTelemetry's Metrics and
+// WithWorkers, whose width the conflict graph and rank memo builds fan out
+// over (serial without it); the rest shape Run's bidder half, and the
+// caller owns the run's lifecycle through phases. Interactive charging
+// needs the in-process TTP's validity oracle, so it is Run's alone and
+// Auction rejects it.
 //
 // Outcome.Bidders and the assignment indices count the given submissions.
 func Auction(params core.Params, locs []*core.LocationSubmission, subs []*core.BidSubmission,
@@ -61,12 +63,15 @@ func auctionRound(params core.Params, locs []*core.LocationSubmission, subs []*c
 		return nil, err
 	}
 	auc.SetObserver(cfg.tel.Metrics)
+	auc.SetWorkers(cfg.width(len(subs)))
 
-	// The graph build is rng-free, so forcing it here (instead of letting
-	// the allocator build it lazily) changes nothing except giving the
-	// phase its own wall-time series.
+	// The graph and memo builds are rng-free, so forcing them here (instead
+	// of letting the allocator build them lazily) changes nothing except
+	// giving each phase its own wall-time series.
 	ph.Phase("conflict_graph")
 	auc.ConflictGraph()
+	ph.Phase("rank_memo")
+	auc.BuildRankMemos()
 
 	ph.Phase("allocate")
 	res := &Result{Auctioneer: auc}

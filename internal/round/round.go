@@ -13,8 +13,9 @@
 // (internal/transport) runs Auction over the submissions it collected and
 // charges through its TTP client, so both paths share one auctioneer.
 //
-// Functional options select the encoding pipeline (WithWorkers), disguise
-// shape (WithPolicies), charging design (WithInteractiveCharging,
+// Functional options select the pipeline width (WithWorkers, which bounds
+// the bidder encode and the auctioneer's builds alike), disguise shape
+// (WithPolicies), charging design (WithInteractiveCharging,
 // WithSecondPrice), degradation (WithQuorum), and observability
 // (WithTelemetry, with WithEpochNumber tagging an epoch's round). A round
 // reports through one obs.Telemetry value: Run opens the run's lifecycle

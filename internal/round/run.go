@@ -49,6 +49,15 @@ type runConfig struct {
 	epoch       int // < 0: the round is untagged
 }
 
+// width is the round's worker count over items independent items:
+// WithWorkers' n, normalized by mask.Workers, or 1 without the option.
+func (c *runConfig) width(items int) int {
+	if !c.seeded {
+		return 1
+	}
+	return mask.Workers(c.workers, items)
+}
+
 // configure applies opts and rejects conflicting charging modes.
 func configure(opts []Option) (runConfig, error) {
 	cfg := runConfig{epoch: -1}
@@ -63,10 +72,11 @@ func configure(opts []Option) (runConfig, error) {
 	return cfg, nil
 }
 
-// WithWorkers bounds the goroutines used for submission encoding; the
-// auctioneer's conflict graph and rank memos build on the round goroutine
-// whatever n is. n == 0 means one worker per available CPU; n == 1 pins
-// the seeded pipeline to the calling goroutine.
+// WithWorkers bounds the goroutines used for submission encoding and for
+// the auctioneer's conflict graph and rank memo builds
+// (core.Auctioneer.SetWorkers); without it the auctioneer builds on the
+// round goroutine. n == 0 means one worker per available CPU; n == 1 pins
+// the seeded pipeline and the builds to the calling goroutine.
 //
 // Passing this option — with any n — switches Run onto the seeded
 // encoding pipeline: the round rng is consumed serially up front (one TTP
@@ -139,10 +149,10 @@ func WithQuorum(q int) Option {
 // (winners, revenue, voided, violations, submission bytes, masked
 // digests) and the auctioneer's comparison and interning counters
 // (core.Auctioneer.SetObserver) into tel.Metrics; a root "round" span
-// with a child span per phase (encode, conflict_graph, allocate, charge)
-// and a straggler_excluded event per bidder a degraded quorum round
-// dropped into tel.Tracer, which a sampled tracer opens for one round in
-// K; each traced round into tel.Flight, which dumps its ring when the
+// with a child span per phase (encode, conflict_graph, rank_memo,
+// allocate, charge) and a straggler_excluded event per bidder a degraded
+// quorum round dropped into tel.Tracer, which a sampled tracer opens for
+// one round in K; each traced round into tel.Flight, which dumps its ring when the
 // round fails, degrades or exceeds the recorder's latency SLO; and each
 // phase's wall time to tel.OnPhase on the round goroutine. A Flight
 // without a Tracer is rejected. Results are bit-identical whatever tel
@@ -295,10 +305,7 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *o
 	}
 
 	ph.Phase("encode")
-	workers := 1
-	if cfg.seeded {
-		workers = mask.Workers(cfg.workers, n)
-	}
+	workers := cfg.width(n)
 	locs, subs, bytesPer, errs := encode(params, ring, in.Points, in.Bids, samplers, rng, workers, cfg.seeded)
 	// Without WithQuorum the first failed bidder fails the round; with it,
 	// failed bidders are excluded down to the quorum floor and the auction

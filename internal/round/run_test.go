@@ -57,7 +57,7 @@ func TestRunObserverDoesNotChangeResults(t *testing.T) {
 				t.Errorf("%s seed=%d: rounds_total = %d, want 1", sh.tag, seed, reg.Counter("lppa_rounds_total").Value())
 			}
 			snap := reg.Snapshot()
-			for _, phase := range []string{"encode", "conflict_graph", "allocate", "charge"} {
+			for _, phase := range []string{"encode", "conflict_graph", "rank_memo", "allocate", "charge"} {
 				h := snap.Histograms[`lppa_round_phase_seconds{phase="`+phase+`"}`]
 				if h.Count != 1 {
 					t.Errorf("%s seed=%d: phase %q observed %d times, want 1", sh.tag, seed, phase, h.Count)

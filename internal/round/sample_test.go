@@ -180,7 +180,7 @@ func TestWithPhaseObserver(t *testing.T) {
 		}
 		names = append(names, ph.name)
 	}
-	wantNames := []string{"encode", "conflict_graph", "allocate", "charge"}
+	wantNames := []string{"encode", "conflict_graph", "rank_memo", "allocate", "charge"}
 	if len(names) != len(wantNames) {
 		t.Fatalf("observed phases %v, want %v", names, wantNames)
 	}

@@ -90,7 +90,7 @@ func TestWithTraceSpanTopology(t *testing.T) {
 			order = append(order, s.Name)
 		}
 	}
-	want := []string{"encode", "conflict_graph", "allocate", "charge"}
+	want := []string{"encode", "conflict_graph", "rank_memo", "allocate", "charge"}
 	if len(order) != len(want) {
 		t.Fatalf("phase spans under root = %v, want %v", order, want)
 	}
@@ -167,7 +167,7 @@ func TestFlightRecorderDumpsDegradedRound(t *testing.T) {
 	for _, sp := range tracer.Snapshot() {
 		names[sp.Name]++
 	}
-	for _, name := range []string{"round", "encode", "conflict_graph", "allocate", "charge"} {
+	for _, name := range []string{"round", "encode", "conflict_graph", "rank_memo", "allocate", "charge"} {
 		if names[name] != 2 {
 			t.Errorf("tracer holds %d %q spans after both rounds, want 2: %v", names[name], name, names)
 		}

@@ -41,7 +41,7 @@ type Config struct {
 	// excluded bidders, and — on the auctioneer — round phase timings plus
 	// the core comparison counters. Its Tracer records the server's spans:
 	// on the auctioneer one root round span (opened when the server starts,
-	// with conflict_graph/allocate/charge phase children) plus a
+	// with conflict_graph/rank_memo/allocate/charge phase children) plus a
 	// recv_submission span per accepted submission that parents onto the
 	// sender's wire trace context; on the TTP one span per exchange. Its
 	// Flight (auctioneer only, needs the Tracer) keeps every span the

@@ -150,7 +150,7 @@ func TestNetworkedRoundMetrics(t *testing.T) {
 	if got := reg.Histogram("lppa_transport_submission_seconds", nil, obs.L("role", "auctioneer")).Count(); got != n {
 		t.Errorf("submission latency observations = %d, want %d", got, n)
 	}
-	for _, phase := range []string{"conflict_graph", "allocate", "charge"} {
+	for _, phase := range []string{"conflict_graph", "rank_memo", "allocate", "charge"} {
 		if got := reg.Histogram("lppa_round_phase_seconds", nil, obs.L("phase", phase)).Count(); got != 1 {
 			t.Errorf("phase %q observed %d times, want 1", phase, got)
 		}

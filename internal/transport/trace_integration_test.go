@@ -167,7 +167,7 @@ func TestTracedRoundEndToEnd(t *testing.T) {
 		t.Fatalf("round spans = %d, want 1", len(roots))
 	}
 	root := roots[0]
-	for _, phase := range []string{"conflict_graph", "allocate", "charge"} {
+	for _, phase := range []string{"conflict_graph", "rank_memo", "allocate", "charge"} {
 		ps := byName[phase]
 		if len(ps) != 1 {
 			t.Fatalf("%s spans = %d, want 1", phase, len(ps))

@@ -178,12 +178,38 @@ func (t *TTP) ValidateAward(sealed []byte) bool {
 
 // ProcessBatch adjudicates a batch of requests in order (the paper's
 // batched TTP interaction), building each channel's masker once per batch.
-// It is safe to call concurrently.
+// A channel with enough requests to pay for a digest table gets one
+// (memoizes). It is safe to call concurrently.
 func (t *TTP) ProcessBatch(reqs []core.ChargeRequest) []ChargeResult {
 	out := make([]ChargeResult, len(reqs))
 	maskers := make([]*mask.Masker, t.ring.Channels())
+	w := prefix.WidthFor(t.params.ScaledMax(t.ring))
+	perChannel := make([]int, len(maskers))
+	for _, req := range reqs {
+		if req.Channel >= 0 && req.Channel < len(perChannel) {
+			perChannel[req.Channel]++
+		}
+	}
+	for r, c := range perChannel {
+		if memoizes(c, w) {
+			if m, err := mask.NewMasker(t.ring.GB[r]); err == nil {
+				m.Memoize(w)
+				maskers[r] = m
+			}
+		}
+	}
 	for i, req := range reqs {
 		out[i] = t.process(req, maskers)
 	}
 	return out
+}
+
+// memoizes reports whether a batch holding requests family checks on one
+// channel should give that channel's masker a digest table: when the
+// checks hash at least as many prefixes, w+1 each, as the table holds,
+// 2^(w+1) (w+1 < 63 keeps the shift in range). The table is
+// key-equivalent material (mask.Masker.Memoize); it stays inside the TTP,
+// which holds the keys anyway, and dies with the batch.
+func memoizes(requests, w int) bool {
+	return w+1 < 63 && requests*(w+1) >= 1<<(w+1)
 }

@@ -1,6 +1,7 @@
 package ttp
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"lppa/internal/core"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
+	"lppa/internal/prefix"
 )
 
 func params() core.Params {
@@ -424,5 +426,69 @@ func TestProcessRejectsOverBMaxPrice(t *testing.T) {
 	res2 := trusted.Process(req2)
 	if res2.Err == nil || res2.Valid {
 		t.Error("over-bmax runner-up price accepted")
+	}
+}
+
+// TestProcessBatchMemoizedMatchesProcess pins the batch's digest tables to
+// per-request adjudication: channel 0 holds enough requests for a table
+// and channel 1 too few, each mixing valid bids, true zeros, families
+// swapped between bidders and truncated families, plus requests on
+// channels out of range. Every batch verdict equals Process's.
+func TestProcessBatchMemoizedMatchesProcess(t *testing.T) {
+	trusted, _, enc, rng := setup(t, 10)
+	p := params()
+	w := prefix.WidthFor(p.ScaledMax(trusted.ring))
+	perChannel := []int{1<<(w+1)/(w+1) + 1, 12}
+	if !memoizes(perChannel[0], w) || memoizes(perChannel[1], w) {
+		t.Fatalf("w=%d: %v requests should memoize channel 0 only", w, perChannel)
+	}
+	var reqs []core.ChargeRequest
+	for r, count := range perChannel {
+		for i := 0; i < count; i++ {
+			bids := make([]uint64, p.Channels)
+			if i%4 != 1 {
+				bids[r] = uint64(rng.Intn(int(p.BMax))) + 1
+			}
+			sub, err := enc.Encode(bids, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb := sub.Channels[r]
+			req := core.ChargeRequest{Bidder: len(reqs), Channel: r, Sealed: cb.Sealed, Family: cb.Family.Digests()}
+			switch i % 8 {
+			case 2: // another bidder's family
+				if len(reqs) > 0 {
+					req.Family = reqs[len(reqs)-1].Family
+				}
+			case 6: // a truncated family
+				req.Family = req.Family[1:]
+			}
+			reqs = append(reqs, req)
+		}
+	}
+	for _, ch := range []int{-1, p.Channels} {
+		req := reqs[0]
+		req.Channel = ch
+		reqs = append(reqs, req)
+	}
+
+	valid, voided, failed := 0, 0, 0
+	for i, got := range trusted.ProcessBatch(reqs) {
+		want := trusted.Process(reqs[i])
+		if got.Bidder != want.Bidder || got.Channel != want.Channel || got.Valid != want.Valid ||
+			got.Price != want.Price || fmt.Sprint(got.Err) != fmt.Sprint(want.Err) {
+			t.Errorf("request %d: batch verdict %+v, Process %+v", i, got, want)
+		}
+		switch {
+		case got.Err != nil:
+			failed++
+		case got.Valid:
+			valid++
+		default:
+			voided++
+		}
+	}
+	if valid == 0 || voided == 0 || failed < 3 {
+		t.Errorf("batch mix too narrow: %d valid, %d voided, %d failed", valid, voided, failed)
 	}
 }

@@ -297,8 +297,9 @@ func Run(params Params, ring *KeyRing, in RoundInput, opts ...RunOption) (*Round
 }
 
 // WithWorkers runs the round through the deterministic parallel pipeline
-// with n goroutines (0 = GOMAXPROCS). Results are identical for any worker
-// count.
+// with n goroutines (0 = GOMAXPROCS): the bidders' encode and the
+// auctioneer's conflict graph and rank memo builds, which without it run
+// on the round goroutine. Results are identical for any worker count.
 func WithWorkers(n int) RunOption { return round.WithWorkers(n) }
 
 // WithPolicies gives each bidder its own disguise policy (len must equal
@@ -315,7 +316,8 @@ func WithSecondPrice() RunOption { return round.WithSecondPrice() }
 
 // WithTelemetry reports the round through tel: per-phase wall time,
 // winners, revenue, comparison and interning counters into tel.Metrics, a
-// round root span with encode/conflict_graph/allocate/charge children
+// round root span with encode/conflict_graph/rank_memo/allocate/charge
+// children
 // into tel.Tracer, the traced round into tel.Flight, and each phase's wall
 // time to tel.OnPhase. A Flight without a Tracer is rejected. The round
 // counts whatever tel holds, and results are bit-identical either way.
