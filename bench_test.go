@@ -13,7 +13,6 @@ import (
 	cryptorand "crypto/rand"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -24,7 +23,6 @@ import (
 	"lppa/internal/conflict"
 	"lppa/internal/core"
 	"lppa/internal/dataset"
-	"lppa/internal/epoch"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
 	"lppa/internal/paillier"
@@ -411,7 +409,7 @@ func BenchmarkMaskedCompareGE(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CompareGE(&a.Channels[0], &c.Channels[0])
+		a.Channels[0].Family.Intersects(c.Channels[0].Range)
 	}
 }
 
@@ -453,31 +451,6 @@ func BenchmarkBidEncodeAdvanced(b *testing.B) {
 		if _, err := enc.Encode(bids, rng); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPrivateConflictGraph is the auctioneer's conflict-graph build
-// over N=50 masked submissions.
-func BenchmarkPrivateConflictGraph(b *testing.B) {
-	p := core.Params{Channels: 1, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
-	ring, err := mask.DeriveKeyRing([]byte("graph"), 1, 5, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	const n = 50
-	subs := make([]*core.LocationSubmission, n)
-	for i := range subs {
-		var err error
-		subs[i], err = core.NewLocationSubmission(p, ring,
-			geo.Point{X: uint64(rng.Intn(100)), Y: uint64(rng.Intn(100))})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engineGraph(b, p, subs)
 	}
 }
 
@@ -928,7 +901,7 @@ func BenchmarkAblationPricingRule(b *testing.B) {
 	})
 }
 
-// --- Parallel-pipeline benchmarks ---------------------------------------
+// --- Masking fast path and placement density ----------------------------
 
 // BenchmarkZeroAllocMask times the resettable-HMAC fast path; the
 // mask package's TestMaskZeroAlloc (`make alloc-guard`) pins that it does
@@ -943,107 +916,6 @@ func BenchmarkZeroAllocMask(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Mask(uint64(i))
-	}
-}
-
-// BenchmarkParallelMaskAll sweeps worker counts over a batch of prefix
-// families (64 bidders × 16 values), the shape the submission encoders
-// produce.
-func BenchmarkParallelMaskAll(b *testing.B) {
-	m, err := mask.NewMasker(make(mask.Key, 32))
-	if err != nil {
-		b.Fatal(err)
-	}
-	batches := make([][]uint64, 64)
-	for i := range batches {
-		batches[i] = make([]uint64, 16)
-		for j := range batches[i] {
-			batches[i][j] = uint64(i*16 + j)
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.ParallelMaskAll(batches, workers)
-			}
-		})
-	}
-}
-
-// BenchmarkParallelPrivateRound sweeps worker counts over the full
-// deterministic parallel round (encoding + graph + allocation + charging).
-func BenchmarkParallelPrivateRound(b *testing.B) {
-	ds := benchDataset(b)
-	area := ds.Areas[2]
-	pop := benchPopulation(b, area, 30)
-	sc, err := sim.NewScenario(area, 32, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ring, err := mask.DeriveKeyRing([]byte("pround"), sc.Params.Channels, 5, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var opts []round.Option
-			if workers > 1 {
-				opts = append(opts, round.WithWorkers(workers))
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := round.Run(sc.Params, ring, round.Input{Points: sim.Points(pop), Bids: pop.Bids,
-					Policy: core.DefaultDisguise(), Rng: rand.New(rand.NewSource(int64(i)))}, opts...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRankMemoAllocation isolates the allocation-lean comparator: the
-// same Algorithm 3 run answered by the per-column rank memo versus direct
-// masked set intersections on every comparison.
-func BenchmarkRankMemoAllocation(b *testing.B) {
-	p := core.Params{Channels: 8, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
-	ring, err := mask.DeriveKeyRing([]byte("memo"), p.Channels, 5, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	const n = 60
-	pts := make([]geo.Point, n)
-	bids := make([][]uint64, n)
-	for i := range pts {
-		pts[i] = geo.Point{X: uint64(rng.Intn(100)), Y: uint64(rng.Intn(100))}
-		bids[i] = make([]uint64, p.Channels)
-		for r := range bids[i] {
-			bids[i][r] = uint64(rng.Intn(101))
-		}
-	}
-	locs, err := core.NewLocationSubmissions(p, ring, pts, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	subs := make([]*core.BidSubmission, n)
-	for i := range subs {
-		enc, err := core.NewBidEncoder(p, ring, nil, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if subs[i], err = enc.Encode(bids[i], rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		auc, err := core.NewAuctioneer(p, locs, subs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := auc.Allocate(rand.New(rand.NewSource(int64(i)))); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -1135,251 +1007,7 @@ func BenchmarkInternedIntersect(b *testing.B) {
 	}
 }
 
-// engineGraph builds the auctioneer's conflict graph — the one execution
-// path — over location submissions alone; the placeholder bids are never
-// read by the graph build.
-func engineGraph(b *testing.B, p core.Params, locs []*core.LocationSubmission) *conflict.Graph {
-	return engineGraphWorkers(b, p, locs, 1)
-}
-
-// engineGraphWorkers is engineGraph with the build fanned out over workers
-// (core.Auctioneer.SetWorkers).
-func engineGraphWorkers(b *testing.B, p core.Params, locs []*core.LocationSubmission, workers int) *conflict.Graph {
-	bids := make([]*core.BidSubmission, len(locs))
-	for i := range bids {
-		bids[i] = &core.BidSubmission{Channels: make([]core.ChannelBid, p.Channels)}
-	}
-	auc, err := core.NewAuctioneer(p, locs, bids)
-	if err != nil {
-		b.Fatal(err)
-	}
-	auc.SetWorkers(workers)
-	return auc.ConflictGraph()
-}
-
-// conflictSubsN300 builds the N=300 masked population both conflict-graph
-// benchmarks share.
-func conflictSubsN300(b *testing.B) (core.Params, []*core.LocationSubmission) {
-	b.Helper()
-	p := core.Params{Channels: 1, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
-	ring, err := mask.DeriveKeyRing([]byte("graph300"), 1, 5, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	const n = 300
-	pts := make([]geo.Point, n)
-	for i := range pts {
-		pts[i] = geo.Point{X: uint64(rng.Intn(100)), Y: uint64(rng.Intn(100))}
-	}
-	subs, err := core.NewLocationSubmissions(p, ring, pts, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p, subs
-}
-
-// BenchmarkConflictGraphN300 is the conflict-graph build at N=300: the
-// test oracle (all pairs over plain mask.Set) against the auctioneer's
-// engine (interning, location grouping and the candidate index, ingest
-// cost included), serial and fanned out over 2, 4 and 8 workers.
-func BenchmarkConflictGraphN300(b *testing.B) {
-	p, subs := conflictSubsN300(b)
-	b.Run("oracle", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.BuildConflictGraph(subs)
-		}
-	})
-	b.Run("engine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engineGraph(b, p, subs)
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("engine-workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				engineGraphWorkers(b, p, subs, workers)
-			}
-		})
-	}
-}
-
-// rankMemoRoundN300 builds the N=300, k=4 bid matrix the rank-memo
-// representation benchmarks share.
-func rankMemoRoundN300(b *testing.B) (core.Params, []*core.LocationSubmission, []*core.BidSubmission) {
-	b.Helper()
-	p := core.Params{Channels: 4, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
-	ring, err := mask.DeriveKeyRing([]byte("memo300"), p.Channels, 5, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	const n = 300
-	pts := make([]geo.Point, n)
-	bids := make([][]uint64, n)
-	for i := range pts {
-		pts[i] = geo.Point{X: uint64(rng.Intn(100)), Y: uint64(rng.Intn(100))}
-		bids[i] = make([]uint64, p.Channels)
-		for r := range bids[i] {
-			bids[i][r] = uint64(rng.Intn(101))
-		}
-	}
-	locs, err := core.NewLocationSubmissions(p, ring, pts, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	subs := make([]*core.BidSubmission, n)
-	for i := range subs {
-		enc, err := core.NewBidEncoder(p, ring, nil, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if subs[i], err = enc.Encode(bids[i], rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return p, locs, subs
-}
-
-// BenchmarkRankMemoN300 is the rank-memo build at N=300 over all k
-// columns: the test oracle (a stable sort of every bidder under CompareGE
-// on plain mask.Set bids, O(n log n) masked comparisons per column)
-// against the engine (a fresh auctioneer's Rankings: family digests
-// counted in one dictionary, one lookup pass over the range covers, dense
-// ranks and a counting sort).
-func BenchmarkRankMemoN300(b *testing.B) {
-	p, locs, subs := rankMemoRoundN300(b)
-	b.Run("oracle", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < p.Channels; r++ {
-				order := make([]int, len(subs))
-				for x := range order {
-					order[x] = x
-				}
-				sort.SliceStable(order, func(x, y int) bool {
-					i, j := &subs[order[x]].Channels[r], &subs[order[y]].Channels[r]
-					return core.CompareGE(i, j) && !core.CompareGE(j, i)
-				})
-			}
-		}
-	})
-	b.Run("engine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			auc, err := core.NewAuctioneer(p, locs, subs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			auc.Rankings()
-		}
-	})
-}
-
-// BenchmarkAuctioneerSmall prices the auctioneer's fixed cost on the
-// smallest rounds (the networked two-bidder round): a fresh NewAuctioneer
-// → ConflictGraph → Allocate → ChargeRequests per iteration, with the
-// submissions encoded once outside the loop. Run with -benchmem: at n=2
-// the per-round allocations are most of the cost.
-func BenchmarkAuctioneerSmall(b *testing.B) {
-	p := core.Params{Channels: 8, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
-	ring, err := mask.DeriveKeyRing([]byte("auctioneer-small"), p.Channels, 5, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{2, 16} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		pts := make([]geo.Point, n)
-		subs := make([]*core.BidSubmission, n)
-		for i := range pts {
-			pts[i] = geo.Point{X: uint64(rng.Intn(100)), Y: uint64(rng.Intn(100))}
-			bids := make([]uint64, p.Channels)
-			for r := range bids {
-				bids[r] = uint64(rng.Intn(int(p.BMax))) + 1
-			}
-			enc, err := core.NewBidEncoder(p, ring, nil, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if subs[i], err = enc.Encode(bids, rng); err != nil {
-				b.Fatal(err)
-			}
-		}
-		locs, err := core.NewLocationSubmissions(p, ring, pts, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			alloc := rand.New(rand.NewSource(1))
-			for i := 0; i < b.N; i++ {
-				auc, err := core.NewAuctioneer(p, locs, subs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				auc.ConflictGraph()
-				as, err := auc.Allocate(alloc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				auc.ChargeRequests(as)
-			}
-		})
-	}
-}
-
 // --- Candidate-generation benchmarks -------------------------------------
-
-// BenchmarkConflictGraphIndexed is the conflict-graph build at N=3000
-// under the two density regimes of DESIGN.md §5f: the all-pairs oracle
-// over plain mask.Set against the engine (distinct-location groups and an
-// inverted index over them). Sparse-rural (uniform over a 1000×1000
-// domain) is where the index wins — short posting lists collapse the
-// candidate set far below n². Dense-urban (three tight hotspots on a
-// 100×100 domain) is where grouping wins: a few hundred distinct
-// locations carry ~1.35 M edges.
-func BenchmarkConflictGraphIndexed(b *testing.B) {
-	const n = 3000
-	regimes := []struct {
-		mix  dataset.DensityMix
-		grid geo.Grid
-	}{
-		{dataset.UrbanMix(), geo.Grid{Rows: 100, Cols: 100, SideMeters: 75_000}},
-		{dataset.RuralMix(), geo.Grid{Rows: 1000, Cols: 1000, SideMeters: 75_000}},
-	}
-	for _, re := range regimes {
-		p := core.Params{Channels: 1, Lambda: re.mix.Lambda,
-			MaxX: uint64(re.grid.Cols - 1), MaxY: uint64(re.grid.Rows - 1), BMax: 100}
-		ring, err := mask.DeriveKeyRing([]byte("ixbench-"+re.mix.Name), 1, 5, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pts := re.mix.Points(re.grid, n, rand.New(rand.NewSource(3)))
-		subs, err := core.NewLocationSubmissions(p, ring, pts, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var name string
-		switch re.mix.Name {
-		case "urban":
-			name = "dense-urban"
-		default:
-			name = "sparse-rural"
-		}
-		b.Run(name+"/oracle", func(b *testing.B) {
-			var edges int
-			for i := 0; i < b.N; i++ {
-				edges = core.BuildConflictGraph(subs).Edges()
-			}
-			b.ReportMetric(float64(edges), "edges")
-		})
-		b.Run(name+"/engine", func(b *testing.B) {
-			var edges int
-			for i := 0; i < b.N; i++ {
-				edges = engineGraph(b, p, subs).Edges()
-			}
-			b.ReportMetric(float64(edges), "edges")
-		})
-	}
-}
 
 // BenchmarkIndexCursorRow times the steady-state candidate scan once the
 // cursor's scratch buffers have grown to the hottest row; the mask
@@ -1526,159 +1154,6 @@ func BenchmarkRoundTraceOverhead(b *testing.B) {
 		b.StopTimer()
 		tracer.Take()
 	})
-}
-
-// BenchmarkEpochService prices the epochal service pipeline end to end:
-// each iteration streams one full population through the admission gate
-// (explicit clock, so the admit/reject split is deterministic), seals the
-// epoch, and lets the runner allocate it while the next iteration's
-// intake proceeds — the same overlap the long-lived service exhibits.
-// The rate limit is sized to shed part of every population, so the
-// admitted/rejected metrics exercise the gate rather than bypassing it,
-// and both ledgers settle through the batched accountant. Headline
-// metrics: epochs/s, admitted and rejected per epoch, and the accounting
-// flush traffic (db calls + key writes per epoch).
-func BenchmarkEpochService(b *testing.B) {
-	p := core.Params{Channels: 8, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
-	ring, err := mask.DeriveKeyRing([]byte("epoch-bench"), p.Channels, 5, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 200
-	rng := rand.New(rand.NewSource(61))
-	subs := make([]epoch.Submission, n)
-	for i := range subs {
-		subs[i] = epoch.Submission{
-			Bidder: i,
-			Point:  geo.Point{X: uint64(rng.Intn(100)), Y: uint64(rng.Intn(100))},
-			Bids:   make([]uint64, p.Channels),
-		}
-		for r := range subs[i].Bids {
-			if rng.Intn(3) > 0 {
-				subs[i].Bids[r] = uint64(rng.Intn(int(p.BMax))) + 1
-			}
-		}
-	}
-	variants := []struct {
-		name string
-		opts []round.Option
-	}{
-		{"serial", nil},
-		{"workers4", []round.Option{round.WithWorkers(4)}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			billingStore, quotaStore := epoch.NewMemStore(), epoch.NewMemStore()
-			billing, err := epoch.NewAccountant("billing", billingStore, p.BMax*4, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			quota, err := epoch.NewAccountant("quota", quotaStore, 64, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			svc, err := epoch.New(epoch.Config{
-				Params: p, Ring: ring, Seed: 7,
-				Policy: core.DisguisePolicy{P0: 1},
-				// 100 tokens/s against 200 submissions/epoch: the gate sheds
-				// part of every population instead of idling.
-				Admission:    epoch.AdmissionConfig{Rate: 100, Burst: 150},
-				Billing:      billing,
-				Quota:        quota,
-				RoundOptions: v.opts,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			drained := make(chan struct{})
-			go func() {
-				defer close(drained)
-				for res := range svc.Results() {
-					if res.Err != nil {
-						b.Error(res.Err)
-					}
-				}
-			}()
-			var admitted, rejected int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// One second of simulated wall clock per epoch refills the
-				// bucket by Rate; the split is identical on every run.
-				now := float64(i)
-				for _, sub := range subs {
-					switch err := svc.SubmitAt(sub, now); err.(type) {
-					case nil:
-						admitted++
-					case *epoch.ErrRateLimited:
-						rejected++
-					default:
-						b.Fatal(err)
-					}
-				}
-				if err := svc.Seal(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Close drains the queued epochs through the runner, so the
-			// timed region covers allocation, not just intake.
-			if err := svc.Close(); err != nil {
-				b.Fatal(err)
-			}
-			<-drained
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "epochs/s")
-			b.ReportMetric(float64(admitted)/float64(b.N), "admitted/epoch")
-			b.ReportMetric(float64(rejected)/float64(b.N), "rejected/epoch")
-			calls := billingStore.Calls() + quotaStore.Calls()
-			writes := billingStore.Writes() + quotaStore.Writes()
-			b.ReportMetric(float64(calls)/float64(b.N), "dbCalls/epoch")
-			b.ReportMetric(float64(writes)/float64(b.N), "dbWrites/epoch")
-		})
-	}
-}
-
-// BenchmarkBatchedAccounting backs the PR-8 acceptance criterion with
-// numbers: at N=10000 accounting ops, the thresholded accountant must
-// issue at least 10× fewer simulated datastore calls than the
-// per-submission baseline (threshold 1 — every delta is its own round
-// trip) while persisting identical exact totals.
-// TestBatchedAccountingWriteReduction asserts the same bound; this
-// benchmark publishes the measured traffic into BENCH_PR8.json.
-func BenchmarkBatchedAccounting(b *testing.B) {
-	const nOps = 10_000
-	const keys = 500 // distinct bidders the deltas spread across
-	modes := []struct {
-		name      string
-		threshold uint64
-	}{
-		{"per-submission", 1},
-		{"batched", 4000},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			var calls, writes uint64
-			for i := 0; i < b.N; i++ {
-				store := epoch.NewMemStore()
-				acct, err := epoch.NewAccountant("bench", store, m.threshold, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(17))
-				for op := 0; op < nOps; op++ {
-					if err := acct.Add(rng.Intn(keys), uint64(rng.Intn(100))+1); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := acct.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				calls, writes = store.Calls(), store.Writes()
-			}
-			b.ReportMetric(float64(calls), "dbCalls")
-			b.ReportMetric(float64(writes), "dbWrites")
-			b.ReportMetric(float64(nOps)/float64(calls), "ops/dbCall")
-		})
-	}
 }
 
 // --- Bidder-side encoding (PR 12) ------------------------------------------

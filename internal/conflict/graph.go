@@ -139,8 +139,8 @@ func BuildPlain(points []geo.Point, lambda uint64) *Graph {
 }
 
 // BuildFromPredicate constructs the graph by evaluating an arbitrary
-// symmetric pairwise predicate; LPPA's auctioneer passes the masked
-// prefix-intersection test. pred is only called for i < j.
+// symmetric pairwise predicate; the core tests' all-pairs oracle passes
+// the masked prefix-intersection test. pred is only called for i < j.
 func BuildFromPredicate(n int, pred func(i, j int) bool) *Graph {
 	g := NewGraph(n)
 	for i := 0; i < n; i++ {

@@ -207,9 +207,12 @@ type ChargeRequest struct {
 	Channel int
 	Sealed  []byte
 	Family  []mask.Digest
-	// RunnerUpSealed, when present, switches the charge to second-price:
-	// the TTP unblinds it and charges the winner the runner-up's true bid
-	// (zero when the runner-up was itself a zero). Nil means first-price.
+	// SecondPrice charges the winner the runner-up's true bid instead of
+	// its own: the TTP unblinds RunnerUpSealed, and charges zero when the
+	// runner-up was itself a zero or, with RunnerUpSealed nil, when the
+	// winner had no runner-up. Without it a present RunnerUpSealed still
+	// switches the charge to second price; with neither it is first price.
+	SecondPrice    bool
 	RunnerUpSealed []byte
 }
 
@@ -228,9 +231,14 @@ func (a *Auctioneer) AllocateAwards(rng *rand.Rand) ([]auction.Award, error) {
 
 // ChargeRequestsSecondPrice assembles a second-price TTP batch: each
 // request carries the winner's sealed bid (validity + price/prefix
-// verification) and the runner-up's sealed bid (the clearing price).
+// verification), is marked SecondPrice, and carries the runner-up's sealed
+// bid (the clearing price) when the award had one.
 func (a *Auctioneer) ChargeRequestsSecondPrice(awards []auction.Award) []ChargeRequest {
-	return a.chargeBatch(len(awards), func(i int) (auction.Assignment, int) { return awards[i].Assignment, awards[i].RunnerUp })
+	reqs := a.chargeBatch(len(awards), func(i int) (auction.Assignment, int) { return awards[i].Assignment, awards[i].RunnerUp })
+	for i := range reqs {
+		reqs[i].SecondPrice = true
+	}
+	return reqs
 }
 
 // chargeBatch builds n charge requests; award(i) gives the i-th winner's

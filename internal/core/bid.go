@@ -215,12 +215,3 @@ func (s *prefixScratch) cover(lo, hi uint64, w int) []uint64 {
 	s.nums = prefix.AppendNumericalized(s.nums[:0], s.ps)
 	return s.nums
 }
-
-// CompareGE is the auctioneer's only primitive on masked bids: it reports
-// whether bid a is at least bid b on the same channel, via
-// H(G(a)) ∩ H(Q([b, max])) ≠ ∅. Both bids must come from the same channel
-// (and hence the same key); cross-channel comparisons are meaningless by
-// construction and return garbage — that is the point of per-channel keys.
-func CompareGE(a, b *ChannelBid) bool {
-	return a.Family.Intersects(b.Range)
-}

@@ -12,17 +12,19 @@ import (
 // (DESIGN.md §5g): group co-located bidders, generate candidate group pairs
 // from an inverted index over interned digests, confirm them with the
 // exact masked predicate, and write the graph one group row at a time. The
-// all-pairs build over plain mask.Set (BuildConflictGraph) is the
-// verification oracle the tests pin it to.
+// tests pin it to an all-pairs build over plain mask.Set (oracle_test.go).
 
 // buildGraph evaluates the exact conflict predicate over the population's
 // distinct locations and writes each verdict to the member bidders.
 //
-// Co-located bidders have identical masked families (location masking is
-// deterministic under the shared key), so they form one distinct-location
-// group: the predicate is evaluated once per candidate group pair, and
-// same-location pairs are unconditional edges — the exact predicate is
-// Chebyshev distance < 2λ, and distance 0 always qualifies. Candidate
+// Bidders whose four masked sets are equal form one distinct-location
+// group; co-located bidders always do, since location masking is
+// deterministic under the shared key. The predicate is evaluated once per
+// candidate group pair, and same-location pairs are unconditional edges —
+// the exact predicate is Chebyshev distance < 2λ, and distance 0 always
+// qualifies. A submission that copies another location's families but
+// not its covers opens a group of its own, so it decides only its own
+// edges, never those of the bidders it copied. Candidate
 // group pairs come from an inverted index over one representative per
 // group (mask.Index): groups are numbered in first-appearance order, and
 // the skew guard's auto threshold max(64, G/8) is calibrated to the
@@ -44,17 +46,30 @@ func (a *Auctioneer) buildGraph() *conflict.Graph {
 	// reads locations.
 	iloc, total, distinct := internLocations(a.locs)
 
-	// group[i] is bidder i's group; reps[k] is group k's first member.
-	groupOf := make(map[uint64]uint32, n)
+	// group[i] is bidder i's group; reps[k] is group k's first member. The
+	// key only finds candidate groups: head[key] and the next chain list
+	// the groups with that key (none ends a chain). Bidder i joins the one
+	// whose representative submitted i's four sets, or opens a new group.
+	const none = ^uint32(0)
+	head := make(map[uint64]uint32, n)
 	group := make([]uint32, n)
 	var reps []int
+	var next []uint32
 	for i := range iloc {
 		k := iloc[i].key()
-		gi, ok := groupOf[k]
+		first, ok := head[k]
 		if !ok {
+			first = none
+		}
+		gi := first
+		for gi != none && !iloc[reps[gi]].equal(&iloc[i]) {
+			gi = next[gi]
+		}
+		if gi == none {
 			gi = uint32(len(reps))
-			groupOf[k] = gi
 			reps = append(reps, i)
+			next = append(next, first)
+			head[k] = gi
 		}
 		group[i] = gi
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lppa/internal/dataset"
@@ -110,25 +111,29 @@ func TestIndexedGraphMatchesOracle(t *testing.T) {
 }
 
 // FuzzIndexedEquivalence replays arbitrary (seed, population, shape,
-// workers) tuples: the auctioneer's indexed graph, built serially and at
-// that worker count, must stay bit-identical to the all-pairs oracle on
-// every one. All inputs derive from the fuzz
-// arguments, so any failure replays deterministically from its corpus file
-// (the FuzzDecodeFrame convention).
+// workers, crafted) tuples: the auctioneer's indexed graph, built serially
+// and at that worker count, must stay bit-identical to the all-pairs oracle
+// on every one. craftRaw then inserts a crafted bidder (craftedLocation:
+// another bidder's families, the covers of a point half the domain away)
+// at a position it picks, and every honest pair's edge must still equal
+// the plaintext truth's. All inputs derive from the fuzz arguments, so any
+// failure replays deterministically from its corpus file (the
+// FuzzDecodeFrame convention).
 func FuzzIndexedEquivalence(f *testing.F) {
 	for shape := uint8(0); shape < 4; shape++ {
-		f.Add(int64(1), uint8(20), shape, uint8(1))
-		f.Add(int64(2), uint8(45), shape, uint8(3))
+		f.Add(int64(1), uint8(20), shape, uint8(1), shape)
+		f.Add(int64(2), uint8(45), shape, uint8(3), 2*shape+1)
 	}
-	f.Add(int64(3), uint8(10), uint8(0), uint8(2))
-	f.Add(int64(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(10), uint8(0), uint8(2), uint8(9))
+	f.Add(int64(0), uint8(0), uint8(0), uint8(0), uint8(0))
 
 	p := testParams()
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, shapeRaw, workersRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, shapeRaw, workersRaw, craftRaw uint8) {
 		n := int(nRaw%48) + 1
 		shape := densityShapes[int(shapeRaw)%len(densityShapes)]
 		workers := int(workersRaw%5) + 1
-		subs := locSubs(t, p, shapePoints(p, shape, n, seed))
+		pts := shapePoints(p, shape, n, seed)
+		subs := locSubs(t, p, pts)
 
 		oracle := BuildConflictGraph(subs)
 		if got := engineGraph(t, p, subs); !got.Equal(oracle) {
@@ -137,6 +142,21 @@ func FuzzIndexedEquivalence(f *testing.F) {
 		if got := engineGraphWorkers(t, p, subs, workers); !got.Equal(oracle) {
 			t.Fatalf("seed=%d shape=%s n=%d workers=%d: indexed graph differs from oracle", seed, shape, n, workers)
 		}
+
+		victim := pts[int(craftRaw)%n]
+		far := geo.Point{X: (victim.X + (p.MaxX+1)/2) % (p.MaxX + 1), Y: (victim.Y + (p.MaxY+1)/2) % (p.MaxY + 1)}
+		pair := locSubs(t, p, []geo.Point{victim, far})
+		crafted := craftedLocation(pair[0], pair[1], craftRaw&1 == 1)
+		at := int(craftRaw/2) % (n + 1)
+		withCrafted := slices.Insert(slices.Clone(subs), at, crafted)
+		honest := make([]*geo.Point, 0, n+1)
+		for i := range pts {
+			honest = append(honest, &pts[i])
+		}
+		honest = slices.Insert(honest, at, nil)
+		tag := fmt.Sprintf("seed=%d shape=%s n=%d crafted=%d at %d", seed, shape, n, craftRaw, at)
+		checkHonestEdges(t, tag, p, engineGraph(t, p, withCrafted), honest)
+		checkHonestEdges(t, fmt.Sprintf("%s workers=%d", tag, workers), p, engineGraphWorkers(t, p, withCrafted, workers), honest)
 	})
 }
 

@@ -13,19 +13,23 @@ import "lppa/internal/mask"
 // submissions are immutable after NewAuctioneer, so interned sets are
 // never invalidated.
 
-// Grouping keys. A prefix family determines its value: it holds the
-// value's full-width prefix, which no other family of the same width
-// contains. If every family in a dictionary has one width and is interned
-// before any range cover, each distinct family therefore brings its own
-// full-width digest in as a fresh ID larger than every ID of the families
-// interned before it, so the family's largest ID (IntSet.Max) is distinct
-// per distinct family and equal for equal ones. Hence one dictionary per
-// location axis (the two axes can differ in width, and a narrower axis's
-// family of v is a subset of the wider axis's family of v), each
-// interning families first. That makes Max an exact same-location key
-// without comparing sets, under the no-collision assumption masking
-// itself rests on. Bid columns are not interned this way: the rank memo
-// counts family digests instead (rank.go).
+// Grouping keys. The conflict graph groups bidders whose four interned
+// sets are equal (graphbuild.go); the key only finds the candidate groups
+// to compare against. Equal sets have equal keys, so a key mismatch never
+// splits a group, and equality decides. For honest submissions the key is
+// also exact, so the comparison never fails: a prefix family determines
+// its value, as it holds the value's full-width prefix, which no other
+// family of the same width contains. If every family in a dictionary has
+// one width and is interned before any range cover, each distinct family
+// brings its own full-width digest in as a fresh ID larger than every ID
+// of the families interned before it, so its largest ID (IntSet.Max) is
+// distinct per distinct family. Hence one dictionary per location axis
+// (the two axes can differ in width, and a narrower axis's family of v is
+// a subset of the wider axis's family of v), each interning families
+// first. A crafted submission breaks this only for itself: one that copies
+// another location's families with its own covers shares that location's
+// key but not its group. Bid columns are not interned this way: the rank
+// memo counts family digests instead (rank.go).
 
 // distinctBound caps a dictionary size hint of digests at the number of
 // distinct digests one masking key can produce for families of famLen
@@ -49,17 +53,23 @@ type internedLocation struct {
 	xFamily, yFamily, xRange, yRange mask.IntSet
 }
 
-// key is equal for two bidders exactly when they submitted the same
-// location (see Grouping keys above).
+// key is equal for two bidders that submitted the same four sets, and for
+// honest bidders only then (see Grouping keys above).
 func (l *internedLocation) key() uint64 {
 	return uint64(l.xFamily.Max())<<32 | uint64(l.yFamily.Max())
 }
 
+// equal reports whether two bidders submitted the same four sets.
+func (l *internedLocation) equal(o *internedLocation) bool {
+	return l.xFamily.Equal(o.xFamily) && l.yFamily.Equal(o.yFamily) &&
+		l.xRange.Equal(o.xRange) && l.yRange.Equal(o.yRange)
+}
+
 // internLocations interns a whole population under one fresh dictionary
-// per axis, families first (which makes key exact), then range covers. It
-// also reports how many digests passed through the dictionaries and how
-// many were distinct (dictionary misses) — the difference is the intern
-// hit count the observability layer exports.
+// per axis, families first (which makes key exact for honest families),
+// then range covers. It also reports how many digests passed through the
+// dictionaries and how many were distinct (dictionary misses) — the
+// difference is the intern hit count the observability layer exports.
 func internLocations(subs []*LocationSubmission) (out []internedLocation, total, distinct int) {
 	capX, capY := 0, 0
 	if len(subs) > 0 {

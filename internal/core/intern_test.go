@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"lppa/internal/auction"
+	"lppa/internal/conflict"
 	"lppa/internal/geo"
+	"lppa/internal/mask"
 )
 
 // TestConflictGraphRepresentationEquivalence pins the interned build
@@ -121,6 +124,122 @@ func TestLocationGroupingAcrossAxisWidths(t *testing.T) {
 		}
 		if got := engineGraph(t, p, locs); !got.Equal(BuildConflictGraph(locs)) {
 			t.Errorf("%s: engine graph differs from oracle on a non-square domain", shape)
+		}
+	}
+}
+
+// craftedLocation is what a bidder holding g0 can submit to share
+// victim's grouping key: victim's families with far's range covers. With
+// prefixed set, each family lists far's family digests first and then all
+// of victim's, which gives it victim's key whenever it is interned first.
+func craftedLocation(victim, far *LocationSubmission, prefixed bool) *LocationSubmission {
+	c := &LocationSubmission{XFamily: victim.XFamily, YFamily: victim.YFamily, XRange: far.XRange, YRange: far.YRange}
+	if prefixed {
+		c.XFamily = mask.NewSet(append(far.XFamily.Digests(), victim.XFamily.Digests()...))
+		c.YFamily = mask.NewSet(append(far.YFamily.Digests(), victim.YFamily.Digests()...))
+	}
+	return c
+}
+
+// checkHonestEdges fails unless every pair of honest bidders (honest[i]
+// is bidder i's true point, nil for a crafted bidder) has an edge in g
+// exactly when the plaintext predicate says they conflict.
+func checkHonestEdges(t *testing.T, tag string, p Params, g *conflict.Graph, honest []*geo.Point) {
+	t.Helper()
+	for i, a := range honest {
+		for j := i + 1; j < len(honest); j++ {
+			b := honest[j]
+			if a == nil || b == nil {
+				continue
+			}
+			if got, want := g.HasEdge(i, j), geo.Conflict(*a, *b, p.Lambda); got != want {
+				t.Errorf("%s: honest bidders %d at %v and %d at %v: edge %v, plaintext truth %v",
+					tag, i, *a, j, *b, got, want)
+			}
+		}
+	}
+}
+
+// TestLocationGroupingCraftedSubmission pins that a crafted location
+// submission decides only its own edges. Honest bidders M at (50,50) and
+// F at (52,51) conflict; a crafted bidder C submits F's families, as they
+// are or behind the family digests of (5,90), with the covers of (5,90),
+// and stands before or after F. Each variant shares F's grouping key when
+// C stands first, so with C as the group's representative its covers
+// would decide F's edges and drop M–F. Every honest pair's edge must equal
+// the plaintext truth's, and one channel bid 90 (M), 10 (C) and 80 (F)
+// must go to honest bidders that do not interfere.
+func TestLocationGroupingCraftedSubmission(t *testing.T) {
+	p := testParams()
+	p.Channels = 1
+	ring := testRing(t, p, 5, 8)
+	m, f, far := geo.Point{X: 50, Y: 50}, geo.Point{X: 52, Y: 51}, geo.Point{X: 5, Y: 90}
+	locs, err := NewLocationSubmissions(p, ring, []geo.Point{m, f, far}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !geo.Conflict(m, f, p.Lambda) {
+		t.Fatal("fixture: M and F must conflict")
+	}
+	rng := rand.New(rand.NewSource(1))
+	enc, err := NewBidEncoder(p, ring, nil, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bid := func(v uint64) *BidSubmission {
+		sub, err := enc.Encode([]uint64{v}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	mBid, cBid, fBid := bid(90), bid(10), bid(80)
+
+	for _, prefixed := range []bool{false, true} {
+		c := craftedLocation(locs[1], locs[2], prefixed)
+		for _, cFirst := range []bool{true, false} {
+			tag := "C after F"
+			subs := []*LocationSubmission{locs[0], locs[1], c}
+			bids := []*BidSubmission{mBid, fBid, cBid}
+			honest := []*geo.Point{&m, &f, nil}
+			if cFirst {
+				tag = "C before F"
+				subs = []*LocationSubmission{locs[0], c, locs[1]}
+				bids = []*BidSubmission{mBid, cBid, fBid}
+				honest = []*geo.Point{&m, nil, &f}
+			}
+			if prefixed {
+				tag += ", foreign digests first"
+			}
+			for _, workers := range []int{1, 2} {
+				auc, err := NewAuctioneer(p, subs, bids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				auc.SetWorkers(workers)
+				checkHonestEdges(t, tag, p, auc.ConflictGraph(), honest)
+
+				assignments, err := auc.Allocate(rand.New(rand.NewSource(2)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var honestAwards []auction.Assignment
+				var honestPts []geo.Point
+				for i, pt := range honest {
+					if pt == nil {
+						continue
+					}
+					for _, as := range assignments {
+						if as.Bidder == i {
+							honestAwards = append(honestAwards, auction.Assignment{Bidder: len(honestPts), Channel: as.Channel})
+						}
+					}
+					honestPts = append(honestPts, *pt)
+				}
+				if err := auction.VerifyInterferenceFree(honestAwards, conflict.BuildPlain(honestPts, p.Lambda)); err != nil {
+					t.Errorf("%s, workers=%d: awards %v: %v", tag, workers, assignments, err)
+				}
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"lppa/internal/conflict"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
 )
@@ -168,15 +167,4 @@ func NewLocationSubmissions(params Params, ring *mask.KeyRing, pts []geo.Point, 
 // underlying intervals share the same half-width.
 func Conflicts(a, b *LocationSubmission) bool {
 	return a.XFamily.Intersects(b.XRange) && a.YFamily.Intersects(b.YRange)
-}
-
-// BuildConflictGraph constructs the interference graph from masked
-// submissions only by evaluating Conflicts on every pair over the plain
-// mask.Set representation. It is the verification oracle the auctioneer's
-// indexed build (Auctioneer.ConflictGraph) is pinned to: it shares none of
-// that build's interning, grouping or candidate generation.
-func BuildConflictGraph(subs []*LocationSubmission) *conflict.Graph {
-	return conflict.BuildFromPredicate(len(subs), func(i, j int) bool {
-		return Conflicts(subs[i], subs[j])
-	})
 }

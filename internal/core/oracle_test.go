@@ -18,7 +18,26 @@ import (
 // (BuildConflictGraph), each column's rank order as a stable sort under
 // CompareGE, and the paper's Algorithm 3 as auction.AllocateAwards driven
 // by a CompareGE comparator. It shares none of the engine's interning,
-// location grouping, candidate index, value ranks or rank cursor.
+// location grouping, candidate index, value ranks or rank cursor, and no
+// production code calls it.
+
+// BuildConflictGraph constructs the interference graph from masked
+// submissions only, by evaluating Conflicts on every pair over the plain
+// mask.Set representation.
+func BuildConflictGraph(subs []*LocationSubmission) *conflict.Graph {
+	return conflict.BuildFromPredicate(len(subs), func(i, j int) bool {
+		return Conflicts(subs[i], subs[j])
+	})
+}
+
+// CompareGE is the paper's masked comparison: it reports whether bid a is
+// at least bid b on the same channel, via H(G(a)) ∩ H(Q([b, max])) ≠ ∅.
+// Both bids must come from the same channel (and hence the same key);
+// cross-channel comparisons are meaningless by construction and return
+// garbage — that is the point of per-channel keys.
+func CompareGE(a, b *ChannelBid) bool {
+	return a.Family.Intersects(b.Range)
+}
 
 // oracleGE compares two bidders' masked bids on channel r directly.
 func oracleGE(bids []*BidSubmission) auction.GE {

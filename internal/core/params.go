@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -93,10 +92,6 @@ func (d DisguisePolicy) Validate() error {
 	}
 	return nil
 }
-
-// ErrNoDisguise is returned by Sampler construction when the policy never
-// disguises (P0 = 1); callers treat it as "disguise disabled".
-var ErrNoDisguise = errors.New("core: policy never disguises")
 
 // DisguiseSampler draws disguise values from a fixed policy. Construct
 // once per (policy, bmax) pair; sampling is O(log bmax).

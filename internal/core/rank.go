@@ -59,9 +59,9 @@ func (a *Auctioneer) buildRanks() {
 //
 // and GE(i, j) ⟺ c_i ≤ c_j: the dense ranks of c, ascending, are the
 // value ranks, and equal counts are masked ties. Range padding is random
-// noise that matches no family digest — the no-collision assumption
-// CompareGE itself rests on — so pads add nothing, and c is a function of
-// the GE relation the comparator reveals anyway.
+// noise that matches no family digest — the no-collision assumption the
+// masked comparison itself rests on — so pads add nothing, and c is a
+// function of the GE relation the comparator reveals anyway.
 //
 // Only families are interned; each cover digest is a lookup. It also
 // reports the family digests interned and how many were distinct, for the

@@ -106,13 +106,11 @@ func NewAccountant(name string, store Store, threshold uint64, reg *obs.Registry
 	for i := range a.stripes {
 		a.stripes[i].pending = make(map[int]uint64)
 	}
-	if reg != nil {
-		l := obs.L("ledger", name)
-		a.ops = reg.Counter("lppa_acct_ops_total", l)
-		a.flushes = reg.Counter("lppa_acct_flushes_total", l)
-		a.calls = reg.Counter("lppa_acct_store_calls_total", l)
-		a.writes = reg.Counter("lppa_acct_store_writes_total", l)
-	}
+	l := obs.L("ledger", name)
+	a.ops = reg.Counter("lppa_acct_ops_total", l)
+	a.flushes = reg.Counter("lppa_acct_flushes_total", l)
+	a.calls = reg.Counter("lppa_acct_store_calls_total", l)
+	a.writes = reg.Counter("lppa_acct_store_writes_total", l)
 	return a, nil
 }
 
@@ -121,9 +119,7 @@ func NewAccountant(name string, store Store, threshold uint64, reg *obs.Registry
 // lock, so a concurrent Flush can neither drop nor double-count the
 // delta — exactness under concurrent flush is pinned by test.
 func (a *Accountant) Add(key int, delta uint64) error {
-	if a.ops != nil {
-		a.ops.Inc()
-	}
+	a.ops.Inc()
 	if delta == 0 {
 		return nil
 	}
@@ -147,11 +143,9 @@ func (a *Accountant) flushStripe(st *acctStripe) error {
 	batch := st.pending
 	st.pending = make(map[int]uint64, len(batch))
 	st.sum = 0
-	if a.flushes != nil {
-		a.flushes.Inc()
-		a.calls.Inc()
-		a.writes.Add(uint64(len(batch)))
-	}
+	a.flushes.Inc()
+	a.calls.Inc()
+	a.writes.Add(uint64(len(batch)))
 	return a.store.ApplyBatch(batch)
 }
 

@@ -106,10 +106,8 @@ func NewAdmission(cfg AdmissionConfig, reg *obs.Registry) (*Admission, error) {
 			return nil, err
 		}
 	}
-	if reg != nil {
-		a.admitted = reg.Counter("lppa_admission_admitted_total")
-		a.rejected = reg.Counter("lppa_admission_rejected_total")
-	}
+	a.admitted = reg.Counter("lppa_admission_admitted_total")
+	a.rejected = reg.Counter("lppa_admission_rejected_total")
 	return a, nil
 }
 
@@ -173,15 +171,11 @@ func (a *Admission) AdmitBidderAt(id int, now float64) (bool, time.Duration) {
 func (a *Admission) note(ok bool) {
 	if ok {
 		a.admittedN.Add(1)
-		if a.admitted != nil {
-			a.admitted.Inc()
-		}
+		a.admitted.Inc()
 		return
 	}
 	a.rejectedN.Add(1)
-	if a.rejected != nil {
-		a.rejected.Inc()
-	}
+	a.rejected.Inc()
 }
 
 // Stats reports the lifetime admitted/rejected tallies.

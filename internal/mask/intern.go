@@ -2,6 +2,7 @@ package mask
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -199,13 +200,19 @@ func (s IntSet) Len() int { return len(s.ids) }
 
 // Max returns the largest interned member ID, or 0 for the empty set. A
 // Dict hands out IDs in first-sighting order, so the maximum tells which
-// set brought in the newest digest — the auctioneer's grouping key for
+// set brought in the newest digest — the auctioneer's grouping hint for
 // prefix families (core/intern.go).
 func (s IntSet) Max() uint32 {
 	if len(s.ids) == 0 {
 		return 0
 	}
 	return s.ids[len(s.ids)-1]
+}
+
+// Equal reports whether s and other hold the same members. Both must come
+// from one Dict.
+func (s IntSet) Equal(other IntSet) bool {
+	return s.sig == other.sig && slices.Equal(s.ids, other.ids)
 }
 
 // Contains reports whether id is a member.

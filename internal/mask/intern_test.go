@@ -199,6 +199,30 @@ func TestIntSetEmpty(t *testing.T) {
 	}
 }
 
+// TestIntSetEqual pins set equality on interned IDs: the same members in
+// any order are equal, and sets that share their largest member but
+// differ below it are not.
+func TestIntSetEqual(t *testing.T) {
+	m := internTestMasker(t)
+	dict := NewDict()
+	a := dict.InternSet(m.MaskSet([]uint64{1, 2, 3}))
+	b := dict.InternSet(m.MaskSet([]uint64{3, 1, 2}))
+	c := dict.InternSet(m.MaskSet([]uint64{1, 3}))
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Error("equal member sets compare unequal")
+	}
+	if a.Max() != c.Max() {
+		t.Fatal("fixture: a and c must share their largest ID")
+	}
+	if a.Equal(c) || c.Equal(a) {
+		t.Error("sets with one Max but different members compare equal")
+	}
+	var empty IntSet
+	if !empty.Equal(IntSet{}) || empty.Equal(a) {
+		t.Error("empty IntSet equality wrong")
+	}
+}
+
 // TestSortedDigestsStable pins the wire-ordering helper: output is sorted,
 // complete, and identical across two independently built copies of the
 // same set (the property SetToWire's byte stability rests on).

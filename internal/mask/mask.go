@@ -61,8 +61,8 @@ func (k Key) Validate() error {
 // Mask path performs no heap allocation. That state makes a single Masker
 // NOT safe for concurrent use: goroutines must not share one. Use Clone to
 // obtain an independent Masker over the same key for each goroutine (the
-// worker-pool paths, e.g. ParallelMaskAll, do exactly that). Construction
-// is still cheap — one HMAC key schedule.
+// bidder-side worker pools, e.g. core.NewLocationSubmissions, do exactly
+// that). Construction is still cheap — one HMAC key schedule.
 type Masker struct {
 	key Key
 	mac hash.Hash         // resettable HMAC-SHA256 state

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"lppa/internal/conflict"
 	"lppa/internal/core"
 )
 
@@ -12,7 +13,7 @@ import (
 // of the auctioneer's one execution path: for several seeds and worker
 // counts the full private round (outcome, charges, voids, conflict graph,
 // rankings, transcript bytes) is identical, and its conflict graph equals
-// the all-pairs oracle over the plain mask.Set submissions.
+// the plaintext truth over the bidders' true points.
 func TestRunPrivateOptsRepresentationInvariance(t *testing.T) {
 	policy := core.DisguisePolicy{P0: 0.6, Decay: 0.9}
 	for _, seed := range []int64{2, 13, 37} {
@@ -24,11 +25,7 @@ func TestRunPrivateOptsRepresentationInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		locs, err := core.NewLocationSubmissions(p, ring, points, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle := core.BuildConflictGraph(locs)
+		truth := conflict.BuildPlain(points, p.Lambda)
 		for _, workers := range []int{1, 2, 4} {
 			got, err := Run(p, ring, in(), WithWorkers(workers))
 			if err != nil {
@@ -48,8 +45,8 @@ func TestRunPrivateOptsRepresentationInvariance(t *testing.T) {
 			if !reflect.DeepEqual(got.Auctioneer.Rankings(), base.Auctioneer.Rankings()) {
 				t.Errorf("seed=%d workers=%d: rankings differ", seed, workers)
 			}
-			if !g.Equal(oracle) {
-				t.Errorf("seed=%d workers=%d: conflict graph differs from oracle", seed, workers)
+			if !g.Equal(truth) {
+				t.Errorf("seed=%d workers=%d: conflict graph differs from the plaintext truth", seed, workers)
 			}
 		}
 	}

@@ -51,17 +51,12 @@ type ArrivalEvent struct {
 // ArrivalConfig shapes a schedule. The zero value is invalid;
 // BuildSchedule runs Validate first.
 type ArrivalConfig struct {
-	// Process selects the inter-arrival law: "poisson" (exponential gaps
-	// at Rate arrivals/sec), "uniform" (each join time uniform over the
-	// horizon), or "burst" (BurstSize joins land at the same instant every
-	// BurstEvery seconds — the admission gate's worst case).
+	// Process selects the inter-arrival law. The one law is "poisson":
+	// exponential gaps at Rate arrivals/sec.
 	Process string
-	// Rate is the mean arrival rate in bidders/sec for poisson. Zero
-	// derives the rate that lands the whole population inside Horizon.
+	// Rate is the mean arrival rate in bidders/sec. Zero derives the rate
+	// that lands the whole population inside Horizon.
 	Rate float64
-	// BurstSize and BurstEvery shape the burst process.
-	BurstSize  int
-	BurstEvery float64
 	// ResubmitFrac is the fraction of bidders that resubmit fresh bids at
 	// a later point of the horizon; DepartFrac the fraction that withdraw
 	// after joining. Both in [0,1]; a bidder can draw both (it departs,
@@ -75,20 +70,14 @@ type ArrivalConfig struct {
 
 // Validate rejects unusable shapes with a caller-facing message.
 func (c ArrivalConfig) Validate() error {
-	switch c.Process {
-	case "poisson", "uniform", "burst":
-	default:
-		return fmt.Errorf("sim: unknown arrival process %q (want poisson, uniform, or burst)", c.Process)
+	if c.Process != "poisson" {
+		return fmt.Errorf("sim: unknown arrival process %q (want poisson)", c.Process)
 	}
 	if c.Horizon <= 0 {
 		return fmt.Errorf("sim: arrival horizon %v, need positive", c.Horizon)
 	}
 	if c.Rate < 0 {
 		return fmt.Errorf("sim: arrival rate %v, need non-negative", c.Rate)
-	}
-	if c.Process == "burst" && (c.BurstSize <= 0 || c.BurstEvery <= 0) {
-		return fmt.Errorf("sim: burst process needs positive BurstSize and BurstEvery, got %d/%v",
-			c.BurstSize, c.BurstEvery)
 	}
 	if c.ResubmitFrac < 0 || c.ResubmitFrac > 1 {
 		return fmt.Errorf("sim: resubmit fraction %v outside [0,1]", c.ResubmitFrac)
@@ -100,11 +89,11 @@ func (c ArrivalConfig) Validate() error {
 }
 
 // BuildSchedule lays out the deterministic event schedule for n bidders:
-// one join per bidder placed by the configured process (join times past
-// the horizon clamp to its final instant), plus churn events for the
-// drawn fractions. Events are sorted by (time, bidder, kind), so equal
-// timestamps — burst mode's whole point — replay in one fixed order.
-// Same config, same n, same rng seed: byte-identical schedule.
+// one join per bidder placed by the Poisson process (join times past the
+// horizon clamp to its final instant), plus churn events for the drawn
+// fractions. Events are sorted by (time, bidder, kind), so equal
+// timestamps — every clamped join — replay in one fixed order. Same
+// config, same n, same rng seed: byte-identical schedule.
 func BuildSchedule(cfg ArrivalConfig, n int, rng *rand.Rand) ([]ArrivalEvent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -114,25 +103,14 @@ func BuildSchedule(cfg ArrivalConfig, n int, rng *rand.Rand) ([]ArrivalEvent, er
 	}
 	events := make([]ArrivalEvent, 0, n)
 	joins := make([]float64, n)
-	switch cfg.Process {
-	case "poisson":
-		rate := cfg.Rate
-		if rate == 0 {
-			rate = float64(n) / cfg.Horizon
-		}
-		t := 0.0
-		for i := 0; i < n; i++ {
-			t += rng.ExpFloat64() / rate
-			joins[i] = clampTime(t, cfg.Horizon)
-		}
-	case "uniform":
-		for i := 0; i < n; i++ {
-			joins[i] = rng.Float64() * cfg.Horizon
-		}
-	case "burst":
-		for i := 0; i < n; i++ {
-			joins[i] = clampTime(float64(i/cfg.BurstSize)*cfg.BurstEvery, cfg.Horizon)
-		}
+	rate := cfg.Rate
+	if rate == 0 {
+		rate = float64(n) / cfg.Horizon
+	}
+	t := 0.0
+	for i := 0; i < n; i++ {
+		t += rng.ExpFloat64() / rate
+		joins[i] = clampTime(t, cfg.Horizon)
 	}
 	for i, at := range joins {
 		events = append(events, ArrivalEvent{At: at, Bidder: i, Kind: EventJoin})

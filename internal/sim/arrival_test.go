@@ -27,53 +27,38 @@ func TestBuildScheduleDeterministic(t *testing.T) {
 
 func TestBuildScheduleShapes(t *testing.T) {
 	const n = 120
-	for _, proc := range []string{"poisson", "uniform", "burst"} {
-		cfg := ArrivalConfig{Process: proc, Horizon: 12, BurstSize: 40, BurstEvery: 4,
-			ResubmitFrac: 0.5, DepartFrac: 0.25}
-		events, err := BuildSchedule(cfg, n, rand.New(rand.NewSource(11)))
-		if err != nil {
-			t.Fatalf("%s: %v", proc, err)
+	cfg := ArrivalConfig{Process: "poisson", Horizon: 12, ResubmitFrac: 0.5, DepartFrac: 0.25}
+	events, err := BuildSchedule(cfg, n, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins, resubmits, departs := 0, 0, 0
+	joined := map[int]bool{}
+	prev := -1.0
+	for _, ev := range events {
+		if ev.At < prev {
+			t.Fatalf("events out of order at %v after %v", ev.At, prev)
 		}
-		joins, resubmits, departs := 0, 0, 0
-		joined := map[int]bool{}
-		prev := -1.0
-		for _, ev := range events {
-			if ev.At < prev {
-				t.Fatalf("%s: events out of order at %v after %v", proc, ev.At, prev)
-			}
-			prev = ev.At
-			if ev.At < 0 || ev.At >= cfg.Horizon {
-				t.Fatalf("%s: event time %v outside [0,%v)", proc, ev.At, cfg.Horizon)
-			}
-			switch ev.Kind {
-			case EventJoin:
-				joins++
-				joined[ev.Bidder] = true
-			case EventResubmit:
-				resubmits++
-			case EventDepart:
-				departs++
-			}
+		prev = ev.At
+		if ev.At < 0 || ev.At >= cfg.Horizon {
+			t.Fatalf("event time %v outside [0,%v)", ev.At, cfg.Horizon)
 		}
-		if joins != n || len(joined) != n {
-			t.Fatalf("%s: %d joins over %d bidders, want %d each", proc, joins, len(joined), n)
+		switch ev.Kind {
+		case EventJoin:
+			joins++
+			joined[ev.Bidder] = true
+		case EventResubmit:
+			resubmits++
+		case EventDepart:
+			departs++
 		}
-		// Churn fractions are probabilistic but far from degenerate at n=120.
-		if resubmits == 0 || departs == 0 {
-			t.Fatalf("%s: churn missing (resubmits=%d departs=%d)", proc, resubmits, departs)
-		}
-		if proc == "burst" {
-			// The first burst lands at t=0, BurstSize joins strong.
-			atZero := 0
-			for _, ev := range events {
-				if ev.At == 0 && ev.Kind == EventJoin {
-					atZero++
-				}
-			}
-			if atZero != cfg.BurstSize {
-				t.Fatalf("burst: %d joins at t=0, want %d", atZero, cfg.BurstSize)
-			}
-		}
+	}
+	if joins != n || len(joined) != n {
+		t.Fatalf("%d joins over %d bidders, want %d each", joins, len(joined), n)
+	}
+	// Churn fractions are probabilistic but far from degenerate at n=120.
+	if resubmits == 0 || departs == 0 {
+		t.Fatalf("churn missing (resubmits=%d departs=%d)", resubmits, departs)
 	}
 }
 
@@ -84,7 +69,6 @@ func TestBuildScheduleValidation(t *testing.T) {
 		{Process: "poisson", Horizon: 0},
 		{Process: "poisson", Horizon: 1, Rate: -2},
 		{Process: "burst", Horizon: 1},
-		{Process: "burst", Horizon: 1, BurstSize: 5},
 		{Process: "poisson", Horizon: 1, ResubmitFrac: 1.5},
 		{Process: "poisson", Horizon: 1, DepartFrac: -0.1},
 	}
@@ -93,7 +77,7 @@ func TestBuildScheduleValidation(t *testing.T) {
 			t.Errorf("config %d (%+v) accepted, want error", i, cfg)
 		}
 	}
-	if _, err := BuildSchedule(ArrivalConfig{Process: "uniform", Horizon: 1}, 0, rng); err == nil {
+	if _, err := BuildSchedule(ArrivalConfig{Process: "poisson", Horizon: 1}, 0, rng); err == nil {
 		t.Error("zero population accepted")
 	}
 }

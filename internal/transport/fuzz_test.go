@@ -47,6 +47,7 @@ func goldenFrames(tb testing.TB) [][]byte {
 		{KindResult, Result{BidderID: 2, Won: true, Channel: 1, Price: 17}},
 		{KindChargeBatch, ChargeBatch{Requests: []core.ChargeRequest{
 			{Bidder: 0, Channel: 1, Sealed: bid.Channels[1].Sealed, Family: bid.Channels[1].Family.Digests()},
+			{Bidder: 2, Channel: 2, Sealed: bid.Channels[2].Sealed, Family: bid.Channels[2].Family.Digests(), SecondPrice: true},
 		}}},
 		{KindChargeReply, ChargeReply{Results: []WireChargeResult{{Bidder: 0, Channel: 1, Valid: true, Price: 9}}}},
 		{KindError, ErrorMsg{Reason: "nope", Retryable: true}},
@@ -146,7 +147,8 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // TestGoldenFramesRoundTrip keeps the fuzz corpus honest: every golden
-// frame decodes back to its own kind.
+// frame decodes back to its own kind, and the charge batch's lone
+// second-price request keeps its SecondPrice mark through gob.
 func TestGoldenFramesRoundTrip(t *testing.T) {
 	kinds := []MsgKind{KindKeyRingRequest, KindKeyRingReply, KindSubmission, KindSubmissionAck,
 		KindResult, KindChargeBatch, KindChargeReply, KindError, KindRetryAfter}
@@ -164,6 +166,16 @@ func TestGoldenFramesRoundTrip(t *testing.T) {
 		}
 		if dec == nil {
 			t.Fatalf("frame %d: nil payload decoder", i)
+		}
+		if env.Kind == KindChargeBatch {
+			var b ChargeBatch
+			if err := dec.Decode(&b); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if len(b.Requests) != 2 || b.Requests[0].SecondPrice || !b.Requests[1].SecondPrice ||
+				b.Requests[1].RunnerUpSealed != nil {
+				t.Errorf("frame %d: charge batch decoded as %+v, want a first-price request and a lone second-price one", i, b.Requests)
+			}
 		}
 	}
 }

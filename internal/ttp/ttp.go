@@ -3,7 +3,8 @@
 // party besides the bidders holding the keys), and at charging time opens
 // the winners' sealed bids, unblinds them, voids disguised zeros, verifies
 // that the winning price matches the masked prefixes used during the
-// auction, and returns first-price charges to the auctioneer.
+// auction, and returns the charges to the auctioneer: first price, or
+// second price when a request asks for it.
 //
 // Batch processing (ProcessBatch) models the paper's section V.C.2: the
 // auctioneer accumulates several auctions' worth of charge requests and
@@ -66,7 +67,8 @@ type ChargeResult struct {
 	// Valid is false when the winning bid was a (possibly disguised)
 	// zero: the award is void and the channel goes unsold this round.
 	Valid bool
-	// Price is the first-price charge (the true bid) for valid awards.
+	// Price is the charge for valid awards: the true bid under first
+	// price, the runner-up's true bid (or zero) under second price.
 	Price uint64
 	// Err records a protocol violation: unopenable ciphertext or a
 	// price/prefix mismatch (a bidder showing one price to the auction
@@ -105,25 +107,24 @@ func (t *TTP) process(req core.ChargeRequest, maskers []*mask.Masker) ChargeResu
 		res.Err = err
 		return res
 	}
-	if req.RunnerUpSealed != nil {
+	if req.SecondPrice || req.RunnerUpSealed != nil {
 		// Second-price charging: the winner pays the runner-up's true
-		// bid. A runner-up that unblinds to a zero (genuine or disguised)
-		// clears the channel for free — the winner faced no real
-		// competition.
-		ruScaled, err := t.sealer.OpenValue(req.RunnerUpSealed)
-		if err != nil {
-			res.Err = fmt.Errorf("ttp: open runner-up bid: %w", err)
-			return res
-		}
-		ruDisplayed := ruScaled / t.ring.CR
-		switch {
-		case ruDisplayed <= t.ring.RD:
-			price = 0
-		default:
-			price = ruDisplayed - t.ring.RD
-			if price > t.params.BMax {
-				res.Err = fmt.Errorf("ttp: runner-up price %d exceeds bmax %d", price, t.params.BMax)
+		// bid. No runner-up, or one that unblinds to a zero (genuine or
+		// disguised), clears the channel for free — the winner faced no
+		// real competition.
+		price = 0
+		if req.RunnerUpSealed != nil {
+			ruScaled, err := t.sealer.OpenValue(req.RunnerUpSealed)
+			if err != nil {
+				res.Err = fmt.Errorf("ttp: open runner-up bid: %w", err)
 				return res
+			}
+			if ruDisplayed := ruScaled / t.ring.CR; ruDisplayed > t.ring.RD {
+				price = ruDisplayed - t.ring.RD
+				if price > t.params.BMax {
+					res.Err = fmt.Errorf("ttp: runner-up price %d exceeds bmax %d", price, t.params.BMax)
+					return res
+				}
 			}
 		}
 	}

@@ -370,6 +370,49 @@ func TestProcessSecondPriceZeroRunnerUpIsFree(t *testing.T) {
 	}
 }
 
+// TestProcessSecondPriceNoRunnerUpIsFree pins the lone second-price
+// winner: a SecondPrice request without a runner-up is charged zero, not
+// its own bid, while the winner's own checks still bite — a zero that won
+// is voided and a family that does not match the sealed price is a
+// violation.
+func TestProcessSecondPriceNoRunnerUpIsFree(t *testing.T) {
+	trusted, _, enc, rng := setup(t, 17)
+	p := params()
+	winner := make([]uint64, p.Channels)
+	winner[0] = 40
+	ws, err := enc.Encode(winner, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := request(ws, 0)
+	req.SecondPrice = true
+	if res := trusted.Process(req); res.Err != nil || !res.Valid || res.Price != 0 {
+		t.Fatalf("lone second-price winner: res = %+v, want a valid free win", res)
+	}
+
+	zs, err := enc.Encode(make([]uint64, p.Channels), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := request(zs, 0)
+	zero.SecondPrice = true
+	if res := trusted.Process(zero); res.Valid || res.Err != nil {
+		t.Errorf("lone second-price zero: res = %+v, want voided", res)
+	}
+
+	other := make([]uint64, p.Channels)
+	other[0] = 90
+	foreign, err := enc.Encode(other, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := req
+	tampered.Family = foreign.Channels[0].Family.Digests()
+	if res := trusted.Process(tampered); res.Err == nil || res.Valid {
+		t.Errorf("lone second-price winner with a foreign family: res = %+v, want a violation", res)
+	}
+}
+
 func TestProcessSecondPriceTamperedRunnerUp(t *testing.T) {
 	trusted, _, enc, rng := setup(t, 12)
 	p := params()
