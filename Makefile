@@ -25,9 +25,9 @@ bench:
 
 # Per-phase/per-layer cost profile of one instrumented N=300 private
 # round, as the observability registry's JSON snapshot. CI uploads it as
-# a build artifact. -workers is pinned (it defaults to GOMAXPROCS, and a
-# 1-worker run takes the serial rng shape) so every host reproduces the
-# committed counters.
+# a build artifact. The round is the same at every width; -workers is
+# pinned only because the lppa_round_workers gauge reports it (the
+# default is one per CPU).
 metrics-snapshot:
 	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -workers 2 -cache $(CACHE) \
 		-metrics-out METRICS_ROUND.json
@@ -39,11 +39,10 @@ trace-snapshot:
 	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -cache $(CACHE) \
 		-trace-out TRACE_ROUND.json
 
-# Privacy-leakage audit of the same round, with -workers pinned as for
-# metrics-snapshot: per-bidder masked-digest counts, conflict degrees,
-# and robust-BCM anonymity-set sizes.
+# Privacy-leakage audit of the same round: per-bidder masked-digest
+# counts, conflict degrees, and robust-BCM anonymity-set sizes.
 audit-snapshot:
-	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -workers 2 -cache $(CACHE) \
+	$(GO) run ./cmd/lppa-sim -experiment round -n 300 -cache $(CACHE) \
 		-audit-out AUDIT_ROUND.json
 
 # Fail if running a round with the zero Telemetry — the production

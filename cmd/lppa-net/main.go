@@ -74,8 +74,9 @@ func run(args []string) error {
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address for live profiling")
 	)
 	// Round-shaping, epoch, and ops flags come from the shared cli blocks,
-	// so lppa-net and lppa-sim agree on names, defaults, and help strings.
-	var rf cli.RoundFlags
+	// so lppa-net and lppa-sim agree on names and help strings. The epoch
+	// service's rounds default to one worker.
+	rf := cli.RoundFlags{Workers: 1}
 	rf.Register(fs)
 	rf.RegisterClient(fs)
 	var ef cli.EpochFlags

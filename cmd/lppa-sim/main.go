@@ -69,18 +69,15 @@ func run(args []string) error {
 	// Round-shaping flags (-workers, -quorum, -density) come from the
 	// shared cli block lppa-net registers too; the networked-only ones
 	// (-straggler, -retries, -chaos) are lppa-net's alone.
-	rf := cli.RoundFlags{Workers: runtime.GOMAXPROCS(0)}
+	var rf cli.RoundFlags
 	rf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Reject typo'd values (negative -workers, unknown -density) before
-	// defaulting the legal zero shapes.
+	// Reject typo'd values (negative -workers, unknown -density) and
+	// resolve -workers 0 to one per CPU.
 	if err := rf.Validate(); err != nil {
 		return err
-	}
-	if rf.Workers < 1 {
-		rf.Workers = runtime.GOMAXPROCS(0)
 	}
 	mix, err := rf.Mix()
 	if err != nil {
@@ -104,13 +101,14 @@ func run(args []string) error {
 			cfg.Grid = geo.Grid{Rows: 20, Cols: 20, SideMeters: 75_000}
 			cfg.Channels = 12
 		}
-		fmt.Fprintf(os.Stderr, "generating dataset (%d channels x %d areas x %dx%d cells)...\n",
-			cfg.Channels, len(cfg.Profiles), cfg.Grid.Rows, cfg.Grid.Cols)
 		var err error
 		ds, err = dataset.LoadOrGenerate(*cache, cfg, *seed)
 		if err != nil {
 			return err
 		}
+		g := ds.Areas[0].Grid
+		fmt.Fprintf(os.Stderr, "dataset: %d channels x %d areas x %dx%d cells (seed %d)\n",
+			ds.Areas[0].NumChannels(), len(ds.Areas), g.Rows, g.Cols, ds.Seed)
 	}
 
 	if err := cli.ServePprof(*pprofAddr); err != nil {

@@ -6,6 +6,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"time"
 
 	"lppa/internal/dataset"
@@ -17,10 +18,12 @@ import (
 
 // RoundFlags binds the round-shaping flags both commands understand. The
 // struct's field values at Register time are the flag defaults, so each
-// command seeds its own defaults (lppa-sim registers Workers at
-// GOMAXPROCS, lppa-net leaves it serial) before registering.
+// command seeds its own defaults (lppa-sim registers Workers at 0, one
+// per CPU; lppa-net at 1) before registering.
 type RoundFlags struct {
-	// Allocation shape: how one round computes, never what it computes.
+	// Workers is the round's width (round.WithWorkers): how one round
+	// computes, never what it computes. 0 means one per CPU; Validate
+	// resolves it.
 	Workers int
 	// Density is the named bidder placement ("urban", "rural", "mixed");
 	// empty keeps each command's own default population (uniform scatter).
@@ -39,7 +42,7 @@ type RoundFlags struct {
 // -quorum, -density) onto fs, using the current field values as defaults.
 func (f *RoundFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", f.Workers,
-		"goroutines for bidder-side submission encoding (the seeded pipeline); <2 = serial rng driver")
+		"round width: goroutines for the bidders' encode and the auctioneer's conflict graph and rank memos, 0 = one per CPU; results are the same at every width")
 	fs.IntVar(&f.Quorum, "quorum", f.Quorum,
 		"minimum usable submissions for a degraded round; 0 requires all bidders")
 	fs.StringVar(&f.Density, "density", f.Density,
@@ -47,12 +50,13 @@ func (f *RoundFlags) Register(fs *flag.FlagSet) {
 }
 
 // Validate rejects flag values that used to fall through to a silent
-// default: a negative -workers is a typo, not a request for the serial
-// pipeline, and an unknown -density must fail before a long run, not
-// place bidders uniformly. Commands call it right after Parse.
+// default: a negative -workers is a typo, and an unknown -density must
+// fail before a long run, not place bidders uniformly. It resolves
+// -workers 0 to one worker per CPU, so 0 means the same in every command.
+// Commands call it right after Parse.
 func (f *RoundFlags) Validate() error {
 	if f.Workers < 0 {
-		return fmt.Errorf("cli: -workers %d is negative (0 picks one per CPU, 1 forces serial)", f.Workers)
+		return fmt.Errorf("cli: -workers %d is negative (0 picks one per CPU)", f.Workers)
 	}
 	if f.Quorum < 0 {
 		return fmt.Errorf("cli: -quorum %d is negative (0 requires all bidders)", f.Quorum)
@@ -68,6 +72,9 @@ func (f *RoundFlags) Validate() error {
 	}
 	if _, err := f.Mix(); err != nil {
 		return err
+	}
+	if f.Workers == 0 {
+		f.Workers = runtime.GOMAXPROCS(0)
 	}
 	return nil
 }
@@ -107,13 +114,13 @@ func (f *RoundFlags) RegisterClient(fs *flag.FlagSet) {
 		"per-frame fault probability for the probabilistic chaos classes")
 }
 
-// RoundOptions maps the parsed allocation and degraded-round flags onto
-// round.Run options. Invalid combinations (a quorum beyond the
-// population) are left for round.Run to reject with its own message, so
-// the CLI and library agree on what is legal.
+// RoundOptions maps the set allocation and degraded-round flags onto
+// round.Run options, one option per set field. Invalid combinations
+// (a quorum beyond the population) are left for round.Run to reject with
+// its own message, so the CLI and library agree on what is legal.
 func (f *RoundFlags) RoundOptions() []round.Option {
 	var opts []round.Option
-	if f.Workers > 1 {
+	if f.Workers != 0 {
 		opts = append(opts, round.WithWorkers(f.Workers))
 	}
 	if f.Quorum > 0 {

@@ -74,21 +74,6 @@ func (g *Graph) Degree(i int) int {
 	return d
 }
 
-// Neighbors returns the sorted neighbor list of i (the paper's N(i)).
-func (g *Graph) Neighbors(i int) []int {
-	g.check(i)
-	out := make([]int, 0, 8)
-	row := g.row(i)
-	for wi, w := range row {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, wi*64+b)
-			w &= w - 1
-		}
-	}
-	return out
-}
-
 // ForEachNeighbor calls fn for each neighbor of i in ascending order.
 func (g *Graph) ForEachNeighbor(i int, fn func(j int)) {
 	g.check(i)

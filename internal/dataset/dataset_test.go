@@ -206,6 +206,38 @@ func TestLoadOrGenerateCaches(t *testing.T) {
 	}
 }
 
+// TestLoadOrGenerateRejectsOtherConfig writes a cache under one config
+// and loads it under others with the same seed: each load must give the
+// requested shape, not the cached one.
+func TestLoadOrGenerateRejectsOtherConfig(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ds.gob")
+	if _, err := LoadOrGenerate(path, smallConfig(), 9); err != nil {
+		t.Fatal(err)
+	}
+	grid := smallConfig()
+	grid.Grid = geo.Grid{Rows: 10, Cols: 10, SideMeters: 75_000}
+	channels := smallConfig()
+	channels.Channels = 5
+	profiles := smallConfig()
+	profiles.Profiles = LAProfiles()[1:3]
+	profiles.Profiles[0].TowerProb /= 2
+	for name, cfg := range map[string]Config{"grid": grid, "channels": channels, "profiles": profiles} {
+		ds, err := LoadOrGenerate(path, cfg, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.Areas) != len(cfg.Profiles) {
+			t.Errorf("%s: loaded %d areas, want %d", name, len(ds.Areas), len(cfg.Profiles))
+			continue
+		}
+		for i, a := range ds.Areas {
+			if a.Grid != cfg.Grid || a.NumChannels() != cfg.Channels || a.Profile != cfg.Profiles[i] {
+				t.Errorf("%s: area %d is %v with %d channels, profile %+v", name, i, a.Grid, a.NumChannels(), a.Profile)
+			}
+		}
+	}
+}
+
 func TestLAProfilesShape(t *testing.T) {
 	ps := LAProfiles()
 	if len(ps) != 4 {

@@ -117,12 +117,12 @@ func Load(r io.Reader) (*Dataset, error) {
 }
 
 // LoadOrGenerate returns the dataset cached at path, generating and caching
-// it when absent or unreadable. It is the entry point the experiment
-// drivers use.
+// it when absent, unreadable, or built from another seed or config. It is
+// the entry point the experiment drivers use.
 func LoadOrGenerate(path string, cfg Config, seed int64) (*Dataset, error) {
 	if f, err := os.Open(path); err == nil {
 		defer f.Close()
-		if ds, err := Load(f); err == nil && ds.Seed == seed {
+		if ds, err := Load(f); err == nil && ds.Seed == seed && ds.fits(cfg) {
 			return ds, nil
 		}
 		// Fall through: stale or corrupt cache is regenerated.
@@ -142,4 +142,19 @@ func LoadOrGenerate(path string, cfg Config, seed int64) (*Dataset, error) {
 		}
 	}
 	return ds, nil
+}
+
+// fits reports whether ds has the shape Generate(cfg, ·) gives: one area
+// per profile, in order, each on cfg's grid with cfg's channel count. The
+// availability threshold is not stored, so it is not checked.
+func (ds *Dataset) fits(cfg Config) bool {
+	if len(ds.Areas) != len(cfg.Profiles) {
+		return false
+	}
+	for i, a := range ds.Areas {
+		if a.Grid != cfg.Grid || a.NumChannels() != cfg.Channels || a.Profile != cfg.Profiles[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -144,15 +144,6 @@ func (m *Masker) hash(numericalized uint64) Digest {
 	return d
 }
 
-// MaskAll masks every numericalized prefix in vs.
-func (m *Masker) MaskAll(vs []uint64) []Digest {
-	out := make([]Digest, len(vs))
-	for i, v := range vs {
-		out[i] = m.Mask(v)
-	}
-	return out
-}
-
 // Set is a collection of distinct digests, kept as one flat slice in
 // insertion order. The zero value is an empty set ready to use.
 //

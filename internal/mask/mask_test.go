@@ -194,6 +194,16 @@ func TestNewKeyRing(t *testing.T) {
 		}
 		seen[string(gb)] = true
 	}
+	if kr.RD != 3 || kr.CR != 8 {
+		t.Errorf("blinding parameters rd=%d cr=%d, want 3 and 8", kr.RD, kr.CR)
+	}
+	other, err := NewKeyRing(5, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(kr.G0) == string(other.G0) {
+		t.Error("two rings drew identical keys")
+	}
 }
 
 func TestDeriveKeyRingDeterministic(t *testing.T) {

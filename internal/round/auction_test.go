@@ -24,7 +24,7 @@ func TestAuctionToleratesMalformedVerdicts(t *testing.T) {
 	// Nil samplers: no disguise, so the honest batch has no voids to blur
 	// the count below.
 	locs, subs, _, errs := encode(p, ring, pts, bids, make([]*core.DisguiseSampler, len(pts)),
-		rand.New(rand.NewSource(2)), 1, true)
+		rand.New(rand.NewSource(2)), 1)
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)

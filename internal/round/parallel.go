@@ -15,30 +15,23 @@ import (
 // submission cannot be built gets an error in its slot instead; the
 // failure excludes only that bidder.
 //
-// It has two randomness shapes. Serial (seeded false) threads rng through
-// the bidders in index order on the calling goroutine — the shape of a Run
-// without WithWorkers, which the paper-figure experiments (internal/sim) use.
-// Seeded draws one encoding seed per bidder from rng up front, in bidder
+// It draws one encoding seed per bidder from rng up front, in bidder
 // order; bidder i's submissions then depend only on seeds[i], so the
 // striped worker pool yields byte-identical results for every worker
 // count. Shared samplers (bidders with equal policies) are safe:
 // DisguiseSampler.Sample only reads the precomputed CDF.
 //
 // Location masking draws no randomness and runs under the ring's shared
-// key, so both shapes build locations up front with
-// core.NewLocationSubmissions, which gives co-located bidders one shared
-// immutable submission. Points are screened first, so an out-of-domain
-// point cannot fail the batch.
+// key, so locations are built up front with core.NewLocationSubmissions,
+// which gives co-located bidders one shared immutable submission. Points
+// are screened first, so an out-of-domain point cannot fail the batch.
 func encode(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	samplers []*core.DisguiseSampler, rng *rand.Rand, workers int, seeded bool,
+	samplers []*core.DisguiseSampler, rng *rand.Rand, workers int,
 ) ([]*core.LocationSubmission, []*core.BidSubmission, []int, []error) {
 	n := len(points)
-	var seeds []int64
-	if seeded {
-		seeds = make([]int64, n)
-		for i := range seeds {
-			seeds[i] = rng.Int63()
-		}
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
 	}
 	locs := make([]*core.LocationSubmission, n)
 	subs := make([]*core.BidSubmission, n)
@@ -76,17 +69,12 @@ func encode(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][
 		// bidder i draws exactly rand.New(rand.NewSource(seeds[i]))'s
 		// stream without a new ~5 KB source.
 		var enc *core.BidEncoder
-		bidRng := rng
-		if seeded {
-			bidRng = rand.New(rand.NewSource(0))
-		}
+		bidRng := rand.New(rand.NewSource(0))
 		for i := w; i < n; i += stride {
 			if errs[i] != nil {
 				continue
 			}
-			if seeded {
-				bidRng.Seed(seeds[i])
-			}
+			bidRng.Seed(seeds[i])
 			if enc == nil {
 				built, err := core.NewBidEncoder(params, ring, samplers[i], bidRng)
 				if err != nil {
@@ -106,7 +94,7 @@ func encode(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][
 			bytes[i] = core.SubmissionBytes(sub) + core.LocationBytes(locs[i])
 		}
 	}
-	if !seeded || workers <= 1 {
+	if workers <= 1 {
 		encodeStripe(0, 1)
 	} else {
 		var wg sync.WaitGroup

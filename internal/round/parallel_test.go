@@ -33,10 +33,11 @@ func parallelFixture(t *testing.T, n int, lambda uint64, seed int64) (core.Param
 }
 
 // TestRunPrivateOptsWorkerInvariance is the tentpole determinism test: for
-// fixed seeds, every worker count must produce identical allocator output
-// (assignments, charges, voids), identical transcript rankings, an
-// identical conflict graph, and identical submission byte counts — across
-// several populations, λ, and seeds.
+// fixed seeds, every worker count, and Run with no option at all, must
+// produce identical allocator output (assignments, charges, voids),
+// identical transcript rankings, an identical conflict graph, and
+// identical submission byte counts — across several populations, λ, and
+// seeds.
 func TestRunPrivateOptsWorkerInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		n      int
@@ -44,12 +45,17 @@ func TestRunPrivateOptsWorkerInvariance(t *testing.T) {
 	}{{8, 1}, {25, 2}, {40, 4}} {
 		for _, seed := range []int64{1, 7, 42} {
 			policy := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
-			base, err := parallelRun(t, tc.n, tc.lambda, seed, policy, 1)
+			base, err := parallelRun(t, tc.n, tc.lambda, seed, policy, WithWorkers(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 3, 8} {
-				got, err := parallelRun(t, tc.n, tc.lambda, seed, policy, workers)
+			// workers 0 stands for Run without WithWorkers.
+			for _, workers := range []int{2, 3, 8, 0} {
+				var opts []Option
+				if workers > 0 {
+					opts = append(opts, WithWorkers(workers))
+				}
+				got, err := parallelRun(t, tc.n, tc.lambda, seed, policy, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,12 +82,12 @@ func TestRunPrivateOptsWorkerInvariance(t *testing.T) {
 	}
 }
 
-// parallelRun runs the seeded pipeline over rebuilt identical inputs with a
+// parallelRun runs a round under opts over rebuilt identical inputs with a
 // fresh rng per invocation, so runs cannot contaminate each other through
 // shared rng state.
-func parallelRun(t *testing.T, n int, lambda uint64, seed int64, policy core.DisguisePolicy, workers int) (*Result, error) {
+func parallelRun(t *testing.T, n int, lambda uint64, seed int64, policy core.DisguisePolicy, opts ...Option) (*Result, error) {
 	p, ring, points, bids := parallelFixture(t, n, lambda, seed)
-	return Run(p, ring, Input{Points: points, Bids: bids, Policy: policy, Rng: rand.New(rand.NewSource(seed * 1001))}, WithWorkers(workers))
+	return Run(p, ring, Input{Points: points, Bids: bids, Policy: policy, Rng: rand.New(rand.NewSource(seed * 1001))}, opts...)
 }
 
 // TestEncodeSubmissionsWorkerInvariance checks the encoded submissions
@@ -98,7 +104,7 @@ func TestEncodeSubmissionsWorkerInvariance(t *testing.T) {
 		samplers[i] = sampler
 	}
 	encodeAll := func(workers int) ([]*core.LocationSubmission, []*core.BidSubmission, int) {
-		locs, subs, bytesPer, errs := encode(p, ring, points, bids, samplers, rand.New(rand.NewSource(99)), workers, true)
+		locs, subs, bytesPer, errs := encode(p, ring, points, bids, samplers, rand.New(rand.NewSource(99)), workers)
 		bytes := 0
 		for i, err := range errs {
 			if err != nil {

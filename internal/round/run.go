@@ -27,10 +27,11 @@ type Input struct {
 	// Policy is the disguise policy applied to every bidder. WithPolicies
 	// overrides it per bidder.
 	Policy core.DisguisePolicy
-	// Rng drives every random choice of the round: the TTP's key material
-	// seed, bid encoding, and the allocator's channel shuffles and tie
-	// breaks. Fixing the seed fixes the round (see WithWorkers for how
-	// parallel encoding keeps that true).
+	// Rng drives every random choice of the round, in this order: the
+	// TTP's key material seed, one encoding seed per bidder in bidder
+	// order, then the allocator's channel shuffles and tie breaks. Bidder
+	// i's submission depends only on its own seed, so fixing Rng's seed
+	// fixes the round at every WithWorkers width.
 	Rng *rand.Rand
 }
 
@@ -39,8 +40,7 @@ type Input struct {
 type Option func(*runConfig) error
 
 type runConfig struct {
-	workers     int
-	seeded      bool
+	workers     int // WithWorkers' n; 1 without the option
 	policies    []core.DisguisePolicy
 	interactive bool
 	secondPrice bool
@@ -52,15 +52,12 @@ type runConfig struct {
 // width is the round's worker count over items independent items:
 // WithWorkers' n, normalized by mask.Workers, or 1 without the option.
 func (c *runConfig) width(items int) int {
-	if !c.seeded {
-		return 1
-	}
 	return mask.Workers(c.workers, items)
 }
 
 // configure applies opts and rejects conflicting charging modes.
 func configure(opts []Option) (runConfig, error) {
-	cfg := runConfig{epoch: -1}
+	cfg := runConfig{workers: 1, epoch: -1}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return runConfig{}, err
@@ -72,25 +69,19 @@ func configure(opts []Option) (runConfig, error) {
 	return cfg, nil
 }
 
-// WithWorkers bounds the goroutines used for submission encoding and for
-// the auctioneer's conflict graph and rank memo builds
-// (core.Auctioneer.SetWorkers); without it the auctioneer builds on the
-// round goroutine. n == 0 means one worker per available CPU; n == 1 pins
-// the seeded pipeline and the builds to the calling goroutine.
-//
-// Passing this option — with any n — switches Run onto the seeded
-// encoding pipeline: the round rng is consumed serially up front (one TTP
-// draw, then one encoding seed per bidder in index order), so results are
-// identical for every n but differ from the optionless serial path at the
-// same seed, which threads one rng through all bidders sequentially. Pick
-// one shape per experiment.
+// WithWorkers sets the round's width: the goroutines that encode the
+// bidders' submissions and build the auctioneer's conflict graph and rank
+// memos (core.Auctioneer.SetWorkers). n == 0 means one per available CPU;
+// without the option the width is 1 and the round runs on the calling
+// goroutine. The width never changes a result: each bidder encodes from
+// its own seed (Input.Rng) and the builds are worker-invariant, so Run
+// returns the same round at every n, and with no option.
 func WithWorkers(n int) Option {
 	return func(c *runConfig) error {
 		if n < 0 {
 			return fmt.Errorf("round: negative worker count %d", n)
 		}
 		c.workers = n
-		c.seeded = true
 		return nil
 	}
 }
@@ -214,13 +205,21 @@ func (o *roundObs) note(res *Result, workers, bytesTotal, digests int) {
 	o.workers.Set(int64(workers))
 }
 
-// buildSamplers returns one disguise sampler per bidder. Bidders with the
-// same policy share a sampler (Sample only reads the precomputed CDF);
-// policies with P0 ≥ 1 never disguise and get nil.
-func buildSamplers(policies []core.DisguisePolicy, bmax uint64) ([]*core.DisguiseSampler, error) {
-	out := make([]*core.DisguiseSampler, len(policies))
+// buildSamplers returns one disguise sampler per bidder for n bidders:
+// policies[i], or policy for every bidder when policies is nil. Bidders
+// with the same policy share a sampler (Sample only reads the precomputed
+// CDF); policies with P0 ≥ 1 never disguise and get nil.
+func buildSamplers(n int, policy core.DisguisePolicy, policies []core.DisguisePolicy, bmax uint64) ([]*core.DisguiseSampler, error) {
+	if policies != nil && len(policies) != n {
+		return nil, fmt.Errorf("round: %d points, %d policies", n, len(policies))
+	}
+	out := make([]*core.DisguiseSampler, n)
 	cache := map[core.DisguisePolicy]*core.DisguiseSampler{}
-	for i, p := range policies {
+	for i := range out {
+		p := policy
+		if policies != nil {
+			p = policies[i]
+		}
 		if p.P0 >= 1 {
 			continue
 		}
@@ -246,12 +245,12 @@ func buildSamplers(policies []core.DisguisePolicy, bmax uint64) ([]*core.Disguis
 //     data (Algorithm 3), and the TTP adjudicates the winners' charges;
 //     voided awards are dropped.
 //
-// Options select the execution and charging shape: WithWorkers for the
-// deterministic parallel pipeline, WithPolicies for per-bidder disguise,
-// WithInteractiveCharging or WithSecondPrice (mutually exclusive) for the
-// charging design, WithTelemetry for metrics, spans and flight
-// recording. With no options Run threads one rng through all bidders
-// serially (see WithWorkers).
+// Options select the width and charging shape: WithWorkers for the
+// goroutines the round fans out over, WithPolicies for per-bidder
+// disguise, WithInteractiveCharging or WithSecondPrice (mutually
+// exclusive) for the charging design, WithTelemetry for metrics, spans and
+// flight recording. No option changes how in.Rng is consumed, and the
+// width never changes a result.
 func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Result, error) {
 	cfg, err := configure(opts)
 	if err != nil {
@@ -284,14 +283,9 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *o
 	if cfg.quorum > n {
 		return nil, fmt.Errorf("round: quorum %d exceeds population %d", cfg.quorum, n)
 	}
-	policies := cfg.policies
-	if policies == nil {
-		policies = make([]core.DisguisePolicy, n)
-		for i := range policies {
-			policies[i] = in.Policy
-		}
-	} else if len(policies) != n {
-		return nil, fmt.Errorf("round: %d points, %d policies", n, len(policies))
+	samplers, err := buildSamplers(n, in.Policy, cfg.policies, params.BMax)
+	if err != nil {
+		return nil, err
 	}
 
 	rng := in.Rng
@@ -299,14 +293,10 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *o
 	if err != nil {
 		return nil, err
 	}
-	samplers, err := buildSamplers(policies, params.BMax)
-	if err != nil {
-		return nil, err
-	}
 
 	ph.Phase("encode")
 	workers := cfg.width(n)
-	locs, subs, bytesPer, errs := encode(params, ring, in.Points, in.Bids, samplers, rng, workers, cfg.seeded)
+	locs, subs, bytesPer, errs := encode(params, ring, in.Points, in.Bids, samplers, rng, workers)
 	// Without WithQuorum the first failed bidder fails the round; with it,
 	// failed bidders are excluded down to the quorum floor and the auction
 	// runs over the compacted survivors.

@@ -61,25 +61,20 @@ func NewSeries(params core.Params, ring *mask.KeyRing, maxRequests, maxRounds in
 // Run executes one auction round: allocation completes immediately, the
 // charge requests join the batch queue, and any rounds whose settlement
 // the queue released are returned (possibly none, possibly several,
-// possibly including this round).
+// possibly including this round). rng is consumed as Run consumes
+// Input.Rng, without the TTP draw NewSeries made: one encoding seed per
+// bidder, then the allocator.
 func (s *Series) Run(ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
 	policy core.DisguisePolicy, rng *rand.Rand) ([]SeriesRound, error) {
 	n := len(points)
 	if n == 0 || len(bids) != n {
 		return nil, fmt.Errorf("round: series round needs matching points and bids")
 	}
-	var sampler *core.DisguiseSampler
-	var err error
-	if policy.P0 < 1 {
-		if sampler, err = core.NewDisguiseSampler(policy, s.params.BMax); err != nil {
-			return nil, err
-		}
+	samplers, err := buildSamplers(n, policy, nil, s.params.BMax)
+	if err != nil {
+		return nil, err
 	}
-	samplers := make([]*core.DisguiseSampler, n)
-	for i := range samplers {
-		samplers[i] = sampler
-	}
-	locs, subs, _, errs := encode(s.params, ring, points, bids, samplers, rng, 1, false)
+	locs, subs, _, errs := encode(s.params, ring, points, bids, samplers, rng, 1)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

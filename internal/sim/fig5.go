@@ -36,11 +36,10 @@ type Fig5Config struct {
 	// Trials repeats each (N, 1−p0) cell with fresh populations and keys
 	// and reports mean ± 95 % CI (1 when zero).
 	Trials int
-	// Workers > 1 runs the private rounds through the deterministic
-	// parallel pipeline (round.Run with WithWorkers): concurrent submission
-	// encoding, identical results for any worker count. 0 or 1 keeps the
-	// legacy serial driver, whose rng consumption order (and hence exact
-	// tables) predates the parallel path.
+	// Workers is the width of the batch-charged private rounds
+	// (round.WithWorkers): the goroutines that encode the bidders and build
+	// the auctioneer's conflict graph and rank memos. 0 means one per
+	// available CPU. It never changes a table.
 	Workers int
 	// Density, when non-nil, overrides the uniform bidder placement with a
 	// named density mix (dense-urban, sparse-rural, or mixed geometry from
@@ -61,14 +60,11 @@ type Fig5Config struct {
 	Telemetry obs.Telemetry
 }
 
-// runPrivate dispatches one private round through the serial or parallel
-// pipeline of round.Run according to cfg.Workers.
+// runPrivate runs one batch-charged private round under cfg's width,
+// quorum and telemetry.
 func (cfg Fig5Config) runPrivate(params core.Params, ring *mask.KeyRing, pts []geo.Point, bids [][]uint64,
 	policy core.DisguisePolicy, rng *rand.Rand) (*round.Result, error) {
-	opts := []round.Option{round.WithTelemetry(cfg.Telemetry)}
-	if cfg.Workers > 1 {
-		opts = append(opts, round.WithWorkers(cfg.Workers))
-	}
+	opts := []round.Option{round.WithTelemetry(cfg.Telemetry), round.WithWorkers(cfg.Workers)}
 	if cfg.Quorum > 0 {
 		opts = append(opts, round.WithQuorum(cfg.Quorum))
 	}

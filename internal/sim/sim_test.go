@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -352,5 +353,68 @@ func TestPricingSmall(t *testing.T) {
 	cfg.Trials = 0
 	if _, err := Pricing(ds.Areas[2], cfg, 5); err == nil {
 		t.Error("trials=0 accepted")
+	}
+}
+
+// TestFig5WorkersInvariant pins that Fig5Config.Workers is a width and
+// nothing else: the instrumented round, the privacy sweep and the
+// performance sweep give equal results at one worker and at two.
+func TestFig5WorkersInvariant(t *testing.T) {
+	ds := smallDataset(t)
+	cfg := Fig5Config{
+		Bidders:       40,
+		Channels:      8,
+		ZeroReplace:   []float64{0.5},
+		KeepFractions: []float64{0.5},
+		Decay:         0.95,
+		Lambda:        2,
+		RD:            3,
+		CR:            4,
+		Trials:        2,
+	}
+	at := func(workers int) Fig5Config {
+		c := cfg
+		c.Workers = workers
+		return c
+	}
+
+	one, err := MetricsRound(ds.Areas[2], at(1), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := MetricsRound(ds.Areas[2], at(2), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one.Outcome, two.Outcome) || one.Voided != two.Voided || one.SubmissionBytes != two.SubmissionBytes {
+		t.Errorf("MetricsRound: workers=1 %+v (voided %d, %d B), workers=2 %+v (voided %d, %d B)",
+			one.Outcome, one.Voided, one.SubmissionBytes, two.Outcome, two.Voided, two.SubmissionBytes)
+	}
+	if !reflect.DeepEqual(one.Auctioneer.Rankings(), two.Auctioneer.Rankings()) {
+		t.Error("MetricsRound: rankings differ between one and two workers")
+	}
+
+	adOne, baseOne, err := Fig5AD(ds.Areas[2], at(1), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adTwo, baseTwo, err := Fig5AD(ds.Areas[2], at(2), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(adOne, adTwo) || !reflect.DeepEqual(baseOne, baseTwo) {
+		t.Errorf("Fig5AD: workers=1 %+v, workers=2 %+v", adOne, adTwo)
+	}
+
+	efOne, err := Fig5EF(ds.Areas[2], at(1), []int{20}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	efTwo, err := Fig5EF(ds.Areas[2], at(2), []int{20}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(efOne, efTwo) {
+		t.Errorf("Fig5EF: workers=1 %+v, workers=2 %+v", efOne, efTwo)
 	}
 }

@@ -31,19 +31,9 @@ type TTP struct {
 // Params mirrors core.Params; aliased so callers pass one value to both.
 type Params = core.Params
 
-// New creates a TTP for the round's parameters, drawing a fresh key ring
-// from crypto/rand. rd and cr are the blinding parameters the TTP chooses
-// and keeps secret from the auctioneer.
-func New(params Params, rd, cr uint64, rng *rand.Rand) (*TTP, error) {
-	ring, err := mask.NewKeyRing(params.Channels, rd, cr)
-	if err != nil {
-		return nil, fmt.Errorf("ttp: key ring: %w", err)
-	}
-	return FromRing(params, ring, rng)
-}
-
-// FromRing creates a TTP around an existing key ring (experiments derive
-// rings deterministically).
+// FromRing creates a TTP around a key ring: a fresh one from
+// mask.NewKeyRing, or one experiments derive deterministically
+// (mask.DeriveKeyRing).
 func FromRing(params Params, ring *mask.KeyRing, rng *rand.Rand) (*TTP, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err

@@ -262,14 +262,22 @@ func TestProcessBatchConcurrent(t *testing.T) {
 
 func TestNewDrawsFreshRing(t *testing.T) {
 	p := params()
-	a, err := New(p, 5, 8, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
+	fresh := func(seed int64) *TTP {
+		t.Helper()
+		ring, err := mask.NewKeyRing(p.Channels, 5, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trusted, err := FromRing(p, ring, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trusted.Ring() != ring {
+			t.Fatal("TTP does not hold the ring it was given")
+		}
+		return trusted
 	}
-	b, err := New(p, 5, 8, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := fresh(1), fresh(2)
 	if string(a.Ring().G0) == string(b.Ring().G0) {
 		t.Error("two TTPs drew identical keys")
 	}

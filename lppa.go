@@ -24,7 +24,7 @@
 // Run is the one in-process round entry point. Its auctioneer half is the
 // key-free round.Auction, which the networked auctioneer runs too, and the
 // auctioneer has one execution path (DESIGN.md §5g). Functional options
-// shape the rest: WithWorkers for the deterministic parallel pipeline,
+// shape the rest: WithWorkers for the goroutines a round fans out over,
 // WithPolicies for per-bidder disguise, WithSecondPrice /
 // WithInteractiveCharging for the alternative charging rules, WithQuorum
 // for graceful degradation, and WithTelemetry to report phase timings,
@@ -289,17 +289,19 @@ func NewLocationSubmission(params Params, ring *KeyRing, pt Point) (*LocationSub
 func Conflicts(a, b *LocationSubmission) bool { return core.Conflicts(a, b) }
 
 // Run executes a full LPPA round in-process. The default is the paper's
-// design — one disguise policy for all bidders, batch TTP charging, the
-// serial pipeline — and functional options select every variant: worker
-// count, per-bidder policies, charging rule, and telemetry.
+// design — one disguise policy for all bidders, batch TTP charging, on
+// the calling goroutine — and functional options select every variant:
+// worker count, per-bidder policies, charging rule, and telemetry. The
+// same inputs and charging options give the same round at every worker
+// count.
 func Run(params Params, ring *KeyRing, in RoundInput, opts ...RunOption) (*RoundResult, error) {
 	return round.Run(params, ring, in, opts...)
 }
 
-// WithWorkers runs the round through the deterministic parallel pipeline
-// with n goroutines (0 = GOMAXPROCS): the bidders' encode and the
-// auctioneer's conflict graph and rank memo builds, which without it run
-// on the round goroutine. Results are identical for any worker count.
+// WithWorkers sets the round's width to n goroutines (0 = GOMAXPROCS):
+// the bidders' encode and the auctioneer's conflict graph and rank memo
+// builds, which without it run on the round goroutine. It never changes a
+// result: Run with any n, or without the option, returns the same round.
 func WithWorkers(n int) RunOption { return round.WithWorkers(n) }
 
 // WithPolicies gives each bidder its own disguise policy (len must equal
