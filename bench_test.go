@@ -1193,11 +1193,15 @@ func encodeFixture(b *testing.B) (core.Params, *mask.KeyRing, *core.DisguiseSamp
 
 // BenchmarkEncodeSubmissions attributes the bidder-side cost of a round:
 // every bidder's masked location (core.NewLocationSubmissions) and masked
-// bids, serially, each bidder on its own seeded rng as in round.Run.
-// "reused" is the round's path — one bid encoder rebound from bidder to
-// bidder, so each channel's digest table fills once. "oneshot" builds a
-// fresh encoder per bidder, as a networked BidderClient does; it pays an
-// HMAC per prefix, eight key schedules and an AES-GCM set-up per bidder.
+// bids, serially, each bidder on its own rand.NewSource(seed), the stream
+// round.Run gives it. "reused" rebinds one bid encoder from bidder to
+// bidder as the round does, so each channel's digest table fills once,
+// but it still builds and seeds a math/rand source per bidder (~15 µs),
+// where the round reseeds its stripe's cheaper identical source;
+// internal/round's BenchmarkEncode times the round's own path. "oneshot"
+// builds a fresh encoder per bidder, as a networked BidderClient does; it
+// pays an HMAC per prefix, eight key schedules and an AES-GCM set-up per
+// bidder.
 func BenchmarkEncodeSubmissions(b *testing.B) {
 	p, ring, sampler, pts, bids, seeds := encodeFixture(b)
 	for _, mode := range []string{"reused", "oneshot"} {

@@ -244,8 +244,8 @@ func runRound(ds *dataset.Dataset, n, channels int, seed int64, mix *dataset.Den
 	if err != nil {
 		return err
 	}
-	fmt.Printf("## Instrumented private round (Area 3, N=%d, k=%d, workers=%d, density=%s)\n\n",
-		n, min(channels, ds.Areas[2].NumChannels()), rf.Workers, placement)
+	fmt.Printf("## Instrumented private round (Area 3, N=%d, k=%d, density=%s)\n\n",
+		n, min(channels, ds.Areas[2].NumChannels()), placement)
 	fmt.Printf("awards: %d, revenue: %d, satisfaction: %.3f, voided: %d, submission bytes: %d\n",
 		len(res.Outcome.Assignments), res.Outcome.Revenue, res.Outcome.Satisfaction(), res.Voided, res.SubmissionBytes)
 	if sinks.auditOut == "" {

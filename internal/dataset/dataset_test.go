@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -204,11 +205,34 @@ func TestLoadOrGenerateCaches(t *testing.T) {
 	if third.Seed != 10 {
 		t.Errorf("seed = %d, want 10", third.Seed)
 	}
+	// The stale cache is rewritten, and so is an unreadable one.
+	if ds, err := loadFile(path); err != nil || ds.Seed != 10 {
+		t.Errorf("stale cache not rewritten (err %v)", err)
+	}
+	if err := os.WriteFile(path, []byte("not a dataset"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadOrGenerate(path, cfg, 10); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err := loadFile(path); err != nil || ds.Seed != 10 {
+		t.Errorf("unreadable cache not rewritten (err %v)", err)
+	}
+}
+
+// loadFile reads the dataset cached at path.
+func loadFile(path string) (*Dataset, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Load(f)
 }
 
 // TestLoadOrGenerateRejectsOtherConfig writes a cache under one config
 // and loads it under others with the same seed: each load must give the
-// requested shape, not the cached one.
+// requested shape, not the cached one, and leave the cache as it was.
 func TestLoadOrGenerateRejectsOtherConfig(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ds.gob")
 	if _, err := LoadOrGenerate(path, smallConfig(), 9); err != nil {
@@ -235,6 +259,9 @@ func TestLoadOrGenerateRejectsOtherConfig(t *testing.T) {
 				t.Errorf("%s: area %d is %v with %d channels, profile %+v", name, i, a.Grid, a.NumChannels(), a.Profile)
 			}
 		}
+	}
+	if ds, err := loadFile(path); err != nil || ds.Seed != 9 || !ds.fits(smallConfig()) {
+		t.Errorf("the cache no longer holds smallConfig()'s dataset (err %v)", err)
 	}
 }
 

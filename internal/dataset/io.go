@@ -117,15 +117,20 @@ func Load(r io.Reader) (*Dataset, error) {
 }
 
 // LoadOrGenerate returns the dataset cached at path, generating and caching
-// it when absent, unreadable, or built from another seed or config. It is
-// the entry point the experiment drivers use.
+// it when absent, unreadable, or built from another seed. A readable cache
+// of another shape (see fits) is left untouched and the dataset returned
+// uncached, so runs of two sizes can alternate on one path. It is the
+// entry point the experiment drivers use.
 func LoadOrGenerate(path string, cfg Config, seed int64) (*Dataset, error) {
 	if f, err := os.Open(path); err == nil {
-		defer f.Close()
-		if ds, err := Load(f); err == nil && ds.Seed == seed && ds.fits(cfg) {
-			return ds, nil
+		cached, err := Load(f)
+		f.Close()
+		if err == nil && !cached.fits(cfg) {
+			path = "" // another config's cache: keep it
+		} else if err == nil && cached.Seed == seed {
+			return cached, nil
 		}
-		// Fall through: stale or corrupt cache is regenerated.
+		// Fall through: a stale seed or an unreadable cache is regenerated.
 	}
 	ds, err := Generate(cfg, seed)
 	if err != nil {

